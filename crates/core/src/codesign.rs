@@ -15,7 +15,7 @@
 //!   with the instruction set **re-derived** on the merged datapath.
 //! * **Scoring** — every `(candidate, budget)` point compiles the whole
 //!   app corpus through **one shared [`CompileSession`]** under the
-//!   fleet's per-cell fuel cap and `catch_unwind` containment, and every
+//!   sweep harness's per-cell fuel cap and panic containment, and every
 //!   compiled cell is pinned **bit-exact against the
 //!   `dspcc_dfg::Interpreter` golden model** ([`conform_cell`]). A point
 //!   is feasible only if every app compiled *and* verified — so by
@@ -24,16 +24,16 @@
 //!   [`HwCost::scalar`]); the non-dominated set is the Pareto frontier.
 //!
 //! Determinism: candidates, moves, stimulus, and compilation are pure
-//! functions of the seed list, and results land in pre-indexed slots —
-//! [`Codesign::run`] returns the same [`CodesignReport`] for every
-//! worker-thread count (same slot discipline as [`crate::explore`] and
-//! [`crate::conform`], pinned by `tests/codesign.rs`). A diverging cell
-//! is a [`PointOutcome::Mismatch`] — a compiler bug by construction —
-//! and fails the sweep's zero-mismatch gate, never silently.
+//! functions of the seed list, and every phase runs on the shared sweep
+//! harness (DESIGN.md, "Sweep harness") — [`Codesign::run`] returns the
+//! same [`CodesignReport`] for every worker-thread count (pinned by
+//! `tests/codesign.rs`). A diverging cell is a [`PointOutcome::Mismatch`]
+//! — a compiler bug by construction — and fails the sweep's
+//! zero-mismatch gate, never silently. A quarantined cell carries the
+//! `examples/codesign.rs` command that rebuilds its point.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dspcc_arch::merge::MergePlan;
 use dspcc_arch::{Datapath, Fnv64};
@@ -44,6 +44,7 @@ use crate::conform::{conform_cell, CellOutcome};
 use crate::cores::{generated_core, merged_core};
 use crate::pipeline::Core;
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// The hardware-cost side of a design point, measured on the core
 /// definition alone (no compilation needed).
@@ -236,16 +237,7 @@ impl Default for Codesign {
             budgets: vec![None],
             frames: 8,
             threads: 0,
-            // The fleet's discipline: breadth over polish, parallelism at
-            // the cell level, and a deterministic fuel cap so one
-            // pathological point degrades or quarantines instead of
-            // hanging the sweep.
-            options: CompileOptions {
-                restarts: 2,
-                sched_threads: 1,
-                fuel: Some(10_000),
-                ..CompileOptions::default()
-            },
+            options: CompileOptions::sweep_cell(),
         }
     }
 }
@@ -332,17 +324,6 @@ impl Codesign {
         self
     }
 
-    fn workers(&self, work: usize) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(work)
-        .max(1)
-    }
-
     /// Runs the sweep: build candidates, score every `(candidate,
     /// budget)` point on the corpus, and rank the feasible points.
     ///
@@ -356,7 +337,7 @@ impl Codesign {
         );
         assert!(!self.apps.is_empty(), "codesign needs at least one app");
 
-        // Phase 1: base candidates (seeds, then unions), parallel slots.
+        // Phase 1: base candidates (seeds, then unions), in parallel.
         let base_specs: Vec<CandidateKind> = self
             .seeds
             .iter()
@@ -367,25 +348,10 @@ impl Codesign {
                     .map(|&(a, b)| CandidateKind::Union(a, b)),
             )
             .collect();
-        let base_slots: Vec<Mutex<Option<Candidate>>> =
-            base_specs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers(base_specs.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = base_specs.get(i) else { break };
-                    *base_slots[i].lock().unwrap() = Some(build_base(spec));
-                });
-            }
-        });
-        let mut candidates: Vec<Candidate> = base_slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("candidate built"))
-            .collect();
+        let mut candidates = sweep::fan_out(self.threads, &base_specs, build_base);
 
-        // Phase 2: merge moves of every buildable base, parallel slots.
-        // The move list is a pure function of each base datapath, so the
+        // Phase 2: merge moves of every buildable base, in parallel. The
+        // move list is a pure function of each base datapath, so the
         // candidate order never depends on worker timing.
         if self.merge_moves {
             let move_specs: Vec<(usize, String, MergePlan)> = candidates
@@ -404,32 +370,16 @@ impl Codesign {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let move_slots: Vec<Mutex<Option<Candidate>>> =
-                move_specs.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..self.workers(move_specs.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((base, name, plan)) = move_specs.get(i) else {
-                            break;
-                        };
-                        *move_slots[i].lock().unwrap() =
-                            Some(build_move(&candidates[*base], *base, name, plan));
-                    });
-                }
+            let moves = sweep::fan_out(self.threads, &move_specs, |(base, name, plan)| {
+                build_move(&candidates[*base], *base, name, plan)
             });
-            candidates.extend(
-                move_slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().unwrap().expect("candidate built")),
-            );
+            candidates.extend(moves);
         }
 
         // Phase 3: score every (candidate × budget × app) cell through
-        // one shared session, slot-indexed. `conform_cell` contains the
-        // compile *and* the bit-exact differential check, so scoring and
-        // conformance are one verdict.
+        // one shared session. `conform_cell` contains the compile *and*
+        // the bit-exact differential check, so scoring and conformance
+        // are one verdict.
         let points: Vec<(usize, Option<u32>)> = (0..candidates.len())
             .flat_map(|c| self.budgets.iter().map(move |&b| (c, b)))
             .collect();
@@ -437,55 +387,37 @@ impl Codesign {
             .flat_map(|p| (0..self.apps.len()).map(move |a| (p, a)))
             .collect();
         let session = CompileSession::new();
-        let cell_slots: Vec<Mutex<Option<CellOutcome>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(p, a)) = cells.get(i) else { break };
-                    let (cand_idx, budget) = points[p];
-                    let candidate = &candidates[cand_idx];
-                    let (app, source) = &self.apps[a];
-                    let outcome = match &candidate.core {
-                        Err(reason) => CellOutcome::Infeasible(reason.clone()),
-                        Ok(core) => {
-                            let options = CompileOptions {
-                                budget,
-                                ..self.options.clone()
-                            };
-                            let core = Arc::clone(core);
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                conform_cell(
-                                    &session,
-                                    &core,
-                                    candidate.stim_seed,
-                                    app,
-                                    source,
-                                    self.frames,
-                                    &options,
-                                )
-                            }))
-                            .unwrap_or_else(|payload| {
-                                CellOutcome::Panicked {
-                                    message: format!(
-                                        "contained panic in point `{}` app `{app}`: {}",
-                                        candidate.label,
-                                        panic_text(payload.as_ref())
-                                    ),
-                                }
-                            })
-                        }
-                    };
-                    *cell_slots[i].lock().unwrap() = Some(outcome);
-                });
-            }
+        let cell_results = sweep::fan_out(self.threads, &cells, |&(p, a)| {
+            let (cand_idx, budget) = points[p];
+            let candidate = &candidates[cand_idx];
+            let (app, source) = &self.apps[a];
+            let core = match &candidate.core {
+                Err(reason) => return CellOutcome::Infeasible(reason.clone()),
+                Ok(core) => core,
+            };
+            let options = CompileOptions {
+                budget,
+                ..self.options.clone()
+            };
+            sweep::contain(|| {
+                conform_cell(
+                    &session,
+                    core,
+                    candidate.stim_seed,
+                    app,
+                    source,
+                    self.frames,
+                    &options,
+                )
+            })
+            .unwrap_or_else(|text| CellOutcome::Panicked {
+                message: format!(
+                    "contained panic in point `{}` app `{app}`: {text}",
+                    candidate.label
+                ),
+            })
+            .with_repro(&self.repro_command(&candidates, candidate, app, budget))
         });
-        let cell_results: Vec<CellOutcome> = cell_slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("every cell ran"))
-            .collect();
 
         // Phase 4 (serial): fold cells into points and rank the
         // feasible ones.
@@ -509,6 +441,34 @@ impl Codesign {
             points: design_points,
             frontier,
         }
+    }
+
+    /// The `examples/codesign.rs` command that reruns one `(point, app)`
+    /// cell: the `--start`/`--seeds` window that rebuilds the candidate
+    /// (its seed or a merge move's base; two seeds for an adjacent
+    /// union), restricted to the app, under the point's budget.
+    fn repro_command(
+        &self,
+        candidates: &[Candidate],
+        c: &Candidate,
+        app: &str,
+        budget: Option<u32>,
+    ) -> String {
+        let base = match c.kind {
+            CandidateKind::Merged { base, .. } => &candidates[base].kind,
+            ref kind => kind,
+        };
+        let (start, seeds) = match *base {
+            CandidateKind::Union(a, b) if a.checked_add(1) == Some(b) => (a, 2),
+            CandidateKind::Seed(s) => (s, 1),
+            _ => return format!("none, the example cannot declare `{}`", c.label),
+        };
+        let budget = budget.map(|b| format!(" --budget {b}")).unwrap_or_default();
+        format!(
+            "cargo run --example codesign -- --seeds {seeds} --start {start} --apps {app} \
+             --frames {}{budget}",
+            self.frames
+        )
     }
 }
 
@@ -718,16 +678,6 @@ fn pareto_frontier(points: &[DesignPoint]) -> Vec<usize> {
     frontier.into_iter().map(|(i, _, _)| i).collect()
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
-}
-
 /// The result of a [`Codesign::run`]: every point in deterministic sweep
 /// order, plus the Pareto frontier over the feasible ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -869,6 +819,49 @@ mod tests {
             }
         }
         assert!(saw_move, "no seed in 0..16 drew a secondary unit");
+    }
+
+    #[test]
+    fn quarantined_points_name_a_codesign_repro() {
+        // Starvation fuel under an unreachable budget exhausts every
+        // cell; each reason must rebuild its own point, not the
+        // stimulus hash of its label.
+        let report = Codesign::new()
+            .seed_range(5..7)
+            .union_adjacent()
+            .app("biquad3", crate::apps::biquad_cascade(3))
+            .budgets([Some(1)])
+            .frames(2)
+            .options(CompileOptions {
+                fuel: Some(1),
+                ..CompileOptions::sweep_cell()
+            })
+            .run();
+        assert!(report.quarantined().count() > 0, "{report}");
+        // One budget: point `i` is candidate `i`.
+        let base_seed = |kind: &CandidateKind| match *kind {
+            CandidateKind::Seed(s) | CandidateKind::Union(s, _) => Some(s),
+            CandidateKind::Merged { .. } => None,
+        };
+        for point in report.quarantined() {
+            let PointOutcome::Quarantined { app, reason } = &point.outcome else {
+                unreachable!()
+            };
+            let seed = match &point.kind {
+                CandidateKind::Merged { base, .. } => base_seed(&report.points[*base].kind),
+                kind => base_seed(kind),
+            }
+            .unwrap();
+            assert_eq!(reason.matches("repro:").count(), 1, "{reason}");
+            for needle in [
+                "cargo run --example codesign -- ".to_owned(),
+                format!("--start {seed} "),
+                format!("--apps {app} "),
+                "--frames 2 --budget 1".to_owned(),
+            ] {
+                assert!(reason.contains(&needle), "`{needle}` not in {reason}");
+            }
+        }
     }
 
     #[test]

@@ -31,22 +31,24 @@
 //! is differentially verified at fleet scale, not just point-tested.
 //!
 //! Determinism: cores, stimulus, and compilation are all pure functions
-//! of the seed block, and the fleet table is assembled into pre-indexed
-//! slots — [`ConformFleet::run`] returns the same [`ConformReport`] for
-//! every worker-thread count (pinned by `tests/conform_fleet.rs`).
-//! Failures therefore reproduce from the `(seed, app)` pair (plus the
-//! merge partner, for merged cells) alone.
+//! of the seed block, and the fleet runs on the shared sweep harness
+//! (DESIGN.md, "Sweep harness") — [`ConformFleet::run`] returns the same
+//! [`ConformReport`] for every worker-thread count (pinned by
+//! `tests/conform_fleet.rs`). Failures therefore reproduce from the
+//! `(seed, app)` pair (plus the merge partner, for merged cells) alone.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dspcc_arch::SplitMix64;
-use dspcc_dfg::Interpreter;
+use dspcc_dfg::{Interpreter, StepError};
+use dspcc_encode::Microcode;
+use dspcc_sim::{CoreSim, SimError};
 
 use crate::cores::{generated_core, merged_core};
-use crate::pipeline::{CompileError, Core};
+use crate::pipeline::{CompileError, Compiled, Core};
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// The verdict of one `(seed, app)` conformance cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +73,12 @@ pub enum CellOutcome {
     /// the golden model — a compiler bug by construction.
     Mismatch(String),
     /// The cell's deterministic fuel cap ran out before a schedule met
-    /// the budget. The cell is quarantined (the sweep continues) and the
-    /// message carries a repro command.
+    /// the budget. The cell is quarantined (the sweep continues); the
+    /// sweep that ran it appends a repro command to the message.
     Exhausted(String),
     /// The compiler panicked inside this cell. The panic was contained
-    /// by the fleet worker — the sweep continues — and the message
-    /// carries the payload plus a repro command.
+    /// by the sweep — which continues — and the message carries the
+    /// payload plus the sweep's repro command.
     Panicked {
         /// The panic payload (or a placeholder for non-string payloads)
         /// plus the repro command.
@@ -115,6 +117,18 @@ impl CellOutcome {
             self,
             CellOutcome::Panicked { .. } | CellOutcome::Exhausted(_)
         )
+    }
+
+    /// Appends `; repro: {command}` to a quarantined outcome's message;
+    /// every other outcome passes through unchanged.
+    pub(crate) fn with_repro(self, command: &str) -> CellOutcome {
+        match self {
+            CellOutcome::Exhausted(m) => CellOutcome::Exhausted(format!("{m}; repro: {command}")),
+            CellOutcome::Panicked { message } => CellOutcome::Panicked {
+                message: format!("{message}; repro: {command}"),
+            },
+            other => other,
+        }
     }
 }
 
@@ -188,17 +202,7 @@ impl Default for ConformFleet {
             apps: Vec::new(),
             frames: 8,
             threads: 0,
-            // Breadth over per-cell polish: few restarts, and the fleet's
-            // parallelism lives at the cell level. The fuel cap bounds
-            // every cell deterministically — a pathological (seed, app)
-            // combination degrades or quarantines instead of hanging the
-            // sweep (the cap is far above what any corpus cell spends).
-            options: CompileOptions {
-                restarts: 2,
-                sched_threads: 1,
-                fuel: Some(10_000),
-                ..CompileOptions::default()
-            },
+            options: CompileOptions::sweep_cell(),
         }
     }
 }
@@ -267,41 +271,20 @@ impl ConformFleet {
     /// (seed-major) order — single-seed rows first, merged-pair rows
     /// after, each row in builder order.
     ///
+    /// Every cell is contained: a panicking cell is quarantined as
+    /// [`CellOutcome::Panicked`] and the sweep continues — one poisoned
+    /// cell can never take down the table. Each quarantined cell carries
+    /// the `examples/conform.rs` command that reruns it alone.
+    ///
     /// # Panics
     ///
     /// Panics if the fleet has no seeds (nor merged pairs) or no apps.
     pub fn run(&self) -> ConformReport {
-        self.run_with(conform_cell)
-    }
-
-    /// Runs the fleet with a custom per-cell runner — the fault-injection
-    /// audit ([`crate::fault`]) reuses the fleet's parallelism, slot
-    /// determinism, and quarantine through this hook.
-    ///
-    /// Every runner invocation is wrapped in `catch_unwind`: a panicking
-    /// cell is quarantined as [`CellOutcome::Panicked`] (payload plus a
-    /// repro command) and the sweep continues — one poisoned cell can
-    /// never take down the table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet has no seeds or no apps.
-    pub fn run_with<F>(&self, runner: F) -> ConformReport
-    where
-        F: Fn(&CompileSession, &Arc<Core>, u64, &str, &str, u32, &CompileOptions) -> CellOutcome
-            + Sync,
-    {
         assert!(
             !self.seeds.is_empty() || !self.merged.is_empty(),
             "fleet needs at least one seed or merged pair"
         );
         assert!(!self.apps.is_empty(), "fleet needs at least one app");
-        let workers = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         // The table's row axis: single-seed cores first, merged-pair
         // cores after, in builder order.
         let units: Vec<(u64, Option<u64>)> = self
@@ -310,100 +293,56 @@ impl ConformFleet {
             .map(|&s| (s, None))
             .chain(self.merged.iter().map(|&(a, b)| (a, Some(b))))
             .collect();
-        // Phase 1: generate the cores, one slot per unit (parallel — the
-        // ISA closure is the expensive part of generation). A merged pair
-        // whose union fails carries the reason to its cells instead of a
-        // core.
-        type CoreSlot = Mutex<Option<Result<Arc<Core>, String>>>;
-        let core_slots: Vec<CoreSlot> = units.iter().map(|_| Mutex::new(None)).collect();
-        let next_core = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(units.len()) {
-                scope.spawn(|| loop {
-                    let i = next_core.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(seed, merged_with)) = units.get(i) else {
-                        break;
-                    };
-                    let core = match merged_with {
-                        None => Ok(Arc::new(generated_core(seed))),
-                        Some(b) => merged_core(seed, b)
-                            .map(Arc::new)
-                            .map_err(|e| e.to_string()),
-                    };
-                    *core_slots[i].lock().unwrap() = Some(core);
-                });
-            }
-        });
-        let cores: Vec<Result<Arc<Core>, String>> = core_slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("core generated"))
-            .collect();
+        // Phase 1: generate the cores (parallel — the ISA closure is the
+        // expensive part of generation). A merged pair whose union fails
+        // carries the reason to its cells instead of a core.
+        let cores = sweep::fan_out(
+            self.threads,
+            &units,
+            |&(seed, merged_with)| match merged_with {
+                None => Ok(Arc::new(generated_core(seed))),
+                Some(b) => merged_core(seed, b)
+                    .map(Arc::new)
+                    .map_err(|e| e.to_string()),
+            },
+        );
         // Phase 2: the cells, through one shared session (stage artifacts
         // keyed by content — apps shared across variants of one core).
         let cells: Vec<(usize, usize)> = (0..units.len())
             .flat_map(|u| (0..self.apps.len()).map(move |a| (u, a)))
             .collect();
         let session = CompileSession::new();
-        let slots: Vec<Mutex<Option<ConformCell>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(cells.len()).max(1) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(u, a)) = cells.get(i) else { break };
-                    let (seed, merged_with) = units[u];
-                    let (app, source) = &self.apps[a];
-                    let outcome = match &cores[u] {
-                        Err(reason) => {
-                            CellOutcome::Infeasible(format!("merged core unbuildable: {reason}"))
-                        }
-                        Ok(core) => {
-                            let ran =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    runner(
-                                        &session,
-                                        core,
-                                        seed,
-                                        app,
-                                        source,
-                                        self.frames,
-                                        &self.options,
-                                    )
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    CellOutcome::Panicked {
-                                        message: format!(
-                                            "{}; repro: {}",
-                                            panic_message(payload.as_ref()),
-                                            repro_command(seed, app, self.frames)
-                                        ),
-                                    }
-                                });
-                            match merged_with {
-                                None => ran,
-                                // A quarantined merged cell's inner repro
-                                // command names only `seed` — correct it
-                                // to the merged-core spelling.
-                                Some(b) => fix_merged_repro(ran, seed, b, app, self.frames),
-                            }
-                        }
-                    };
-                    *slots[i].lock().unwrap() = Some(ConformCell {
+        let cells = sweep::fan_out(self.threads, &cells, |&(u, a)| {
+            let (seed, merged_with) = units[u];
+            let (app, source) = &self.apps[a];
+            let outcome = match &cores[u] {
+                Err(reason) => {
+                    CellOutcome::Infeasible(format!("merged core unbuildable: {reason}"))
+                }
+                Ok(core) => sweep::contain(|| {
+                    conform_cell(
+                        &session,
+                        core,
                         seed,
-                        merged_with,
-                        app: app.clone(),
-                        outcome,
-                    });
-                });
+                        app,
+                        source,
+                        self.frames,
+                        &self.options,
+                    )
+                })
+                .unwrap_or_else(|message| CellOutcome::Panicked { message })
+                .with_repro(&repro_command(seed, merged_with, app, self.frames)),
+            };
+            ConformCell {
+                seed,
+                merged_with,
+                app: app.clone(),
+                outcome,
             }
         });
         ConformReport {
             apps: self.apps.iter().map(|(n, _)| n.clone()).collect(),
-            cells: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every cell ran"))
-                .collect(),
+            cells,
         }
     }
 }
@@ -412,7 +351,10 @@ impl ConformFleet {
 /// `frames` frames of seeded stimulus bit-exact against the interpreter.
 ///
 /// Public so targeted reproduction (`examples/conform.rs` prints the
-/// `(seed, app)` pair of a failing cell) needs no fleet setup.
+/// `(seed, app)` pair of a failing cell) needs no fleet setup. A
+/// quarantined outcome carries no reproduction command: the sweep that
+/// ran the cell knows its own CLI and appends one
+/// ([`ConformFleet::run`] does).
 pub fn conform_cell(
     session: &CompileSession,
     core: &Arc<Core>,
@@ -426,17 +368,57 @@ pub fn conform_cell(
         Ok(c) => c,
         Err(CompileError::Schedule(dspcc_sched::SchedError::FuelExhausted { spent, budget })) => {
             return CellOutcome::Exhausted(format!(
-                "fuel exhausted after {spent} unit(s) with no schedule within {budget} \
-                 cycles; repro: {}",
-                repro_command(seed, app, frames)
+                "fuel exhausted after {spent} unit(s) with no schedule within {budget} cycles"
             ))
         }
         Err(e) => return classify_error(e),
     };
-    let mut sim = match compiled.simulator() {
-        Ok(s) => s,
-        Err(e) => return CellOutcome::Mismatch(format!("simulator construction failed: {e}")),
+    let divergence = match run_differential(&compiled, &compiled.microcode, seed, app, frames) {
+        Ok(()) => {
+            return CellOutcome::Pass {
+                cycles: compiled.cycles(),
+                frames,
+                degradation: compiled.stats.degradation,
+            }
+        }
+        Err(Divergence::Load(e)) => format!("simulator construction failed: {e}"),
+        Err(Divergence::Golden { frame, error }) => {
+            format!("frame {frame}: golden model rejected the stimulus: {error}")
+        }
+        Err(Divergence::Outputs { frame, diff }) => format!("frame {frame}: microcode {diff}"),
+        Err(Divergence::Execution { frame, error }) => {
+            format!("frame {frame}: microcode execution failed: {error}")
+        }
     };
+    CellOutcome::Mismatch(divergence)
+}
+
+/// Where a differential run against the golden model stopped.
+pub(crate) enum Divergence {
+    /// The simulator refused to load the microcode.
+    Load(SimError),
+    /// The golden model rejected frame `frame`'s stimulus.
+    Golden { frame: u32, error: StepError },
+    /// The microcode's outputs for frame `frame` differ from the golden
+    /// model's; `diff` reads `got != golden expected (inputs …)`.
+    Outputs { frame: u32, diff: String },
+    /// The microcode failed to execute frame `frame`.
+    Execution { frame: u32, error: SimError },
+}
+
+/// The differential run shared by the fleet and the fault audit: load
+/// `microcode` (the compiled one or a mutant of it) on the compiled core
+/// and race it against the interpreter golden model over `frames` frames
+/// of the cell's [`stimulus_rng`] stream.
+pub(crate) fn run_differential(
+    compiled: &Compiled,
+    microcode: &Microcode,
+    seed: u64,
+    app: &str,
+    frames: u32,
+) -> Result<(), Divergence> {
+    let core = &compiled.core;
+    let mut sim = CoreSim::new(&core.datapath, microcode).map_err(Divergence::Load)?;
     let mut interp = Interpreter::new(&compiled.dfg, core.format);
     let ports = compiled.dfg.input_ports().len();
     let mut rng = stimulus_rng(seed, app);
@@ -446,34 +428,18 @@ pub fn conform_cell(
         let inputs: Vec<i64> = (0..ports)
             .map(|_| lo + (rng.next_u64() % span) as i64)
             .collect();
-        let expected = match interp.try_step(&inputs) {
-            Ok(v) => v,
-            Err(e) => {
-                return CellOutcome::Mismatch(format!(
-                    "frame {frame}: golden model rejected the stimulus: {e}"
-                ))
-            }
-        };
-        match sim.step_frame(&inputs) {
-            Ok(got) if got == expected => {}
-            Ok(got) => {
-                return CellOutcome::Mismatch(format!(
-                    "frame {frame}: microcode {got:?} != golden {expected:?} \
-                     (inputs {inputs:?})"
-                ))
-            }
-            Err(e) => {
-                return CellOutcome::Mismatch(format!(
-                    "frame {frame}: microcode execution failed: {e}"
-                ))
-            }
+        let expected = interp
+            .try_step(&inputs)
+            .map_err(|error| Divergence::Golden { frame, error })?;
+        let got = sim
+            .step_frame(&inputs)
+            .map_err(|error| Divergence::Execution { frame, error })?;
+        if got != expected {
+            let diff = format!("{got:?} != golden {expected:?} (inputs {inputs:?})");
+            return Err(Divergence::Outputs { frame, diff });
         }
     }
-    CellOutcome::Pass {
-        cycles: compiled.cycles(),
-        frames,
-        degradation: compiled.stats.degradation,
-    }
+    Ok(())
 }
 
 /// Partitions a compile failure into designer feedback vs compiler bug.
@@ -496,57 +462,21 @@ fn classify_error(e: CompileError) -> CellOutcome {
     }
 }
 
-/// Renders a contained panic payload. `panic!` with a literal or a
-/// formatted string covers effectively every payload the compiler can
-/// produce; anything else gets a placeholder.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
-}
-
-/// The command that reruns exactly one quarantined cell outside the
-/// fleet, for debugging.
-fn repro_command(seed: u64, app: &str, frames: u32) -> String {
-    format!(
-        "cargo run --example conform -- --seeds 1 --start {seed} --apps {app} --frames {frames}"
-    )
-}
-
-/// The repro command for a merged-core cell (decimal seeds, like
-/// `--start`).
-fn merged_repro_command(a: u64, b: u64, app: &str, frames: u32) -> String {
-    format!("cargo run --example conform -- --merge-pairs {a}+{b} --apps {app} --frames {frames}")
-}
-
-/// A quarantined merged cell's message embeds a single-seed repro command
-/// (the runner only knows `seed`); append the merged-core spelling so the
-/// printed command actually reproduces the cell.
-fn fix_merged_repro(outcome: CellOutcome, a: u64, b: u64, app: &str, frames: u32) -> CellOutcome {
-    let hint = |m: String| {
-        format!(
-            "{m}; merged-core cell, repro: {}",
-            merged_repro_command(a, b, app, frames)
-        )
+/// The command that reruns exactly one fleet cell outside the fleet
+/// (decimal seeds, like `--start`).
+fn repro_command(seed: u64, merged_with: Option<u64>, app: &str, frames: u32) -> String {
+    let core = match merged_with {
+        None => format!("--seeds 1 --start {seed}"),
+        Some(b) => format!("--merge-pairs {seed}+{b}"),
     };
-    match outcome {
-        CellOutcome::Exhausted(m) => CellOutcome::Exhausted(hint(m)),
-        CellOutcome::Panicked { message } => CellOutcome::Panicked {
-            message: hint(message),
-        },
-        other => other,
-    }
+    format!("cargo run --example conform -- {core} --apps {app} --frames {frames}")
 }
 
 /// The deterministic stimulus stream of a cell: a named substream of the
-/// core seed, decoupled per app name so cells never share samples.
-/// Shared with the fault audit ([`crate::fault`]) so injected faults are
-/// hunted with exactly the stimulus the fleet would use.
-pub(crate) fn stimulus_rng(seed: u64, app: &str) -> SplitMix64 {
+/// core seed, decoupled per app name so cells never share samples. The
+/// fault audit ([`crate::fault`]) hunts injected faults through the same
+/// [`run_differential`], so with exactly the stimulus the fleet would use.
+fn stimulus_rng(seed: u64, app: &str) -> SplitMix64 {
     let tag = dspcc_arch::Fnv64::of_parts(|h| h.write_text(app));
     SplitMix64::substream(seed, tag)
 }
@@ -676,35 +606,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn panicking_cell_is_quarantined_and_sweep_completes() {
-        let fleet = ConformFleet::new()
-            .seed_range(0..4)
-            .app("fir4", crate::apps::fir(4))
-            .frames(2)
-            .threads(2);
-        let report = fleet.run_with(|session, core, seed, app, source, frames, options| {
-            if seed == 2 {
-                panic!("injected cell panic for seed {seed}");
-            }
-            conform_cell(session, core, seed, app, source, frames, options)
-        });
-        assert_eq!(report.cells.len(), 4);
+    fn panicked_cell_renders_as_quarantined() {
+        let cell = |seed, outcome| ConformCell {
+            seed,
+            merged_with: None,
+            app: "fir4".to_owned(),
+            outcome,
+        };
+        let report = ConformReport {
+            apps: vec!["fir4".to_owned()],
+            cells: vec![
+                cell(
+                    0,
+                    CellOutcome::Pass {
+                        cycles: 5,
+                        frames: 2,
+                        degradation: None,
+                    },
+                ),
+                cell(
+                    2,
+                    CellOutcome::Panicked {
+                        message: "injected cell panic; repro: cargo run --example conform -- \
+                                  --seeds 1 --start 2 --apps fir4 --frames 2"
+                            .to_owned(),
+                    },
+                ),
+            ],
+        };
         let quarantined: Vec<_> = report.quarantined().collect();
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].seed, 2);
-        match &quarantined[0].outcome {
-            CellOutcome::Panicked { message } => {
-                assert!(message.contains("injected cell panic"), "{message}");
-                assert!(message.contains("repro:"), "{message}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        // Every other cell still verified normally through the shared
-        // session — the panic neither stopped the sweep nor poisoned it.
-        assert_eq!(report.passes().count() + report.infeasible().count(), 3);
         let rendered = report.to_string();
-        assert!(rendered.contains("PANIC"), "{rendered}");
-        assert!(rendered.contains("quarantined"), "{rendered}");
+        assert!(rendered.contains("    PANIC\n"), "{rendered}");
+        assert!(
+            rendered.contains("PANIC core=2 app=fir4: injected cell panic; repro:"),
+            "{rendered}"
+        );
+        assert!(
+            rendered
+                .ends_with("2 cells: 1 pass (0 degraded), 0 infeasible, 0 mismatch, 1 quarantined"),
+            "{rendered}"
+        );
     }
 
     #[test]
@@ -756,17 +699,25 @@ mod tests {
 
     #[test]
     fn quarantined_merged_cell_carries_a_merged_repro() {
-        let fleet = ConformFleet::new()
-            .merged_pairs([(0, 1)])
-            .app("fir4", crate::apps::fir(4))
-            .frames(2);
-        let report = fleet.run_with(|_, _, _, _, _, _, _| panic!("boom"));
+        // Starvation fuel under an unreachable budget exhausts the cell;
+        // its one repro command must rebuild the union, not seed 2 alone.
+        let report = ConformFleet::new()
+            .merged_pairs([(2, 3)])
+            .app("sop4", crate::apps::sum_of_products(4))
+            .frames(2)
+            .options(CompileOptions {
+                budget: Some(1),
+                fuel: Some(1),
+                ..CompileOptions::sweep_cell()
+            })
+            .run();
         assert_eq!(report.cells.len(), 1);
         match &report.cells[0].outcome {
-            CellOutcome::Panicked { message } => {
-                assert!(message.contains("--merge-pairs 0+1"), "{message}");
+            CellOutcome::Exhausted(message) => {
+                assert_eq!(message.matches("repro:").count(), 1, "{message}");
+                assert!(message.contains("--merge-pairs 2+3 "), "{message}");
             }
-            other => panic!("expected Panicked, got {other:?}"),
+            other => panic!("expected Exhausted, got {other:?}"),
         }
     }
 

@@ -33,8 +33,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dspcc_isa::CoverStrategy;
 use dspcc_sched::list::Priority;
@@ -42,6 +41,7 @@ use dspcc_sched::report::OccupationReport;
 
 use crate::pipeline::{CompileError, Core};
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// A grid of pipeline variants over one application source.
 ///
@@ -218,35 +218,11 @@ impl DesignSpace {
             })
             .collect();
         let session = CompileSession::new();
-        let slots: Vec<Mutex<Option<VariantRow>>> =
-            variants.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(variants.len())
-        .max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(variant) = variants.get(i) else {
-                        break;
-                    };
-                    let core = &cores_by_cover[variant.core_idx][variant.cover_idx];
-                    let row = self.run_variant(&session, core, variant);
-                    *slots[i].lock().unwrap() = Some(row);
-                });
-            }
-        });
         Exploration {
-            rows: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every variant ran"))
-                .collect(),
+            rows: sweep::fan_out(self.threads, &variants, |variant| {
+                let core = &cores_by_cover[variant.core_idx][variant.cover_idx];
+                self.run_variant(&session, core, variant)
+            }),
             cached_artifacts: session.cached_artifacts(),
         }
     }
@@ -272,20 +248,9 @@ impl DesignSpace {
         // Contain panics at the grid-point boundary: one poisoned design
         // point reports `CompileError::Panicked` and the sweep finishes
         // the rest of the table.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.compile(core, &self.source, &options)
-        }))
-        .unwrap_or_else(|payload| {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "panic with non-string payload".to_owned()
-            };
-            Err(CompileError::Panicked(msg))
-        })
-        .map(|compiled| {
+        let compiled = sweep::contain(|| session.compile(core, &self.source, &options))
+            .unwrap_or_else(|message| Err(CompileError::Panicked(message)));
+        let outcome = compiled.map(|compiled| {
             // Mean OPU occupation: the figure-9 quality signal,
             // reduced to one number per variant.
             let rows: Vec<(&str, &str)> = core

@@ -30,18 +30,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dspcc_arch::{Fnv64, OpuKind, OpuSpec, SplitMix64};
-use dspcc_dfg::Interpreter;
 use dspcc_encode::{allocate_registers, decode, encode, DecodedInstruction, Microcode, OpuAction};
 use dspcc_sched::Schedule;
 
-use crate::conform::stimulus_rng;
+use crate::conform::{run_differential, Divergence};
 use crate::pipeline::{Compiled, Core};
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// The artifact corruptions the injector knows how to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -200,12 +198,7 @@ impl Default for FaultAudit {
             kinds: MutationKind::ALL.to_vec(),
             frames: 12,
             threads: 0,
-            options: CompileOptions {
-                restarts: 2,
-                sched_threads: 1,
-                fuel: Some(10_000),
-                ..CompileOptions::default()
-            },
+            options: CompileOptions::sweep_cell(),
             paranoid: false,
         }
     }
@@ -298,94 +291,39 @@ impl FaultAudit {
                     .map_err(|e| e.to_string())
             })
             .collect();
-        let cells: Vec<(usize, usize, usize)> = self
+        let cells: Vec<(u64, usize, MutationKind)> = self
             .seeds
             .iter()
-            .enumerate()
-            .flat_map(|(s, _)| {
+            .flat_map(|&seed| {
                 (0..self.apps.len())
-                    .flat_map(move |a| (0..self.kinds.len()).map(move |k| (s, a, k)))
+                    .flat_map(move |a| self.kinds.iter().map(move |&kind| (seed, a, kind)))
             })
             .collect();
-        let slots: Vec<Mutex<Option<FaultCell>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(cells.len())
-        .max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, a, k)) = cells.get(i) else {
-                        break;
-                    };
-                    let seed = self.seeds[s];
-                    let (app, _) = &self.apps[a];
-                    let kind = self.kinds[k];
-                    let cell = match &compiled[a] {
-                        Ok(c) => self.audit_cell(c, seed, app, kind),
-                        Err(e) => FaultCell {
-                            seed,
-                            app: app.clone(),
-                            kind,
-                            mutation: String::new(),
-                            outcome: FaultOutcome::Skipped {
-                                reason: format!("app does not compile on the audit core: {e}"),
-                            },
-                        },
-                    };
-                    *slots[i].lock().unwrap() = Some(cell);
-                });
+        let cells = sweep::fan_out(self.threads, &cells, |&(seed, a, kind)| {
+            let (app, _) = &self.apps[a];
+            // One cell: inject, then hunt. Panics anywhere inside
+            // injection or detection are contained into a detection.
+            let (mutation, outcome) = match &compiled[a] {
+                Ok(c) => sweep::contain(|| self.inject_and_hunt(c, seed, app, kind))
+                    .unwrap_or_else(|detail| {
+                        let how = Detection::Panic;
+                        let panicked = format!("{kind} (panicked mid-audit)");
+                        (panicked, FaultOutcome::Detected { how, detail })
+                    }),
+                Err(e) => {
+                    let reason = format!("app does not compile on the audit core: {e}");
+                    (String::new(), FaultOutcome::Skipped { reason })
+                }
+            };
+            FaultCell {
+                seed,
+                app: app.clone(),
+                kind,
+                mutation,
+                outcome,
             }
         });
-        FaultReport {
-            cells: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every cell ran"))
-                .collect(),
-        }
-    }
-
-    /// One cell: inject, then hunt. Panics anywhere inside injection or
-    /// detection are contained into [`Detection::Panic`].
-    fn audit_cell(
-        &self,
-        compiled: &Compiled,
-        seed: u64,
-        app: &str,
-        kind: MutationKind,
-    ) -> FaultCell {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.inject_and_hunt(compiled, seed, app, kind)
-        }));
-        let (mutation, outcome) = result.unwrap_or_else(|payload| {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "panic with non-string payload".to_owned()
-            };
-            (
-                format!("{kind} (panicked mid-audit)"),
-                FaultOutcome::Detected {
-                    how: Detection::Panic,
-                    detail: msg,
-                },
-            )
-        });
-        FaultCell {
-            seed,
-            app: app.to_owned(),
-            kind,
-            mutation,
-            outcome,
-        }
+        FaultReport { cells }
     }
 
     fn inject_and_hunt(
@@ -785,57 +723,29 @@ impl FaultAudit {
         app: &str,
         mutation: &str,
     ) -> FaultOutcome {
-        let core = &compiled.core;
-        let mut sim = match dspcc_sim::CoreSim::new(&core.datapath, mutated) {
-            Ok(s) => s,
-            Err(e) => {
-                return FaultOutcome::Detected {
-                    how: Detection::SimError,
-                    detail: format!("simulator refused the artifact: {e}"),
-                }
+        let detected = |how, detail| FaultOutcome::Detected { how, detail };
+        match run_differential(compiled, mutated, seed, app, self.frames) {
+            Ok(()) => FaultOutcome::Survived {
+                detail: format!(
+                    "{mutation}: {} frame(s) ran bit-identical to the golden model",
+                    self.frames
+                ),
+            },
+            Err(Divergence::Load(e)) => detected(
+                Detection::SimError,
+                format!("simulator refused the artifact: {e}"),
+            ),
+            // The golden model rejecting the *unmutated* graph is an
+            // audit setup failure, not a detection.
+            Err(Divergence::Golden { error, .. }) => FaultOutcome::Skipped {
+                reason: format!("golden model rejected the stimulus: {error}"),
+            },
+            Err(Divergence::Outputs { frame, diff }) => {
+                detected(Detection::Mismatch, format!("frame {frame}: {diff}"))
             }
-        };
-        let mut interp = Interpreter::new(&compiled.dfg, core.format);
-        let ports = compiled.dfg.input_ports().len();
-        let mut rng = stimulus_rng(seed, app);
-        let lo = core.format.min_value();
-        let span = (core.format.max_value() - lo + 1) as u64;
-        for frame in 0..self.frames {
-            let inputs: Vec<i64> = (0..ports)
-                .map(|_| lo + (rng.next_u64() % span) as i64)
-                .collect();
-            let expected = match interp.try_step(&inputs) {
-                Ok(v) => v,
-                Err(e) => {
-                    // The golden model rejecting the *unmutated* graph is
-                    // an audit setup failure, not a detection.
-                    return FaultOutcome::Skipped {
-                        reason: format!("golden model rejected the stimulus: {e}"),
-                    };
-                }
-            };
-            match sim.step_frame(&inputs) {
-                Ok(got) if got == expected => {}
-                Ok(got) => {
-                    return FaultOutcome::Detected {
-                        how: Detection::Mismatch,
-                        detail: format!(
-                            "frame {frame}: {got:?} != golden {expected:?} (inputs {inputs:?})"
-                        ),
-                    }
-                }
-                Err(e) => {
-                    return FaultOutcome::Detected {
-                        how: Detection::SimError,
-                        detail: format!("frame {frame}: execution failed: {e}"),
-                    }
-                }
-            }
-        }
-        FaultOutcome::Survived {
-            detail: format!(
-                "{mutation}: {} frame(s) ran bit-identical to the golden model",
-                self.frames
+            Err(Divergence::Execution { frame, error }) => detected(
+                Detection::SimError,
+                format!("frame {frame}: execution failed: {error}"),
             ),
         }
     }

@@ -38,16 +38,15 @@
 //! options, so the report is identical for every thread count.
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::cache::{
     CacheBackend, CacheStats, ChaosBackend, DiskCache, IoFaultKind, StdFs, TransientPolicy,
 };
-use crate::pipeline::{Compiled, Core};
+use crate::pipeline::{ArtifactDivergence, Compiled, Core};
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// The verdict on one chaos cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,12 +136,7 @@ impl Default for IoFaultAudit {
             apps: Vec::new(),
             kinds: IoFaultKind::ALL.to_vec(),
             threads: 0,
-            options: CompileOptions {
-                restarts: 2,
-                sched_threads: 1,
-                fuel: Some(10_000),
-                ..CompileOptions::default()
-            },
+            options: CompileOptions::sweep_cell(),
         }
     }
 }
@@ -224,94 +218,46 @@ impl IoFaultAudit {
             // Distinguish concurrent audits in one process.
             &raw const session as usize
         ));
-        let cells: Vec<(usize, usize, usize)> = self
+        let cells: Vec<(u64, usize, IoFaultKind)> = self
             .seeds
             .iter()
-            .enumerate()
-            .flat_map(|(s, _)| {
+            .flat_map(|&seed| {
                 (0..self.apps.len())
-                    .flat_map(move |a| (0..self.kinds.len()).map(move |k| (s, a, k)))
+                    .flat_map(move |a| self.kinds.iter().map(move |&kind| (seed, a, kind)))
             })
             .collect();
-        let slots: Vec<Mutex<Option<IoFaultCell>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(cells.len())
-        .max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, a, k)) = cells.get(i) else {
-                        break;
-                    };
-                    let seed = self.seeds[s];
-                    let (app, source) = &self.apps[a];
-                    let kind = self.kinds[k];
-                    let outcome = match &reference[a] {
-                        Ok(reference) => {
-                            let dir = audit_root.join(format!("{seed:x}-{app}-{kind}"));
-                            let outcome = self.chaos_cell(reference, source, seed, kind, &dir);
-                            let _ = std::fs::remove_dir_all(&dir);
-                            outcome
-                        }
-                        Err(e) => IoFaultOutcome::Skipped {
-                            reason: format!("app does not compile on the audit core: {e}"),
-                        },
-                    };
-                    *slots[i].lock().unwrap() = Some(IoFaultCell {
-                        seed,
-                        app: app.clone(),
-                        kind,
-                        outcome,
-                    });
-                });
+        let cells = sweep::fan_out(self.threads, &cells, |&(seed, a, kind)| {
+            let (app, source) = &self.apps[a];
+            let outcome = match &reference[a] {
+                Ok(reference) => {
+                    let dir = audit_root.join(format!("{seed:x}-{app}-{kind}"));
+                    // A panic anywhere in the cell is a typed outcome.
+                    let outcome =
+                        sweep::contain(|| self.run_cell(reference, source, seed, kind, &dir))
+                            .unwrap_or_else(|msg| IoFaultOutcome::TypedError {
+                                error: format!("panicked mid-cell (contained): {msg}"),
+                            });
+                    let _ = std::fs::remove_dir_all(&dir);
+                    outcome
+                }
+                Err(e) => IoFaultOutcome::Skipped {
+                    reason: format!("app does not compile on the audit core: {e}"),
+                },
+            };
+            IoFaultCell {
+                seed,
+                app: app.clone(),
+                kind,
+                outcome,
             }
         });
         let _ = std::fs::remove_dir_all(&audit_root);
-        IoFaultReport {
-            cells: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every cell ran"))
-                .collect(),
-        }
+        IoFaultReport { cells }
     }
 
     /// One cell: a cold compile populating a chaos-backed cache, then a
     /// fresh session warm-starting from the sabotaged disk, both
-    /// compared bit-for-bit against the reference. Panics anywhere in
-    /// the cell are contained into a typed outcome.
-    fn chaos_cell(
-        &self,
-        reference: &Compiled,
-        source: &str,
-        seed: u64,
-        kind: IoFaultKind,
-        dir: &Path,
-    ) -> IoFaultOutcome {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.run_cell(reference, source, seed, kind, dir)
-        }));
-        result.unwrap_or_else(|payload| {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "panic with non-string payload".to_owned()
-            };
-            IoFaultOutcome::TypedError {
-                error: format!("panicked mid-cell (contained): {msg}"),
-            }
-        })
-    }
-
+    /// compared bit-for-bit against the reference.
     fn run_cell(
         &self,
         reference: &Compiled,
@@ -325,38 +271,31 @@ impl IoFaultAudit {
         let cache = Arc::new(
             DiskCache::with_backend(dir, backend).transient_policy(TransientPolicy::Recompute),
         );
-        // Cold pass: populates the cache through the fault injector.
-        let cold = CompileSession::with_disk_cache(Arc::clone(&cache));
-        match cold.compile(&self.core, source, &self.options) {
-            Ok(compiled) => {
-                if let Some(detail) = diverges(reference, &compiled) {
-                    return IoFaultOutcome::WrongArtifact {
-                        detail: format!("cold pass: {detail}"),
-                    };
-                }
-            }
-            Err(e) => {
-                return IoFaultOutcome::TypedError {
-                    error: format!("cold pass: {e}"),
-                }
-            }
-        }
-        // Warm pass: a *fresh* session (empty memo) must rebuild the
+        // The cold pass populates the cache through the fault injector.
+        // The warm pass, a *fresh* session (empty memo), must rebuild the
         // compile from whatever the chaos left on disk — valid entries,
         // torn entries, flipped bytes, vanished files — and still land
         // bit-identical.
-        let warm = CompileSession::with_disk_cache(Arc::clone(&cache));
-        match warm.compile(&self.core, source, &self.options) {
-            Ok(compiled) => {
-                if let Some(detail) = diverges(reference, &compiled) {
-                    return IoFaultOutcome::WrongArtifact {
-                        detail: format!("warm-from-disk pass: {detail}"),
-                    };
+        for pass in ["cold pass", "warm-from-disk pass"] {
+            let session = CompileSession::with_disk_cache(Arc::clone(&cache));
+            match session.compile(&self.core, source, &self.options) {
+                Ok(compiled) => {
+                    if let Some(part) = compiled.diverges_from(reference) {
+                        let detail = match part {
+                            ArtifactDivergence::MicrocodeWords => "microcode words differ",
+                            ArtifactDivergence::RomImage => "ROM image differs",
+                            ArtifactDivergence::Schedule => "schedule differs",
+                            ArtifactDivergence::RegisterMapping => "register assignment differs",
+                        };
+                        return IoFaultOutcome::WrongArtifact {
+                            detail: format!("{pass}: {detail} from the chaos-free reference"),
+                        };
+                    }
                 }
-            }
-            Err(e) => {
-                return IoFaultOutcome::TypedError {
-                    error: format!("warm-from-disk pass: {e}"),
+                Err(e) => {
+                    return IoFaultOutcome::TypedError {
+                        error: format!("{pass}: {e}"),
+                    }
                 }
             }
         }
@@ -389,24 +328,6 @@ fn witness(kind: IoFaultKind, injected: u64, stats: CacheStats) -> String {
         stats.hits,
         stats.stores
     )
-}
-
-/// Bit-identity check against the reference: microcode words, ROM
-/// image, schedule, register assignment. `None` when identical.
-fn diverges(reference: &Compiled, got: &Compiled) -> Option<String> {
-    if got.microcode.words != reference.microcode.words {
-        return Some("microcode words differ from the chaos-free reference".to_owned());
-    }
-    if got.microcode.rom_image != reference.microcode.rom_image {
-        return Some("ROM image differs from the chaos-free reference".to_owned());
-    }
-    if *got.schedule != *reference.schedule {
-        return Some("schedule differs from the chaos-free reference".to_owned());
-    }
-    if got.assignment.mapping != reference.assignment.mapping {
-        return Some("register assignment differs from the chaos-free reference".to_owned());
-    }
-    None
 }
 
 /// The audit table: one cell per `(seed, app, kind)`.

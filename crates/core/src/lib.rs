@@ -38,8 +38,17 @@
 //!   block × the application corpus, each cell compiled and pinned
 //!   bit-exact against the `dspcc_dfg::Interpreter` golden model — any
 //!   `Mismatch` cell is a compiler bug by construction;
+//! * [`fault`] / [`fault_io`] — seeded audits of the oracle and of the
+//!   cache: every injected artifact fault is detected or proven benign,
+//!   and no injected I/O fault ever serves a wrong artifact;
+//! * [`cache`] / [`service`] — the crash-safe on-disk artifact cache and
+//!   a bounded, panic-containing compile service over one session;
 //! * [`apps`] — ready-made applications: the figure-7 stereo audio
 //!   application and parametric filter generators.
+//!
+//! The five sweeps (exploration, fleet, co-design and both audits) share
+//! one crate-private harness: a deterministic fan-out, panic containment
+//! and the per-cell compile policy [`CompileOptions::sweep_cell`].
 //!
 //! # Quickstart
 //!
@@ -70,6 +79,7 @@ mod pipeline;
 pub mod service;
 mod session;
 pub mod stages;
+mod sweep;
 
 pub use cache::{
     CacheBackend, CacheStats, ChaosBackend, DiskCache, IoFaultKind, StdFs, TransientPolicy,
@@ -79,7 +89,7 @@ pub use conform::{CellOutcome, ConformCell, ConformFleet, ConformReport};
 pub use explore::{DesignSpace, Exploration, VariantMetrics, VariantRow};
 pub use fault::{FaultAudit, FaultCell, FaultOutcome, FaultReport, MutationKind};
 pub use fault_io::{IoFaultAudit, IoFaultCell, IoFaultOutcome, IoFaultReport};
-pub use pipeline::{CompileError, CompileStats, Compiled, Compiler, Core};
+pub use pipeline::{ArtifactDivergence, CompileError, CompileStats, Compiled, Compiler, Core};
 pub use service::{CompileService, Rejected, ServiceConfig, ServiceOutcome, ServiceStats, Ticket};
 pub use session::{CompileOptions, CompileSession};
 

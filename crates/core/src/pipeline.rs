@@ -472,6 +472,36 @@ impl Compiled {
     pub fn simulator(&self) -> Result<CoreSim, dspcc_sim::SimError> {
         CoreSim::new(&self.core.datapath, &self.microcode)
     }
+
+    /// Bit-identity against `reference`: the first of microcode words,
+    /// ROM image, schedule and register mapping (checked in that order)
+    /// that differs, or `None` when all four are identical.
+    pub fn diverges_from(&self, reference: &Compiled) -> Option<ArtifactDivergence> {
+        if self.microcode.words != reference.microcode.words {
+            Some(ArtifactDivergence::MicrocodeWords)
+        } else if self.microcode.rom_image != reference.microcode.rom_image {
+            Some(ArtifactDivergence::RomImage)
+        } else if self.schedule != reference.schedule {
+            Some(ArtifactDivergence::Schedule)
+        } else if self.assignment.mapping != reference.assignment.mapping {
+            Some(ArtifactDivergence::RegisterMapping)
+        } else {
+            None
+        }
+    }
+}
+
+/// The compiled artifact [`Compiled::diverges_from`] found different.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArtifactDivergence {
+    /// The encoded instruction words.
+    MicrocodeWords,
+    /// The coefficient ROM image.
+    RomImage,
+    /// The schedule.
+    Schedule,
+    /// The physical register mapping.
+    RegisterMapping,
 }
 
 #[cfg(test)]

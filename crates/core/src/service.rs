@@ -24,9 +24,10 @@
 //!   exponential backoff jittered from a [`SplitMix64`] substream of
 //!   the job id. Deterministic failures are not retried — they would
 //!   fail identically.
-//! * **Panic containment** — each attempt runs under `catch_unwind`
-//!   (the PR 6 quarantine pattern): a compiler bug takes down one
-//!   request as [`CompileError::Panicked`], not the worker thread.
+//! * **Panic containment** — each attempt runs under the containment
+//!   every sweep uses: a compiler bug takes down one request as
+//!   [`CompileError::Panicked`] carrying the panic message, not the
+//!   worker thread.
 //!
 //! Every request resolves to exactly one structured [`ServiceOutcome`];
 //! aggregate counters land in [`ServiceStats`].
@@ -50,7 +51,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -61,6 +61,7 @@ use dspcc_sched::{CancelToken, Degradation};
 
 use crate::pipeline::{CompileError, Compiled, Core};
 use crate::session::{CompileOptions, CompileSession};
+use crate::sweep;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -445,8 +446,8 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Executes one job: compile under `catch_unwind`, retrying transient
-/// cache-I/O failures with seeded exponential backoff.
+/// Executes one job: compile under the sweep harness's containment,
+/// retrying transient cache-I/O failures with seeded exponential backoff.
 fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
     let mut backoff = SplitMix64::substream(inner.config.backoff_seed, job.id);
     let mut attempt = 0u32;
@@ -454,14 +455,14 @@ fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
         if job.slot.cancel.is_cancelled() {
             return ServiceOutcome::Failed(CompileError::Cancelled);
         }
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        let result = sweep::contain(|| {
             inner.session.compile_cancellable(
                 &job.core,
                 &job.source,
                 &job.options,
                 &job.slot.cancel,
             )
-        }));
+        });
         let error = match result {
             Ok(Ok(compiled)) => {
                 let stats = compiled.stats;
@@ -474,7 +475,7 @@ fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
                 };
             }
             Ok(Err(e)) => e,
-            Err(payload) => CompileError::Panicked(panic_message(&payload)),
+            Err(message) => CompileError::Panicked(message),
         };
         let transient = matches!(error, CompileError::CacheIo(_));
         if !transient || attempt >= inner.config.retries {
@@ -491,16 +492,6 @@ fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
         };
         std::thread::sleep(base * (1 << attempt.min(16)) + Duration::from_nanos(jitter_ns));
         attempt += 1;
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 
@@ -645,6 +636,68 @@ mod tests {
         }
         assert!(service.stats().retries >= 1);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn contained_panic_keeps_its_message_and_the_worker() {
+        use crate::cache::{CacheBackend, DiskCache, StdFs};
+        use std::path::Path;
+        use std::sync::atomic::AtomicBool;
+
+        /// The real filesystem, except that the first read panics.
+        struct PanicOnce(AtomicBool);
+        impl CacheBackend for PanicOnce {
+            fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+                if !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("injected backend panic on {}", path.display());
+                }
+                StdFs.read(path)
+            }
+            fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+                StdFs.write(path, bytes)
+            }
+            fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+                StdFs.rename(from, to)
+            }
+            fn remove(&self, path: &Path) -> std::io::Result<()> {
+                StdFs.remove(path)
+            }
+            fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+                StdFs.create_dir_all(path)
+            }
+        }
+
+        let root = std::env::temp_dir().join(format!(
+            "dspcc-service-panic-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let backend = Arc::new(PanicOnce(AtomicBool::new(false)));
+        let cache = Arc::new(DiskCache::with_backend(&root, backend));
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let service = CompileService::new(Arc::new(CompileSession::with_disk_cache(cache)), config);
+        let core = Arc::new(cores::tiny_core());
+        let submit = || {
+            service
+                .submit(&core, SRC, CompileOptions::default())
+                .expect("admitted")
+                .wait()
+        };
+        match submit() {
+            ServiceOutcome::Failed(CompileError::Panicked(m)) => {
+                assert!(m.contains("injected backend panic"), "{m}");
+            }
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
+        // The worker survived the panic and serves the next request.
+        assert!(matches!(submit(), ServiceOutcome::Served { .. }));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

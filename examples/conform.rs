@@ -72,9 +72,11 @@ fn main() {
         .frames(frames)
         .threads(threads);
     if let Some(units) = fuel {
+        // Only the fuel cap moves; restarts and the single-threaded
+        // per-cell scheduler stay the fleet's own policy.
         fleet = fleet.options(CompileOptions {
             fuel: Some(units),
-            ..CompileOptions::default()
+            ..CompileOptions::sweep_cell()
         });
     }
     let corpus = standard_corpus();

@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 use dspcc::conform::standard_corpus;
 use dspcc::{
-    cores, ChaosBackend, CompileOptions, CompileService, CompileSession, Compiled, DiskCache,
-    IoFaultKind, Rejected, ServiceConfig, ServiceOutcome, StdFs, Ticket,
+    cores, ArtifactDivergence, ChaosBackend, CompileOptions, CompileService, CompileSession,
+    Compiled, DiskCache, IoFaultKind, Rejected, ServiceConfig, ServiceOutcome, StdFs, Ticket,
 };
 
 fn main() {
@@ -131,9 +131,15 @@ fn main() {
                     *served += 1;
                     *retries += u64::from(r);
                     *disk_hits += u64::from(d);
-                    if let Some(detail) = diverges(&references[app], &compiled) {
+                    if let Some(part) = compiled.diverges_from(&references[app]) {
+                        let detail = match part {
+                            ArtifactDivergence::MicrocodeWords => "microcode words",
+                            ArtifactDivergence::RomImage => "coefficient ROM",
+                            ArtifactDivergence::Schedule => "schedule",
+                            ArtifactDivergence::RegisterMapping => "register assignment",
+                        };
                         wrong.push(format!(
-                            "seed {seed:#x} kind {kind} app {}: {detail}",
+                            "seed {seed:#x} kind {kind} app {}: {detail} diverged",
                             corpus[app].0
                         ));
                     }
@@ -221,22 +227,4 @@ fn main() {
         }
         std::process::exit(1);
     }
-}
-
-/// First bit-level divergence between the reference and a served
-/// artifact, if any.
-fn diverges(reference: &Compiled, got: &Compiled) -> Option<String> {
-    if reference.microcode.words != got.microcode.words {
-        return Some("microcode words diverged".to_owned());
-    }
-    if reference.microcode.rom_image != got.microcode.rom_image {
-        return Some("coefficient ROM diverged".to_owned());
-    }
-    if *reference.schedule != *got.schedule {
-        return Some("schedule diverged".to_owned());
-    }
-    if reference.assignment.mapping != got.assignment.mapping {
-        return Some("register assignment diverged".to_owned());
-    }
-    None
 }
