@@ -36,7 +36,6 @@ fn bench_conformance(c: &mut Criterion) {
     let fir = apps::fir(8);
     let opts = CompileOptions {
         restarts: 2,
-        sched_threads: 1,
         ..CompileOptions::default()
     };
     group.bench_function("cell_fir8", |b| {

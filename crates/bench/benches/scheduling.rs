@@ -8,9 +8,7 @@ use dspcc::sched::bounds::length_lower_bound;
 use dspcc::sched::compact::schedule_and_compact;
 use dspcc::sched::deps::DependenceGraph;
 use dspcc::sched::folding::fold_schedule;
-use dspcc::sched::list::{
-    best_effort_schedule_threaded, insertion_schedule, list_schedule, ListConfig,
-};
+use dspcc::sched::list::{best_effort_schedule, insertion_schedule, list_schedule, ListConfig};
 use dspcc::sched::ConflictMatrix;
 use dspcc::{apps, cores};
 
@@ -59,8 +57,7 @@ fn bench_schedulers(c: &mut Criterion) {
 }
 
 /// The bound-aware restart engine: how much the provable lower bound
-/// costs to compute, and what the full restart roster costs serially vs
-/// on worker threads (bit-identical output either way).
+/// costs to compute, and what the full restart roster costs.
 fn bench_bound_cutoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("bound_cutoff");
     for taps in [16usize, 32] {
@@ -70,10 +67,7 @@ fn bench_bound_cutoff(c: &mut Criterion) {
             b.iter(|| length_lower_bound(&lowering.program, &deps, &matrix))
         });
         group.bench_with_input(BenchmarkId::new("restarts_serial", taps), &taps, |b, _| {
-            b.iter(|| best_effort_schedule_threaded(&lowering.program, &deps, None, 4, 1).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("restarts_auto", taps), &taps, |b, _| {
-            b.iter(|| best_effort_schedule_threaded(&lowering.program, &deps, None, 4, 0).unwrap())
+            b.iter(|| best_effort_schedule(&lowering.program, &deps, None, 4).unwrap())
         });
     }
     group.finish();

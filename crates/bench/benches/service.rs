@@ -32,7 +32,6 @@ fn bench_service_throughput(c: &mut Criterion) {
     let core = Arc::new(cores::audio_core());
     let options = CompileOptions {
         restarts: 2,
-        sched_threads: 1,
         ..CompileOptions::default()
     };
 

@@ -744,7 +744,6 @@ mod tests {
             .options(CompileOptions {
                 budget: Some(4), // absurdly tight: every cell infeasible
                 restarts: 1,
-                sched_threads: 1,
                 ..CompileOptions::default()
             });
         let report = fleet.run();
@@ -823,7 +822,6 @@ mod tests {
                 exact: true,
                 fuel: Some(1),
                 restarts: 1,
-                sched_threads: 1,
                 ..CompileOptions::default()
             })
             .run();

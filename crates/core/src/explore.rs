@@ -239,10 +239,6 @@ impl DesignSpace {
             cse_constants: variant.cse,
             restarts: self.restarts,
             compaction: self.effective_compaction(),
-            // Exploration parallelism lives at the variant level; keep
-            // each variant's scheduler single-threaded so workers don't
-            // oversubscribe the machine.
-            sched_threads: 1,
             ..CompileOptions::default()
         };
         // Contain panics at the grid-point boundary: one poisoned design

@@ -287,16 +287,6 @@ impl<'c> Compiler<'c> {
         self
     }
 
-    /// Worker threads for the scheduling restarts: `0` (the default) uses
-    /// one per available core, `1` runs inline. The schedule is
-    /// **bit-identical for every setting** — the parallel engine reduces
-    /// attempts by a deterministic `(length, attempt index)` rule — so
-    /// this knob trades latency only, never output.
-    pub fn sched_threads(&mut self, n: usize) -> &mut Self {
-        self.options.sched_threads = n;
-        self
-    }
-
     /// Disables justification compaction (single greedy pass only) — the
     /// weak-scheduler baseline of experiment E10.
     pub fn compaction(&mut self, on: bool) -> &mut Self {
@@ -307,8 +297,8 @@ impl<'c> Compiler<'c> {
     /// Deterministic compute budget for the scheduling search, in work
     /// units (one unit = one attempt, justification pass, or
     /// branch-and-bound node; never wall-clock, so budgeted output is
-    /// bit-identical on every machine and thread count). On exhaustion
-    /// the compile degrades gracefully — best-so-far schedule, with a
+    /// bit-identical on every machine). On exhaustion the compile
+    /// degrades gracefully — best-so-far schedule, with a
     /// [`dspcc_sched::Degradation`] report on
     /// [`CompileStats::degradation`].
     pub fn fuel(&mut self, units: u64) -> &mut Self {

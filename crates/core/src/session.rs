@@ -44,7 +44,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dspcc_dfg::Dfg;
 use dspcc_sched::list::Priority;
@@ -78,7 +78,9 @@ pub struct CompileOptions {
     pub restarts: u32,
     /// Justification compaction on/off.
     pub compaction: bool,
-    /// Scheduler worker threads (`0` = one per core; output-invariant).
+    /// Selects nothing: every scheduler runs on the calling thread. The
+    /// field is kept only so existing struct literals that name it still
+    /// compile; it will be removed.
     pub sched_threads: usize,
     /// Deterministic compute budget for the scheduling search, in work
     /// units (one unit = one attempt, justification pass, or
@@ -167,14 +169,23 @@ impl CompileSession {
         self.disk.as_ref()
     }
 
+    /// Locks the memo. A poisoned lock is recovered, not propagated: every
+    /// write under it is a single `entry().or_insert_with` or a
+    /// replacement of the whole memo, so a panic on another thread cannot
+    /// leave a table half-written, and one panicking caller must not take
+    /// down every later compile on the session.
+    fn memo(&self) -> MutexGuard<'_, SessionMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of cached stage artifacts (all stages summed).
     pub fn cached_artifacts(&self) -> usize {
-        self.memo.lock().unwrap().len()
+        self.memo().len()
     }
 
     /// Drops every cached artifact.
     pub fn clear(&self) {
-        *self.memo.lock().unwrap() = SessionMemo::default();
+        *self.memo() = SessionMemo::default();
     }
 
     /// Looks up `key` in the stage table selected by `table`, computing
@@ -186,7 +197,7 @@ impl CompileSession {
         hits: &mut u32,
         compute: impl FnOnce() -> Result<A, CompileError>,
     ) -> Result<Arc<A>, CompileError> {
-        if let Some(cached) = table(&mut self.memo.lock().unwrap()).get(&key) {
+        if let Some(cached) = table(&mut self.memo()).get(&key) {
             *hits += 1;
             return cached.clone();
         }
@@ -195,7 +206,7 @@ impl CompileSession {
         // stage inputs: caching it would poison the key for every later
         // compile. Deterministic failures stay cached.
         if !matches!(result, Err(CompileError::Cancelled)) {
-            table(&mut self.memo.lock().unwrap())
+            table(&mut self.memo())
                 .entry(key)
                 .or_insert_with(|| result.clone());
         }
@@ -226,7 +237,7 @@ impl CompileSession {
         encode: impl Fn(&A) -> Vec<u8>,
         compute: impl FnOnce() -> Result<A, CompileError>,
     ) -> Result<Arc<A>, CompileError> {
-        if let Some(cached) = table(&mut self.memo.lock().unwrap()).get(&key) {
+        if let Some(cached) = table(&mut self.memo()).get(&key) {
             *hits += 1;
             return cached.clone();
         }
@@ -237,7 +248,7 @@ impl CompileSession {
                         let artifact = Arc::new(artifact);
                         *hits += 1;
                         *disk_hits += 1;
-                        table(&mut self.memo.lock().unwrap())
+                        table(&mut self.memo())
                             .entry(key)
                             .or_insert_with(|| Ok(Arc::clone(&artifact)));
                         return Ok(artifact);
@@ -257,7 +268,7 @@ impl CompileSession {
             disk.store(stage, key, &encode(artifact));
         }
         if !matches!(result, Err(CompileError::Cancelled)) {
-            table(&mut self.memo.lock().unwrap())
+            table(&mut self.memo())
                 .entry(key)
                 .or_insert_with(|| result.clone());
         }
@@ -470,5 +481,31 @@ impl std::fmt::Debug for CompileSession {
         f.debug_struct("CompileSession")
             .field("cached_artifacts", &self.cached_artifacts())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cores;
+
+    #[test]
+    fn poisoned_memo_lock_keeps_the_session_compiling() {
+        let session = CompileSession::new();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = session.memo.lock();
+                panic!("poisons the memo mutex");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(session.memo.is_poisoned());
+        let core = Arc::new(cores::tiny_core());
+        let src = "input u; coeff k = 0.5; output y; y = add_clip(mlt(k, u), u);";
+        let options = CompileOptions::default();
+        let cold = session.compile(&core, src, &options).unwrap();
+        assert_eq!(cold.stats.cache_hits, 0);
+        let hit = session.compile(&core, src, &options).unwrap();
+        assert_eq!(hit.stats.cache_hits, 7);
     }
 }

@@ -132,11 +132,8 @@ pub fn analysis_key(modify_key: u64) -> u64 {
 /// while the compacting scheduler is active is therefore a *full* cache
 /// hit: the option is not an input of that path.
 ///
-/// `sched_threads` is deliberately excluded everywhere: the parallel
-/// restart engine is bit-identical for every thread count (pinned by the
-/// scheduler's own tests), so it is a latency knob, not an input. The
-/// budget is keyed as given (not clamped to the cap) — conservative, but
-/// key computation stays a pure function of the options.
+/// The budget is keyed as given (not clamped to the cap) — conservative,
+/// but key computation stays a pure function of the options.
 pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) -> u64 {
     Fnv64::of_parts(|h| {
         h.write_text("schedule");
@@ -162,9 +159,8 @@ pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) ->
         // truncated search produces a different — possibly degraded —
         // schedule), so a fuel-limited result must never be cached under
         // a full-budget key. The plain list scheduler runs exactly one
-        // mandatory attempt whatever the fuel, so there — like
-        // `sched_threads` everywhere — fuel is excluded as
-        // output-invariant.
+        // mandatory attempt whatever the fuel, so there fuel is excluded
+        // as output-invariant.
         match options.fuel {
             Some(f) if options.exact || options.compaction => {
                 h.write_bool(true);
@@ -471,7 +467,6 @@ pub fn run_schedule(
                     matrix,
                     Some(budget),
                     options.restarts,
-                    options.sched_threads,
                     &mut fuel,
                     cancel,
                 )
@@ -501,7 +496,6 @@ pub fn run_schedule(
             matrix,
             Some(budget),
             options.restarts,
-            options.sched_threads,
             &mut fuel,
             cancel,
         )
@@ -635,7 +629,7 @@ mod tests {
         let sk = schedule_key(analysis_key(modify_key(lk, &core)), &core, &opts);
         let sk2 = schedule_key(analysis_key(modify_key(lk, &core)), &core, &sched_opts);
         assert_ne!(sk, sk2);
-        // ...but not the thread count (output-invariant).
+        // ...but not `sched_threads`, which no scheduler reads.
         let mut threads = opts.clone();
         threads.sched_threads = 7;
         assert_eq!(

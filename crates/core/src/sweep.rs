@@ -14,14 +14,14 @@ use crate::session::CompileOptions;
 impl CompileOptions {
     /// The per-cell compile policy of the verifying sweeps (conformance
     /// fleet, co-design search, both fault audits): breadth over
-    /// per-cell polish (two restarts), parallelism at the cell level (a
-    /// single-threaded scheduler per cell), and a deterministic fuel cap
-    /// so a pathological cell degrades or quarantines instead of hanging
-    /// the sweep (the cap is far above what any corpus cell spends).
+    /// per-cell polish (two restarts) and a deterministic fuel cap so a
+    /// pathological cell degrades or quarantines instead of hanging the
+    /// sweep (the cap is far above what any corpus cell spends).
+    /// Parallelism lives at the cell level: each cell's scheduler runs on
+    /// the worker that claimed the cell.
     pub fn sweep_cell() -> CompileOptions {
         CompileOptions {
             restarts: 2,
-            sched_threads: 1,
             fuel: Some(10_000),
             ..CompileOptions::default()
         }

@@ -254,6 +254,11 @@ pub fn compact_to_bound_fueled(
 /// priorities, restarts, forward and backward) followed by justification
 /// compaction.
 ///
+/// Both the construction restarts and the iterated local search stop the
+/// moment the schedule meets the provable length lower bound
+/// ([`length_lower_bound`]): at the bound the schedule is optimal and the
+/// remaining perturbation rounds are pure waste.
+///
 /// # Errors
 ///
 /// Returns [`SchedError::BudgetExceeded`] when even the compacted
@@ -264,38 +269,14 @@ pub fn schedule_and_compact(
     budget: Option<u32>,
     restarts: u32,
 ) -> Result<Schedule, SchedError> {
-    schedule_and_compact_threaded(program, deps, budget, restarts, 1)
-}
-
-/// As [`schedule_and_compact`], running the construction restarts on
-/// `threads` worker threads (`0` = auto, `1` = inline; output is
-/// bit-identical for every thread count — see
-/// [`best_effort_schedule_with`]).
-///
-/// Both the construction restarts and the iterated local search stop the
-/// moment the schedule meets the provable length lower bound
-/// ([`length_lower_bound`]): at the bound the schedule is optimal and the
-/// remaining perturbation rounds are pure waste.
-///
-/// # Errors
-///
-/// Returns [`SchedError::BudgetExceeded`] when even the compacted
-/// schedule misses the budget.
-pub fn schedule_and_compact_threaded(
-    program: &Program,
-    deps: &DependenceGraph,
-    budget: Option<u32>,
-    restarts: u32,
-    threads: usize,
-) -> Result<Schedule, SchedError> {
     let matrix = ConflictMatrix::build(program);
-    schedule_and_compact_in(program, deps, &matrix, budget, restarts, threads).map(|(s, _)| s)
+    schedule_and_compact_in(program, deps, &matrix, budget, restarts).map(|(s, _)| s)
 }
 
-/// As [`schedule_and_compact_threaded`], with a caller-provided conflict
-/// matrix. Returns the schedule together with the provable length lower
-/// bound the cutoffs used (`schedule.length() == bound` proves the
-/// schedule optimal) — computed exactly once for the whole run.
+/// As [`schedule_and_compact`], with a caller-provided conflict matrix.
+/// Returns the schedule together with the provable length lower bound
+/// the cutoffs used (`schedule.length() == bound` proves the schedule
+/// optimal) — computed exactly once for the whole run.
 ///
 /// # Errors
 ///
@@ -307,7 +288,6 @@ pub fn schedule_and_compact_in(
     matrix: &ConflictMatrix,
     budget: Option<u32>,
     restarts: u32,
-    threads: usize,
 ) -> Result<(Schedule, u32), SchedError> {
     schedule_and_compact_fueled(
         program,
@@ -315,7 +295,6 @@ pub fn schedule_and_compact_in(
         matrix,
         budget,
         restarts,
-        threads,
         &mut Fuel::unlimited(),
         None,
     )
@@ -339,13 +318,13 @@ pub struct FueledSchedule {
 ///
 /// One fuel unit pays for one construction attempt, one justification
 /// round, or one perturbation seed — never wall-clock — so the same
-/// `(input, fuel)` pair produces bit-identical output on every machine
-/// and thread count. The baseline construction round is mandatory
-/// (charged saturating); everything after it must pay up front, and a
-/// failed charge truncates the search *there*, keeping the best schedule
-/// found so far. A truncated run that still meets the cycle budget
-/// succeeds with a [`Degradation`] report; only when the budget is
-/// missed *and* fuel was the binding constraint does the attributable
+/// `(input, fuel)` pair produces bit-identical output on every machine.
+/// The baseline construction round is mandatory (charged saturating);
+/// everything after it must pay up front, and a failed charge truncates
+/// the search *there*, keeping the best schedule found so far. A
+/// truncated run that still meets the cycle budget succeeds with a
+/// [`Degradation`] report; only when the budget is missed *and* fuel
+/// was the binding constraint does the attributable
 /// [`SchedError::FuelExhausted`] replace the generic
 /// [`SchedError::BudgetExceeded`].
 ///
@@ -361,16 +340,14 @@ pub fn schedule_and_compact_fueled(
     matrix: &ConflictMatrix,
     budget: Option<u32>,
     restarts: u32,
-    threads: usize,
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
 ) -> Result<FueledSchedule, SchedError> {
     let bound = length_lower_bound(program, deps, matrix);
     // Construct without a hard budget so a too-tight target cannot wedge
     // the greedy pass, then compact and check the budget at the end.
-    let (initial, mut skipped) = best_effort_bounded(
-        program, deps, matrix, None, restarts, threads, bound, fuel, cancel,
-    )?;
+    let (initial, mut skipped) =
+        best_effort_bounded(program, deps, matrix, None, restarts, bound, fuel, cancel)?;
     let (mut best, compact_skipped) =
         compact_to_bound_fueled(program, deps, matrix, initial, 32, bound, fuel, cancel)?;
     skipped += compact_skipped;

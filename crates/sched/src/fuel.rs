@@ -3,19 +3,19 @@
 //! A multi-tenant compile service needs two guarantees the raw restart
 //! engine cannot give: a pathological compile must not run away, and an
 //! abandoned one must stop promptly. Both must preserve the engine's
-//! core property — bit-identical output for every thread count and every
-//! machine — which rules wall-clock deadlines out entirely (a deadline
-//! observed 1 µs earlier on a faster box changes the result).
+//! core property — bit-identical output on every machine — which rules
+//! wall-clock deadlines out entirely (a deadline observed 1 µs earlier
+//! on a faster box changes the result).
 //!
 //! [`Fuel`] counts *deterministic work units* instead: one unit is one
 //! scheduling attempt, one justification pass, or one branch-and-bound
-//! node expansion. Charges happen at round barriers — never inside a
-//! parallel region — so the set of attempts that runs is a pure function
-//! of `(input, fuel limit)`. Exhaustion is graceful by construction: the
-//! mandatory baseline round always runs, and everything after it only
-//! ever *improves* the best-so-far schedule, so truncating the search
-//! yields a valid (merely possibly longer) result plus a structured
-//! [`Degradation`] report saying what was skipped.
+//! node expansion. Charges happen at round barriers, so the set of
+//! attempts that runs is a pure function of `(input, fuel limit)`.
+//! Exhaustion is graceful by construction: the mandatory baseline round
+//! always runs, and everything after it only ever *improves* the
+//! best-so-far schedule, so truncating the search yields a valid (merely
+//! possibly longer) result plus a structured [`Degradation`] report
+//! saying what was skipped.
 //!
 //! [`CancelToken`] is the complementary *non*-deterministic stop: a flag
 //! checked at stage boundaries and round barriers. Cancellation aborts
@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// justification pass (compaction / iterated local search), or one
 /// branch-and-bound node expansion (exact scheduler). Wall-clock never
 /// enters: the same `(input, limit)` pair consumes the same units and
-/// produces the same schedule on every machine and thread count.
+/// produces the same schedule on every machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fuel {
     limit: u64,
@@ -61,8 +61,8 @@ impl Fuel {
     /// Tries to pay for `units` of optional work. On success the units
     /// are consumed; on failure *nothing* is consumed and the caller
     /// must skip the work. All-or-nothing keeps rounds atomic: a round
-    /// either runs in full or not at all, which is what makes budgeted
-    /// output independent of how the round is split across threads.
+    /// either runs in full or not at all, so the attempts that run — and
+    /// with them the budgeted output — depend on the limit alone.
     #[must_use]
     pub fn try_charge(&mut self, units: u64) -> bool {
         match self.used.checked_add(units) {

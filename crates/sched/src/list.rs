@@ -18,8 +18,6 @@
 //! set for every attempt, so restarts allocate nothing but the winning
 //! schedule.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use dspcc_ir::{Program, RtId};
 
 use crate::bounds::distinct_usage_bound;
@@ -203,26 +201,7 @@ pub fn best_effort_schedule(
     restarts: u32,
 ) -> Result<Schedule, SchedError> {
     let matrix = ConflictMatrix::build(program);
-    best_effort_schedule_with(program, deps, &matrix, budget, restarts, 1)
-}
-
-/// As [`best_effort_schedule`], running independent restarts on `threads`
-/// worker threads (`0` = one per available core, capped at 8; `1` =
-/// inline). Output is **bit-identical for every thread count** — see
-/// [`best_effort_schedule_with`] for the reduction rule.
-///
-/// # Errors
-///
-/// See [`best_effort_schedule`].
-pub fn best_effort_schedule_threaded(
-    program: &Program,
-    deps: &DependenceGraph,
-    budget: Option<u32>,
-    restarts: u32,
-    threads: usize,
-) -> Result<Schedule, SchedError> {
-    let matrix = ConflictMatrix::build(program);
-    best_effort_schedule_with(program, deps, &matrix, budget, restarts, threads)
+    best_effort_schedule_with(program, deps, &matrix, budget, restarts)
 }
 
 /// The three construction algorithms tried per `(priority, seed)` pair.
@@ -241,7 +220,7 @@ const ATTEMPT_PRIORITIES: [Priority; 4] = [
 ];
 const ATTEMPT_ALGOS: [Algo; 3] = [Algo::Insertion, Algo::Backward, Algo::List];
 
-/// Everything one restart attempt needs, shared read-only by all workers.
+/// Everything one restart attempt needs, built once per run.
 struct AttemptSet<'a> {
     program: &'a Program,
     deps: &'a DependenceGraph,
@@ -261,12 +240,12 @@ impl AttemptSet<'_> {
         cutoff: u32,
     ) -> Result<Schedule, SchedError> {
         // `cutoff` is the best length already recorded (`u32::MAX` when
-        // none): an attempt that cannot get below it loses the
-        // `(length, index)` reduction even on a tie, so it may run under
-        // a tightened budget and fail early instead of finishing a
-        // schedule that would be discarded. Successful constructions are
-        // untouched — the budget only moves the failure point — so the
-        // reduction winner is bit-identical with or without the cutoff.
+        // none): an attempt that cannot get below it loses to the earlier
+        // attempt even on a tie, so it may run under a tightened budget
+        // and fail early instead of finishing a schedule that would be
+        // discarded. Successful constructions are untouched — the budget
+        // only moves the failure point — so the winner is the same with
+        // or without the cutoff.
         let budget = match self.budget {
             Some(b) => Some(b.min(cutoff)),
             None if cutoff != u32::MAX => Some(cutoff),
@@ -306,127 +285,16 @@ impl AttemptSet<'_> {
     }
 }
 
-/// Deterministic reduction state over attempt outcomes.
-///
-/// The winner is chosen *by rule*, not by arrival order, which is what
-/// makes the parallel engine bit-identical to the serial one: if any
-/// attempt meets the lower bound, the winner is the bound-meeting attempt
-/// with the smallest enumeration index (the one serial evaluation would
-/// have stopped at); otherwise all attempts were evaluated and the winner
-/// is the minimum of `(length, index)`.
-#[derive(Default)]
-struct BestOutcome {
-    /// Minimum `(length, index)` over evaluated successful attempts.
-    any: Option<(u32, u32, Schedule)>,
-    /// Minimum index among attempts with `length ≤ bound`.
-    at_bound: Option<(u32, Schedule)>,
-    /// Maximum-index error (what serial evaluation reports last).
-    err: Option<(u32, SchedError)>,
-}
-
-impl BestOutcome {
-    fn note(&mut self, idx: u32, result: Result<Schedule, SchedError>, bound: u32) {
-        match result {
-            Ok(s) => {
-                let len = s.length();
-                if len <= bound
-                    && self
-                        .at_bound
-                        .as_ref()
-                        .map(|&(i, _)| idx < i)
-                        .unwrap_or(true)
-                {
-                    self.at_bound = Some((idx, s.clone()));
-                }
-                if self
-                    .any
-                    .as_ref()
-                    .map(|&(l, i, _)| (len, idx) < (l, i))
-                    .unwrap_or(true)
-                {
-                    self.any = Some((len, idx, s));
-                }
-            }
-            Err(e) => {
-                if self.err.as_ref().map(|&(i, _)| idx > i).unwrap_or(true) {
-                    self.err = Some((idx, e));
-                }
-            }
-        }
-    }
-
-    fn bound_met(&self) -> bool {
-        self.at_bound.is_some()
-    }
-
-    /// Length of the best schedule so far (`u32::MAX` if none).
-    fn best_len(&self) -> u32 {
-        self.any.as_ref().map(|&(l, _, _)| l).unwrap_or(u32::MAX)
-    }
-
-    fn merge(mut self, other: BestOutcome) -> BestOutcome {
-        if let Some((idx, s)) = other.at_bound {
-            if self
-                .at_bound
-                .as_ref()
-                .map(|&(i, _)| idx < i)
-                .unwrap_or(true)
-            {
-                self.at_bound = Some((idx, s));
-            }
-        }
-        if let Some((len, idx, s)) = other.any {
-            if self
-                .any
-                .as_ref()
-                .map(|&(l, i, _)| (len, idx) < (l, i))
-                .unwrap_or(true)
-            {
-                self.any = Some((len, idx, s));
-            }
-        }
-        if let Some((idx, e)) = other.err {
-            if self.err.as_ref().map(|&(i, _)| idx > i).unwrap_or(true) {
-                self.err = Some((idx, e));
-            }
-        }
-        self
-    }
-
-    fn winner(self) -> Result<Schedule, SchedError> {
-        if let Some((_, s)) = self.at_bound {
-            return Ok(s);
-        }
-        if let Some((_, _, s)) = self.any {
-            return Ok(s);
-        }
-        Err(self.err.expect("at least one attempt ran").1)
-    }
-}
-
-/// Resolves a thread-count knob: `0` = one per available core (capped at
-/// 8 — attempts are short, oversubscription only adds latency), clamped
-/// to the number of attempts.
-fn resolve_threads(threads: usize, total: u32) -> usize {
-    let resolved = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        threads
-    };
-    resolved.clamp(1, total.max(1) as usize)
-}
-
-/// As [`best_effort_schedule_threaded`], with a caller-provided conflict
-/// matrix (reused across the compaction pipeline).
+/// As [`best_effort_schedule`], with a caller-provided conflict matrix
+/// (reused across the compaction pipeline).
 ///
 /// The restart engine. Attempts form a fixed enumeration of
 /// `(priority, jitter seed, algorithm)` triples, grouped into **rounds**:
 /// round 0 holds the 12 unjittered attempts (4 priorities × 3
 /// algorithms), every later round holds the 3 algorithm attempts of one
-/// `(priority, jittered seed)` pair. Two stopping rules bound the work:
+/// `(priority, jittered seed)` pair. Every attempt runs on the calling
+/// thread, in enumeration order, and the winner is the shortest schedule
+/// (the earliest attempt on a tie). Two stopping rules bound the work:
 ///
 /// * **Bound cutoff** — the moment an attempt meets the provable length
 ///   lower bound ([`crate::bounds`]) the engine returns it: nothing can
@@ -439,12 +307,6 @@ fn resolve_threads(threads: usize, total: u32) -> usize {
 ///   loop lacked. While every attempt still fails a tight budget, all
 ///   rounds run — a later seed may be the first feasible one.)
 ///
-/// Rounds are evaluated one after another; *within* a round, attempts run
-/// on the worker threads. The reduction is by rule, not arrival order —
-/// winner = bound-meeting attempt with the smallest enumeration index if
-/// any, else minimum `(length, index)` — and stop decisions sit at round
-/// barriers, so the result is **bit-identical for every thread count**.
-///
 /// # Errors
 ///
 /// See [`best_effort_schedule`].
@@ -454,7 +316,6 @@ pub fn best_effort_schedule_with(
     matrix: &ConflictMatrix,
     budget: Option<u32>,
     restarts: u32,
-    threads: usize,
 ) -> Result<Schedule, SchedError> {
     // The stopping rule: computed once per run (not per single-pass entry
     // point — the single-pass schedulers have no restart loop to stop).
@@ -465,7 +326,6 @@ pub fn best_effort_schedule_with(
         matrix,
         budget,
         restarts,
-        threads,
         bound,
         &mut Fuel::unlimited(),
         None,
@@ -492,7 +352,6 @@ pub(crate) fn best_effort_bounded(
     matrix: &ConflictMatrix,
     budget: Option<u32>,
     restarts: u32,
-    threads: usize,
     bound: u32,
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
@@ -528,14 +387,13 @@ pub(crate) fn best_effort_bounded(
             rounds.push(start..attempts.len());
         }
     }
-    let threads = resolve_threads(threads, rounds[0].len() as u32);
-    let mut outcome = BestOutcome::default();
+    // The shortest schedule so far, and the error of the latest failed
+    // attempt (what the run reports if no attempt succeeds).
+    let mut best: Option<Schedule> = None;
+    let mut last_err = None;
     let mut scratch = SchedScratch::default();
     let mut skipped = 0u64;
     for (r, range) in rounds.iter().enumerate() {
-        // Cancellation and fuel both live at the round barrier: the
-        // decision to run a round is taken once, serially, so budgeted
-        // output stays bit-identical for every thread count.
         if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
             return Err(SchedError::Cancelled);
         }
@@ -547,96 +405,27 @@ pub(crate) fn best_effort_bounded(
             skipped = (attempts.len() - range.start) as u64;
             break;
         }
-        let before = outcome.best_len();
-        // Jittered rounds hold only 3 short attempts — too little work to
-        // amortise a thread spawn — so only round 0 fans out.
-        if threads <= 1 || range.len() < 6 {
-            for idx in range.clone() {
-                let cutoff = outcome.best_len();
-                outcome.note(
-                    idx as u32,
-                    set.run(&attempts[idx], &mut scratch, cutoff),
-                    bound,
-                );
-                if outcome.bound_met() {
-                    return outcome.winner().map(|s| (s, 0));
-                }
-            }
-        } else {
-            outcome = parallel_round(&set, &attempts, range.clone(), bound, threads, outcome);
-            if outcome.bound_met() {
-                return outcome.winner().map(|s| (s, 0));
+        let before = best.as_ref().map_or(u32::MAX, Schedule::length);
+        for attempt in &attempts[range.clone()] {
+            let cutoff = best.as_ref().map_or(u32::MAX, Schedule::length);
+            match set.run(attempt, &mut scratch, cutoff) {
+                Ok(s) if s.length() <= bound => return Ok((s, 0)),
+                Ok(s) if s.length() < cutoff => best = Some(s),
+                Ok(_) => {}
+                Err(e) => last_err = Some(e),
             }
         }
         // Stagnation: a jittered round that improved nothing ends the run
         // — but never before *some* schedule exists, else a budgeted call
         // would forfeit restarts that could still find a feasible one.
-        if r >= 1 && outcome.any.is_some() && outcome.best_len() >= before {
+        if r >= 1 && best.as_ref().is_some_and(|s| s.length() >= before) {
             break;
         }
     }
-    outcome.winner().map(|s| (s, skipped))
-}
-
-/// Evaluates one round's attempts on `threads` workers, merging into
-/// `outcome`. Work-stealing over the round's index range; a worker skips
-/// index `k` only when a bound-meeting attempt with index `< k` is
-/// already recorded (which beats `k` under the reduction rule whatever
-/// `k` would produce), so the rule-chosen winner is always evaluated.
-fn parallel_round(
-    set: &AttemptSet<'_>,
-    attempts: &[(Priority, u64, Algo)],
-    range: std::ops::Range<usize>,
-    bound: u32,
-    threads: usize,
-    outcome: BestOutcome,
-) -> BestOutcome {
-    let next = AtomicU32::new(range.start as u32);
-    let end = range.end as u32;
-    // Best known `(length << 32 | index)` with length ≤ bound, for the
-    // skip rule; `u64::MAX` = none yet.
-    let best_packed = AtomicU64::new(u64::MAX);
-    let workers = threads.min(range.len());
-    let locals = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = BestOutcome::default();
-                    let mut scratch = SchedScratch::default();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= end {
-                            break;
-                        }
-                        let packed = best_packed.load(Ordering::Acquire);
-                        if packed != u64::MAX && (packed as u32) < idx {
-                            // A bound-meeting attempt with a smaller index
-                            // exists; it also beats every later index this
-                            // worker would pull.
-                            break;
-                        }
-                        let result = set.run(&attempts[idx as usize], &mut scratch, u32::MAX);
-                        if let Ok(s) = &result {
-                            let len = s.length();
-                            if len <= bound {
-                                best_packed.fetch_min(
-                                    (u64::from(len) << 32) | u64::from(idx),
-                                    Ordering::AcqRel,
-                                );
-                            }
-                        }
-                        local.note(idx, result, bound);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scheduler worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    locals.into_iter().fold(outcome, BestOutcome::merge)
+    match best {
+        Some(s) => Ok((s, skipped)),
+        None => Err(last_err.expect("round 0 always runs at least one attempt")),
+    }
 }
 
 /// Insertion scheduling: RTs are placed one at a time, each into the
@@ -1222,21 +1011,6 @@ mod tests {
         best.verify(&p, &deps).unwrap();
         let single = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
         assert!(best.length() <= single.length());
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_schedule() {
-        // The acceptance property of the parallel engine: identical
-        // schedules for identical inputs regardless of thread count.
-        let p = two_chain_program();
-        let deps = DependenceGraph::build(&p).unwrap();
-        for restarts in [0u32, 2, 5] {
-            let serial = best_effort_schedule_threaded(&p, &deps, None, restarts, 1).unwrap();
-            for threads in [0usize, 2, 3, 7, 16] {
-                let t = best_effort_schedule_threaded(&p, &deps, None, restarts, threads).unwrap();
-                assert_eq!(serial, t, "restarts {restarts}, threads {threads}");
-            }
-        }
     }
 
     #[test]

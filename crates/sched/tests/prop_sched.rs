@@ -1,22 +1,16 @@
-//! Property-based tests for the bound-aware parallel scheduling engine.
+//! Property-based tests for the bound-aware scheduling engine.
 //!
-//! Two properties anchor the PR-2 rework:
-//!
-//! * the provable length lower bound (`dspcc_sched::bounds`) never
+//! * The provable length lower bound (`dspcc_sched::bounds`) never
 //!   exceeds the length of *any* verified schedule — soundness is what
-//!   lets the restart loops stop at the bound;
-//! * the parallel restart engine is bit-identical to the serial one for
-//!   every thread count — the deterministic `(length, index)` reduction,
-//!   not luck.
+//!   lets the restart loops stop at the bound.
+//! * The compacted production schedule stays verified on random
+//!   programs.
 
 use dspcc_ir::{Program, Rt, Usage};
 use dspcc_sched::bounds::length_lower_bound;
-use dspcc_sched::compact::{schedule_and_compact, schedule_and_compact_threaded};
+use dspcc_sched::compact::schedule_and_compact;
 use dspcc_sched::deps::DependenceGraph;
-use dspcc_sched::list::{
-    best_effort_schedule, best_effort_schedule_threaded, insertion_schedule, list_schedule,
-    ListConfig,
-};
+use dspcc_sched::list::{insertion_schedule, list_schedule, ListConfig};
 use dspcc_sched::ConflictMatrix;
 use proptest::prelude::*;
 
@@ -67,7 +61,7 @@ fn arb_program(max_n: usize) -> impl Strategy<Value = Program> {
 }
 
 proptest! {
-    /// (b) The lower bound never exceeds any verified schedule's length.
+    /// The lower bound never exceeds any verified schedule's length.
     #[test]
     fn lower_bound_is_sound(p in arb_program(24)) {
         let deps = DependenceGraph::build(&p).unwrap();
@@ -82,29 +76,6 @@ proptest! {
         let best = schedule_and_compact(&p, &deps, None, 2).unwrap();
         best.verify(&p, &deps).unwrap();
         prop_assert!(bound <= best.length(), "bound {bound} > compacted {}", best.length());
-    }
-
-    /// (a) Parallel restarts produce bit-identical schedules to serial
-    /// evaluation, for any thread count.
-    #[test]
-    fn parallel_restarts_match_serial(p in arb_program(20)) {
-        let deps = DependenceGraph::build(&p).unwrap();
-        let serial = best_effort_schedule(&p, &deps, None, 3).unwrap();
-        serial.verify(&p, &deps).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = best_effort_schedule_threaded(&p, &deps, None, 3, threads).unwrap();
-            prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
-        }
-    }
-
-    /// (a, end to end) The full production scheduler is thread-count
-    /// invariant too — construction, compaction, and perturbation.
-    #[test]
-    fn compacted_schedule_is_thread_count_invariant(p in arb_program(16)) {
-        let deps = DependenceGraph::build(&p).unwrap();
-        let serial = schedule_and_compact_threaded(&p, &deps, None, 2, 1).unwrap();
-        let parallel = schedule_and_compact_threaded(&p, &deps, None, 2, 4).unwrap();
-        prop_assert_eq!(serial, parallel);
     }
 
     /// The compacted production schedule stays verified on random

@@ -65,7 +65,6 @@ fn main() {
     let corpus = standard_corpus();
     let options = CompileOptions {
         restarts: 2,
-        sched_threads: 1,
         fuel: Some(100_000),
         ..CompileOptions::default()
     };

@@ -46,7 +46,6 @@ fn compile_with(cache: &Arc<DiskCache>, source: &str) -> Compiled {
 fn options() -> CompileOptions {
     CompileOptions {
         restarts: 2,
-        sched_threads: 1,
         ..CompileOptions::default()
     }
 }

@@ -2,11 +2,14 @@
 //! every interface — schedule legality, instruction-set conformance,
 //! encoding round trips, and bit-exact execution.
 
+use std::sync::Arc;
+
+use dspcc::arch::Fnv64;
 use dspcc::dfg::Interpreter;
 use dspcc::encode::decode;
 use dspcc::isa::ClassId;
 use dspcc::num::WordFormat;
-use dspcc::{apps, cores, Compiler};
+use dspcc::{apps, cores, CompileOptions, CompileSession, Compiler};
 
 /// Every schedule instruction of a compiled audio program maps to an
 /// allowed instruction type of the core's instruction set — checked
@@ -33,6 +36,34 @@ fn audio_schedule_conforms_to_instruction_set() {
             "cycle {cycle} holds classes {classes:?}, not an allowed instruction type"
         );
     }
+}
+
+/// The figure-7 application under default options compiles to exactly
+/// the pinned microcode: 73 cycles against a sound bound of 59, and one
+/// FNV-1a digest over every instruction word and the coefficient ROM
+/// image. Any change to the pipeline that moves a single bit of the
+/// paper's own application fails here.
+#[test]
+fn audio_compile_is_pinned_bit_for_bit() {
+    let core = Arc::new(cores::audio_core());
+    let compiled = CompileSession::new()
+        .compile(
+            &core,
+            &apps::audio_application(),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(compiled.cycles(), 73);
+    assert_eq!(compiled.schedule_bound, 59);
+    let digest = Fnv64::of_parts(|h| {
+        for word in &compiled.microcode.words {
+            h.write_text(&word.to_string());
+        }
+        for &value in &compiled.microcode.rom_image {
+            h.write_u64(value as u64);
+        }
+    });
+    assert_eq!(digest, 0x3fcd_77bd_6cfd_cec8, "digest {digest:#018x}");
 }
 
 /// The schedule respects dependences and resource compatibility (the

@@ -3,7 +3,7 @@
 //! The fuel budget is deterministic work units — attempts,
 //! justification passes, branch-and-bound nodes — never wall-clock, so
 //! the same `(source, core, options)` triple must produce bit-identical
-//! microcode on any machine, at any thread count, on any day.
+//! microcode on any machine, on any day.
 //! Exhaustion degrades gracefully (best-so-far schedule plus a
 //! [`dspcc::sched::Degradation`] report); cancellation aborts cleanly
 //! without poisoning the session; hand-forged microcode surfaces as
@@ -14,34 +14,29 @@ use dspcc::sched::{CancelToken, SchedError};
 use dspcc::sim::{CoreSim, SimError};
 use dspcc::{apps, cores, CompileError, CompileOptions, CompileSession};
 
-/// Fuel-truncated compiles are bit-identical across scheduler thread
-/// counts: fuel is charged to the *search structure*, not to whichever
-/// worker happens to run it.
+/// Fuel-truncated compiles are deterministic: fuel is charged to the
+/// search structure, never to wall-clock, so two fresh sessions under the
+/// same fuel produce bit-identical microcode.
 #[test]
-fn same_fuel_same_microcode_across_thread_counts() {
+fn same_fuel_same_microcode_across_fresh_sessions() {
     let core = std::sync::Arc::new(cores::audio_core());
     for fuel in [1, 3, 10_000] {
-        let mut words = None;
-        for threads in [1usize, 2, 8] {
-            let session = CompileSession::new(); // fresh: no cross-count cache reuse
-            let options = CompileOptions {
-                restarts: 6,
-                compaction: true,
-                sched_threads: threads,
-                fuel: Some(fuel),
-                ..CompileOptions::default()
-            };
-            let compiled = session
+        let options = CompileOptions {
+            restarts: 6,
+            compaction: true,
+            fuel: Some(fuel),
+            ..CompileOptions::default()
+        };
+        // A fresh session per compile: no cache reuse between the two.
+        let words = || {
+            CompileSession::new()
                 .compile(&core, &apps::fir(8), &options)
-                .expect("fir8 compiles under any fuel");
-            match &words {
-                None => words = Some(compiled.microcode.words.clone()),
-                Some(w) => assert_eq!(
-                    w, &compiled.microcode.words,
-                    "fuel {fuel}: microcode differs at sched_threads {threads}"
-                ),
-            }
-        }
+                .expect("fir8 compiles under any fuel")
+                .microcode
+                .words
+                .clone()
+        };
+        assert_eq!(words(), words(), "fuel {fuel}: microcode differs");
     }
 }
 

@@ -78,9 +78,9 @@ proptest! {
         // identical matrices must yield identical schedules.
         let budget = core.controller.program_depth();
         let (s_fast, b_fast) =
-            schedule_and_compact_in(program, &compiled.deps, &fast, Some(budget), 1, 1).unwrap();
+            schedule_and_compact_in(program, &compiled.deps, &fast, Some(budget), 1).unwrap();
         let (s_ref, b_ref) =
-            schedule_and_compact_in(program, &compiled.deps, &reference, Some(budget), 1, 1)
+            schedule_and_compact_in(program, &compiled.deps, &reference, Some(budget), 1)
                 .unwrap();
         prop_assert_eq!(&s_fast, &s_ref, "schedules diverge for:\n{}", src);
         prop_assert_eq!(b_fast, b_ref);

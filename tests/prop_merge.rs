@@ -17,16 +17,6 @@ use dspcc::isa::derive_isa;
 use dspcc::{apps, cores, CellOutcome, CompileOptions, CompileSession, Core};
 use proptest::prelude::*;
 
-/// Fleet-style per-cell options: bounded fuel, serial scheduler.
-fn cell_options() -> CompileOptions {
-    CompileOptions {
-        restarts: 2,
-        sched_threads: 1,
-        fuel: Some(10_000),
-        ..CompileOptions::default()
-    }
-}
-
 #[test]
 fn identity_plan_round_trips_fingerprint() {
     let gen = CoreGenerator::new();
@@ -111,7 +101,7 @@ proptest! {
             "fir4",
             &apps::fir(4),
             4,
-            &cell_options(),
+            &CompileOptions::sweep_cell(),
         );
         prop_assert!(
             !matches!(outcome, CellOutcome::Mismatch(_)),

@@ -2,13 +2,13 @@
 # Ratchet lint on panic sites in the user-input-reachable compile path.
 #
 # Counts `.unwrap()` / `panic!(` occurrences per source file in the
-# audited crates (rtgen, sched, encode, isa, sim, arch, ir, core) and
-# fails when any file exceeds its recorded budget in
-# tools/panic_budget.txt. Tests and
-# examples are exempt by construction: only `crates/*/src` is scanned,
-# and in-file `#[cfg(test)]` modules are excluded by stripping
-# everything from the test-module marker onward (repo convention keeps
-# unit tests in a trailing `mod tests`).
+# audited crates (rtgen, sched, encode, isa, sim, arch, ir, core, dfg,
+# graph, num) and fails when any file exceeds its recorded budget in
+# tools/panic_budget.txt. Tests and examples are exempt by
+# construction: only `crates/*/src` is scanned, and in-file
+# `#[cfg(test)]` modules are excluded by stripping everything from the
+# test-module marker onward (repo convention keeps unit tests in a
+# trailing `mod tests`).
 #
 # Lowering a count is welcome — regenerate the budget with:
 #   tools/panic_lint.sh --regen
@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 budget_file=tools/panic_budget.txt
-scan_dirs=(crates/rtgen/src crates/sched/src crates/encode/src crates/isa/src crates/sim/src crates/arch/src crates/ir/src crates/core/src)
+scan_dirs=(crates/rtgen/src crates/sched/src crates/encode/src crates/isa/src crates/sim/src crates/arch/src crates/ir/src crates/core/src crates/dfg/src crates/graph/src crates/num/src)
 
 count_file() {
     # Strip the trailing unit-test module and comment lines, then count
