@@ -107,14 +107,54 @@ impl Default for Fnv64 {
     }
 }
 
-/// `write!(hasher, ...)` support: formatted output is hashed, not stored.
-/// Handy for fingerprinting types through their `Debug` representation
-/// (which for this workspace's plain-data IR types is a complete and
-/// deterministic rendering of the content).
+/// `write!(hasher, ...)` support: formatted output is hashed, not stored
+/// (digests of rendered output, such as the pinned-output tests take).
+/// Cache keys hash fields instead, so that no formatting change can
+/// re-key a cache.
 impl fmt::Write for Fnv64 {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         self.write_bytes(s.as_bytes());
         Ok(())
+    }
+}
+
+/// Lets a crate that does not depend on this one feed its content into
+/// the same hash through [`std::hash::Hasher`] (the signal-flow graph's
+/// `Dfg::hash_content`). Integers go in little-endian and `usize` as a
+/// `u64`, as through the inherent writers, so a value hashes the same
+/// whether the receiver is an `Fnv64` or an `impl Hasher`, on every
+/// platform. The signed writers default to these.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        Fnv64::write_u8(self, v);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        Fnv64::write_u32(self, v);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        Fnv64::write_u64(self, v);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        Fnv64::write_u64(self, v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        Fnv64::finish(self)
     }
 }
 
@@ -209,6 +249,25 @@ mod tests {
         assert_ne!(base.fingerprint(), Controller::stripped(65).fingerprint());
         assert_ne!(base.fingerprint(), Controller::new(64, 1, 1).fingerprint());
         assert_ne!(base.fingerprint(), Controller::new(64, 2, 0).fingerprint());
+    }
+
+    #[test]
+    fn hasher_writes_integers_as_the_inherent_writers_do() {
+        fn through_hasher(h: &mut impl std::hash::Hasher) {
+            h.write_u8(7);
+            h.write_u32(0x0102_0304);
+            h.write_u64(0x0506_0708_090a_0b0c);
+            h.write_usize(42);
+            h.write_i64(-1);
+        }
+        let inherent = Fnv64::of_parts(|h| {
+            h.write_u8(7);
+            h.write_u32(0x0102_0304);
+            h.write_u64(0x0506_0708_090a_0b0c);
+            h.write_u64(42);
+            h.write_u64(u64::MAX);
+        });
+        assert_eq!(Fnv64::of_parts(through_hasher), inherent);
     }
 
     #[test]

@@ -51,17 +51,17 @@ fn main() {
         vec![2, 4],
         vec![3, 5],
     ];
-    validate_cover(&g, &paper_cover).expect("the paper's cover is valid");
+    validate_cover(g, &paper_cover).expect("the paper's cover is valid");
     println!(
         "paper's clique cover (6 cliques): {{S,X}} {{S,Y}} {{T,U,Y}} {{T,V,X}} {{U,X}} {{V,Y}}"
     );
 
     for (name, cover) in [
-        ("per-edge", per_edge_clique_cover(&g)),
-        ("greedy-maximal", greedy_edge_clique_cover(&g)),
-        ("exact-minimum", minimum_edge_clique_cover(&g)),
+        ("per-edge", per_edge_clique_cover(g)),
+        ("greedy-maximal", greedy_edge_clique_cover(g)),
+        ("exact-minimum", minimum_edge_clique_cover(g)),
     ] {
-        validate_cover(&g, &cover).expect("cover valid");
+        validate_cover(g, &cover).expect("cover valid");
         let rendered: Vec<String> = cover.iter().map(|c| show(c)).collect();
         println!(
             "{name:<15}: {} cliques  {}",

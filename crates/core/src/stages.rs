@@ -26,7 +26,6 @@
 //! stages are the same code in the same order, and `tests/prop_session.rs`
 //! pins warm (cached) recompiles against cold ones.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,16 +55,14 @@ pub fn source_fingerprint(source: &str) -> u64 {
     Fnv64::of_parts(|h| h.write_text(source))
 }
 
-/// Content fingerprint of a built signal-flow graph.
-///
-/// The `Dfg` is plain data (nodes, ports, signals, coefficients) whose
-/// `Debug` rendering is a complete, deterministic view of that content, so
-/// hashing it is a faithful content key. Keying the lowering stage on the
-/// *graph* rather than the source text means whitespace-only source edits
-/// invalidate nothing past the frontend.
+/// Content fingerprint of a built signal-flow graph: FNV-1a over every
+/// field of the graph ([`Dfg::hash_content`]), not over a rendering of
+/// it, so no formatting change can re-key the cache. Keying the lowering
+/// stage on the *graph* rather than the source text means
+/// whitespace-only source edits invalidate nothing past the frontend.
 pub fn dfg_fingerprint(dfg: &Dfg) -> u64 {
     let mut h = Fnv64::new();
-    let _ = write!(h, "{dfg:?}");
+    dfg.hash_content(&mut h);
     h.finish()
 }
 
@@ -646,6 +643,26 @@ mod tests {
         assert_eq!(a.dfg_fp, b.dfg_fp);
         let c = run_frontend("input u; output y; y = pass_clip(u);").unwrap();
         assert_ne!(a.dfg_fp, c.dfg_fp);
+        // Each pair differs in one field only, and must re-key: a local's
+        // name (RT names are built from it), a coefficient's last digit,
+        // and the sign of a zero constant.
+        for (x, y) in [
+            (
+                "input u; output y; t := pass(u); y = pass(t);",
+                "input u; output y; s := pass(u); y = pass(s);",
+            ),
+            (
+                "input u; coeff k = 0.123456789; output y; y = mlt(k, u);",
+                "input u; coeff k = 0.123456788; output y; y = mlt(k, u);",
+            ),
+            (
+                "input u; output y; y = add(u, 0.0);",
+                "input u; output y; y = add(u, -0.0);",
+            ),
+        ] {
+            let (x, y) = (run_frontend(x).unwrap(), run_frontend(y).unwrap());
+            assert_ne!(x.dfg_fp, y.dfg_fp, "{:?}", y.dfg);
+        }
     }
 
     #[test]

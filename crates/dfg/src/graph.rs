@@ -6,6 +6,7 @@
 //! scheduler level when two identical RTs land in the same cycle.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// Identifier of a node in a [`Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -186,6 +187,80 @@ impl Dfg {
             outputs: self.count_ops(|o| matches!(o, DfgOp::Output { .. })),
         }
     }
+}
+
+impl Dfg {
+    /// Feeds every field of the graph into `h`: each node's operation,
+    /// inputs and name, both port lists, the signals and the
+    /// coefficients, with `f64` values as their bits (so `0.0` and `-0.0`
+    /// differ) and every variable-length field length-prefixed. Integers
+    /// go in as `u64`s, never `usize`, so a hasher with a fixed byte
+    /// order gives the same value on every platform. The compile session
+    /// keys RT generation on this; node and signal names are part of the
+    /// key because RT names are built from them.
+    pub fn hash_content(&self, h: &mut impl Hasher) {
+        // Exhaustive destructuring: a new field does not compile until it
+        // is hashed here.
+        let Dfg {
+            nodes,
+            input_ports,
+            output_ports,
+            signals,
+            coeffs,
+        } = self;
+        h.write_u64(nodes.len() as u64);
+        for DfgNode { op, inputs, name } in nodes {
+            let (tag, a, b) = match *op {
+                DfgOp::Input { port } => (0, port as u64, 0),
+                DfgOp::Tap { signal, depth } => (1, signal as u64, u64::from(depth)),
+                DfgOp::Coeff { index } => (2, index as u64, 0),
+                DfgOp::ProgConst { value } => (3, value.to_bits(), 0),
+                DfgOp::Mlt => (4, 0, 0),
+                DfgOp::Add => (5, 0, 0),
+                DfgOp::AddClip => (6, 0, 0),
+                DfgOp::Sub => (7, 0, 0),
+                DfgOp::Pass => (8, 0, 0),
+                DfgOp::PassClip => (9, 0, 0),
+                DfgOp::Output { port } => (10, port as u64, 0),
+                DfgOp::SignalWrite { signal } => (11, signal as u64, 0),
+            };
+            h.write_u8(tag);
+            h.write_u64(a);
+            h.write_u64(b);
+            h.write_u64(inputs.len() as u64);
+            for &NodeId(input) in inputs {
+                h.write_u64(u64::from(input));
+            }
+            text(h, name);
+        }
+        for ports in [input_ports, output_ports] {
+            h.write_u64(ports.len() as u64);
+            for port in ports {
+                text(h, port);
+            }
+        }
+        h.write_u64(signals.len() as u64);
+        for SignalInfo {
+            name,
+            max_tap_depth,
+            is_input,
+        } in signals
+        {
+            text(h, name);
+            h.write_u64(u64::from(*max_tap_depth));
+            h.write_u8(u8::from(*is_input));
+        }
+        h.write_u64(coeffs.len() as u64);
+        for (name, value) in coeffs {
+            text(h, name);
+            h.write_u64(value.to_bits());
+        }
+    }
+}
+
+fn text(h: &mut impl Hasher, s: &str) {
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
 }
 
 /// Operation counts of a [`Dfg`] (see [`Dfg::census`]).

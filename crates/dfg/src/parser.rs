@@ -53,29 +53,26 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), dspcc_dfg::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<SourceProgram, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut tokens = tokenize(src)?;
+    tokens.reverse();
+    let mut p = Parser { tokens };
     p.program()
 }
 
 struct Parser {
+    /// The tokens not yet consumed, last first: `next` pops them.
     tokens: Vec<Token>,
-    pos: usize,
 }
 
 const DECL_KEYWORDS: [&str; 5] = ["input", "output", "signal", "coeff", "const"];
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.tokens.last()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        self.tokens.pop()
     }
 
     fn line(&self) -> u32 {

@@ -13,10 +13,10 @@
 //! run-time — which is exactly what experiment E8 measures.
 //!
 //! The whole chain here runs on the word-packed bitset path: the conflict
-//! graph arrives with packed adjacency rows
-//! ([`InstructionSet::conflict_graph`] accumulates "appears together"
-//! bitsets over the types), and all three cover strategies enumerate and
-//! grow cliques by word-parallel neighbourhood intersection (see
+//! graph arrives with packed adjacency rows (the instruction set derives
+//! it once, when it is built — see [`InstructionSet::conflict_graph`]),
+//! and all three cover strategies enumerate and grow cliques by
+//! word-parallel neighbourhood intersection (see
 //! [`dspcc_graph::cliques`] / [`dspcc_graph::cover`]).
 
 use std::fmt;
@@ -109,8 +109,7 @@ pub fn artificial_resources(
     classification: &Classification,
     strategy: CoverStrategy,
 ) -> Vec<ArtificialResource> {
-    let graph = iset.conflict_graph();
-    artificial_resources_for_graph(&graph, classification, strategy)
+    artificial_resources_for_graph(iset.conflict_graph(), classification, strategy)
 }
 
 /// As [`artificial_resources`], but from an explicit conflict graph

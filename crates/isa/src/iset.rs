@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use dspcc_graph::cliques::maximal_cliques;
-use dspcc_graph::{Bitset, UndirectedGraph};
+use dspcc_graph::UndirectedGraph;
 
 use crate::classes::ClassId;
 
@@ -33,10 +33,15 @@ use crate::classes::ClassId;
 /// [`InstructionSet::closure`] to build a rule-conforming set from desired
 /// types, or [`InstructionSet::from_types`] + [`InstructionSet::validate`]
 /// to check a hand-written one.
+///
+/// The conflict graph is derived once, when the set is built: every
+/// compile that imposes the set reads it, and the types never change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionSet {
     class_count: usize,
     types: BTreeSet<BTreeSet<ClassId>>,
+    /// The conflict graph of `types`.
+    conflict: UndirectedGraph,
 }
 
 /// Violation of the instruction-set construction rules.
@@ -84,13 +89,17 @@ impl std::error::Error for IsaError {}
 impl InstructionSet {
     /// Builds an instruction set from an explicit list of types (each a
     /// list of class ids). Duplicates are merged; no rules are enforced —
-    /// call [`InstructionSet::validate`].
+    /// call [`InstructionSet::validate`], which also reports class ids
+    /// out of range (the conflict graph ignores them).
     pub fn from_types(class_count: usize, types: &[Vec<usize>]) -> Self {
-        let types = types
-            .iter()
-            .map(|t| t.iter().map(|&c| ClassId(c)).collect())
-            .collect();
-        InstructionSet { class_count, types }
+        InstructionSet {
+            class_count,
+            types: types
+                .iter()
+                .map(|t| t.iter().map(|&c| ClassId(c)).collect())
+                .collect(),
+            conflict: compat_of(class_count, types).complement(),
+        }
     }
 
     /// Builds the smallest allowed instruction set containing the
@@ -118,14 +127,7 @@ impl InstructionSet {
             }
         }
         // Compatible pairs: those inside some desired type.
-        let mut compat = UndirectedGraph::new(class_count);
-        for t in desired {
-            for (i, &a) in t.iter().enumerate() {
-                for &b in &t[i + 1..] {
-                    compat.add_edge(a, b);
-                }
-            }
-        }
+        let compat = compat_of(class_count, desired);
         // Valid types = independent sets of the conflict graph = cliques of
         // the compatibility graph, plus NOP and singletons.
         let mut types: BTreeSet<BTreeSet<ClassId>> = BTreeSet::new();
@@ -144,7 +146,14 @@ impl InstructionSet {
                 types.insert(t);
             }
         }
-        InstructionSet { class_count, types }
+        // Two classes share a type iff they share a maximal clique, that
+        // is iff they are compatible: the conflict graph is the
+        // complement.
+        InstructionSet {
+            class_count,
+            types,
+            conflict: compat.complement(),
+        }
     }
 
     /// Number of RT classes this set ranges over.
@@ -239,31 +248,29 @@ impl InstructionSet {
 
     /// The conflict graph (paper figure 6): nodes are classes, and an edge
     /// joins two classes that occur together in **no** instruction type.
+    /// Neighbour lists are ascending.
     ///
-    /// Built through the bitset path: one pass over the types accumulates a
-    /// packed "appears together" row per class, then the complemented rows
-    /// become the edges — O(Σ|t|² + n²) instead of rescanning every type
-    /// for every class pair.
-    pub fn conflict_graph(&self) -> UndirectedGraph {
-        let n = self.class_count;
-        let mut together: Vec<Bitset> = (0..n).map(|_| Bitset::new(n)).collect();
-        for t in &self.types {
-            for &ClassId(a) in t {
-                for &ClassId(b) in t {
-                    together[a].insert(b);
-                }
-            }
-        }
-        let mut g = UndirectedGraph::new(n);
-        for (a, row) in together.iter().enumerate() {
-            for b in (a + 1)..n {
-                if !row.contains(b) {
-                    g.add_edge(a, b);
-                }
-            }
-        }
-        g
+    /// Derived when the set is built, so this walks no types.
+    pub fn conflict_graph(&self) -> &UndirectedGraph {
+        &self.conflict
     }
+}
+
+/// The compatibility graph of `types` over classes `0..class_count`: an
+/// edge joins two classes that occur together in some type. Class ids out
+/// of range are skipped ([`InstructionSet::validate`] reports them).
+fn compat_of(class_count: usize, types: &[Vec<usize>]) -> UndirectedGraph {
+    let mut compat = UndirectedGraph::new(class_count);
+    for t in types {
+        for (i, &a) in t.iter().enumerate() {
+            for &b in &t[i + 1..] {
+                if a < class_count && b < class_count {
+                    compat.add_edge(a, b);
+                }
+            }
+        }
+    }
+    compat
 }
 
 impl fmt::Display for InstructionSet {
@@ -335,7 +342,8 @@ mod tests {
 
     #[test]
     fn paper_conflict_graph_matches_figure_6() {
-        let g = paper_set().conflict_graph();
+        let iset = paper_set();
+        let g = iset.conflict_graph();
         // Compatible pairs: S-T, S-U, S-V, U-V, X-Y. All 10 others conflict.
         assert_eq!(g.edge_count(), 10);
         for (a, b) in [(S, T), (S, U), (S, V), (U, V), (X, Y)] {

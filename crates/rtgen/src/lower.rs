@@ -20,7 +20,7 @@
 //! one per frame, matching the resource mix of the paper's audio core
 //! (ACU one busier than RAM, figure 9).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use dspcc_arch::{Datapath, OpuKind};
@@ -121,7 +121,8 @@ pub enum LowerError {
     /// No OPU supports the operation.
     NoOpuFor(String),
     /// The datapath lacks a unit kind the program needs (e.g. taps without
-    /// an ACU or RAM).
+    /// an ACU or RAM), or a unit lacks the output bus or input register
+    /// file the program uses (e.g. a RAM with no address input).
     MissingUnit(&'static str),
     /// A value cannot be routed into any input register file of the
     /// operation's OPU, even via one pass-through.
@@ -194,30 +195,36 @@ pub fn lower(dfg: &Dfg, dp: &Datapath, opts: &LowerOptions) -> Result<Lowering, 
     Ctx::new(dfg, dp, opts)?.run()
 }
 
-/// One planned RT, recorded before destinations are known.
-#[derive(Debug, Clone)]
+/// One planned RT, recorded before destinations are known. Units and
+/// register files are positions in `Datapath::opus()` and
+/// `Datapath::register_files()`; the name is the only string a plan
+/// carries, because the RT keeps it.
+#[derive(Debug)]
 struct Plan {
     name: String,
-    opu: String,
-    op: String,
-    /// Value operands with the register file each is read from; `None`
-    /// rf means the pinned fp register (handled specially).
-    operands: Vec<(Option<ValueId>, String, u32)>,
+    opu: usize,
+    op: &'static str,
+    /// Value operands with the register file each is read from; a `None`
+    /// value is the pinned fp register.
+    operands: Vec<(Option<ValueId>, usize)>,
     def: Option<ValueId>,
     immediate: Option<Immediate>,
     /// For output writes: the DFG port.
     output_port: Option<usize>,
-    /// Pre-colored destination (the fp update writes a physical register).
-    physical_dest: Option<(String, u32)>,
+    /// Pre-colored destination `(register file, index)`: the fp update
+    /// writes a physical register.
+    physical_dest: Option<(usize, u32)>,
 }
 
-/// Interned symbols of one OPU: resource, buffer, output bus, and one
-/// token usage per operation — resolved once per datapath so RT emission
-/// never re-interns a name (see the `dspcc_ir::SymbolTable` docs).
+/// Interned symbols of one OPU: resource, buffer, output bus, the
+/// positions of its input register files, and its `pass(<bus>)`
+/// multiplexer usage once an RT needs it.
 struct OpuSyms {
     res: Resource,
     buf: Resource,
     bus: Option<Resource>,
+    inputs: Vec<usize>,
+    pass_usage: Option<UsageId>,
 }
 
 /// Interned symbols of one register file.
@@ -228,77 +235,109 @@ struct RfSyms {
     write_buses: Vec<Resource>,
 }
 
-/// The per-datapath symbol cache: every resource name and every reusable
-/// usage value of the target, interned exactly once at the lowering
-/// boundary.
+/// The per-datapath symbol tables, indexed by position in the datapath:
+/// every resource name is interned once at the lowering boundary, and the
+/// usages that depend on the program (operation tokens, multiplexer
+/// inputs) are interned on first use.
 struct SymCache {
     write_token: UsageId,
-    opus: HashMap<String, OpuSyms>,
-    rfs: HashMap<String, RfSyms>,
-    /// Operation name → `Usage::Token(op)` id (all datapath ops).
-    tokens: HashMap<String, UsageId>,
-    /// Bus → `pass(<bus>)` id for multiplexer inputs.
-    pass_of_bus: HashMap<Resource, UsageId>,
+    opus: Vec<OpuSyms>,
+    rfs: Vec<RfSyms>,
+    /// `Usage::Token(op)` per operation emitted so far.
+    tokens: Vec<(&'static str, UsageId)>,
+    /// Units by kind, in declaration order.
+    input_opus: Vec<usize>,
+    output_opus: Vec<usize>,
+    /// The first ROM and program-constant unit that supports `const`.
+    rom: Option<usize>,
+    prog_const: Option<usize>,
 }
 
 impl SymCache {
     fn build(dp: &Datapath) -> SymCache {
-        let mut opus = HashMap::new();
-        let mut tokens: HashMap<String, UsageId> = HashMap::new();
-        let mut pass_of_bus = HashMap::new();
-        for opu in dp.opus() {
-            let bus = opu.output_bus().map(Resource::new);
-            if let Some(b) = bus {
-                pass_of_bus
-                    .entry(b)
-                    .or_insert_with(|| UsageId::of(&Usage::apply("pass", [b.name()])));
-            }
-            for (op, _) in opu.ops() {
-                if !tokens.contains_key(op) {
-                    tokens.insert(op.to_owned(), UsageId::of(&Usage::token(op)));
-                }
-            }
-            opus.insert(
-                opu.name().to_owned(),
-                OpuSyms {
-                    res: Resource::new(opu.name()),
-                    buf: Resource::new(&Datapath::buffer_name(opu.name())),
-                    bus,
-                },
-            );
-        }
-        let rfs = dp
-            .register_files()
-            .iter()
-            .map(|rf| {
-                (
-                    rf.name().to_owned(),
-                    RfSyms {
-                        res: Resource::new(rf.name()),
-                        wp: Resource::new(&Datapath::wp_name(rf.name())),
-                        mux: rf
-                            .has_mux()
-                            .then(|| Resource::new(&Datapath::mux_name(rf.name()))),
-                        write_buses: rf.write_buses().iter().map(|b| Resource::new(b)).collect(),
-                    },
-                )
-            })
-            .collect();
+        let rf_position = |name: &str| {
+            dp.register_files()
+                .iter()
+                .position(|rf| rf.name() == name)
+                .expect("the builder checks that every input register file exists")
+        };
+        let const_unit = |kind: OpuKind| {
+            dp.opus()
+                .iter()
+                .position(|o| o.kind() == kind && o.supports("const"))
+        };
+        let of_kind = |kind: OpuKind| -> Vec<usize> {
+            (0..dp.opus().len())
+                .filter(|&i| dp.opus()[i].kind() == kind)
+                .collect()
+        };
         SymCache {
             write_token: UsageId::of(&Usage::token("write")),
-            opus,
-            rfs,
-            tokens,
-            pass_of_bus,
+            opus: dp
+                .opus()
+                .iter()
+                .map(|opu| OpuSyms {
+                    res: Resource::new(opu.name()),
+                    buf: Resource::new(&Datapath::buffer_name(opu.name())),
+                    bus: opu.output_bus().map(Resource::new),
+                    inputs: opu.inputs().iter().map(|rf| rf_position(rf)).collect(),
+                    pass_usage: None,
+                })
+                .collect(),
+            rfs: dp
+                .register_files()
+                .iter()
+                .map(|rf| RfSyms {
+                    res: Resource::new(rf.name()),
+                    wp: Resource::new(&Datapath::wp_name(rf.name())),
+                    mux: rf
+                        .has_mux()
+                        .then(|| Resource::new(&Datapath::mux_name(rf.name()))),
+                    write_buses: rf.write_buses().iter().map(|b| Resource::new(b)).collect(),
+                })
+                .collect(),
+            tokens: Vec::new(),
+            input_opus: of_kind(OpuKind::Input),
+            output_opus: of_kind(OpuKind::Output),
+            rom: const_unit(OpuKind::Rom),
+            prog_const: const_unit(OpuKind::ProgConst),
         }
     }
 
-    fn token(&self, op: &str) -> UsageId {
-        self.tokens
-            .get(op)
-            .copied()
-            .unwrap_or_else(|| UsageId::of(&Usage::token(op)))
+    fn token(&mut self, op: &'static str) -> UsageId {
+        if let Some(&(_, id)) = self.tokens.iter().find(|(o, _)| *o == op) {
+            return id;
+        }
+        let id = UsageId::of(&Usage::token(op));
+        self.tokens.push((op, id));
+        id
     }
+
+    /// Claims the write port of `rf`, and its multiplexer input for the
+    /// bus of `opu` when the file has a multiplexer.
+    fn dest_usage(&mut self, rt: &mut Rt, rf: usize, opu: usize, tag: &str) {
+        let RfSyms { wp, mux, .. } = self.rfs[rf];
+        if let Some(mux) = mux {
+            let syms = &mut self.opus[opu];
+            let bus = syms.bus.expect("mux write implies a bus");
+            let pass = *syms
+                .pass_usage
+                .get_or_insert_with(|| UsageId::of(&Usage::apply("pass", [bus.name()])));
+            rt.add_usage_id(mux, pass);
+        }
+        rt.add_usage_id(wp, UsageId::of_apply1("write", tag));
+    }
+}
+
+/// The delay-line units, resolved when the program taps a signal: the
+/// ACU and RAM, and the ACU's base (frame pointer) and offset register
+/// files.
+#[derive(Clone, Copy)]
+struct DelayUnits {
+    acu: usize,
+    ram: usize,
+    fp_rf: usize,
+    off_rf: usize,
 }
 
 struct Ctx<'a> {
@@ -312,15 +351,15 @@ struct Ctx<'a> {
     /// no bus).
     value_bus: Vec<Option<Resource>>,
     /// value → register files it must be written into (dense by value id).
-    demand: Vec<Vec<Resource>>,
+    demand: Vec<Vec<usize>>,
     /// Writes routed into each register file so far — balanced across
     /// alternative operand ports, since every write port is a 1-per-cycle
     /// resource.
-    wp_load: HashMap<Resource, usize>,
+    wp_load: Vec<usize>,
     /// RTs planned per OPU so far (the load-balancing key of
     /// `compute_node`), maintained incrementally instead of recounting
     /// all plans per node.
-    opu_load: HashMap<String, usize>,
+    opu_load: Vec<usize>,
     /// DFG node → value carrying its result.
     node_value: Vec<Option<ValueId>>,
     layout: RamLayout,
@@ -328,35 +367,35 @@ struct Ctx<'a> {
     /// CSE tables.
     const_cache: BTreeMap<u64, usize>,
     coeff_cache: BTreeMap<u32, usize>,
-    /// plan index → rt id is the identity; bookkeeping for edges.
-    input_reads: BTreeMap<String, Vec<usize>>,
-    output_writes: BTreeMap<String, Vec<usize>>,
+    /// plan index → rt id is the identity; bookkeeping for edges, per
+    /// unit name (name order sequences the edges and the input order).
+    input_reads: BTreeMap<&'a str, Vec<usize>>,
+    output_writes: BTreeMap<&'a str, Vec<usize>>,
     fp_readers: Vec<usize>,
     /// per signal: (write plan index, Vec<(tap read plan, depth)>).
     signal_writes: BTreeMap<usize, usize>,
     signal_taps: BTreeMap<usize, Vec<(usize, u32)>>,
     output_order: Vec<(String, usize)>,
-    fp_rf: String,
-    off_rf: String,
-    acu: String,
-    ram: String,
+    delay: Option<DelayUnits>,
 }
 
 impl<'a> Ctx<'a> {
     fn new(dfg: &'a Dfg, dp: &'a Datapath, opts: &'a LowerOptions) -> Result<Self, LowerError> {
+        let syms = SymCache::build(dp);
         let needs_ram = dfg.signals().iter().any(|s| s.max_tap_depth > 0);
-        let (acu, ram, fp_rf, off_rf, layout) = if needs_ram {
+        let (delay, layout) = if needs_ram {
             let acu = dp
                 .opus()
                 .iter()
-                .find(|o| o.kind() == OpuKind::Acu && o.supports("addmod"))
+                .position(|o| o.kind() == OpuKind::Acu && o.supports("addmod"))
                 .ok_or(LowerError::MissingUnit("ACU (addmod)"))?;
             let ram = dp
                 .opus()
                 .iter()
-                .find(|o| o.kind() == OpuKind::Ram)
+                .position(|o| o.kind() == OpuKind::Ram)
                 .ok_or(LowerError::MissingUnit("RAM"))?;
-            if acu.inputs().len() < 2 {
+            let acu_inputs = &syms.opus[acu].inputs;
+            if acu_inputs.len() < 2 {
                 return Err(LowerError::MissingUnit("ACU with base+offset inputs"));
             }
             let max_depth = dfg
@@ -376,17 +415,20 @@ impl<'a> Ctx<'a> {
                     bases.push(u32::MAX);
                 }
             }
-            if next > ram.memory_size() {
+            let ram_size = dp.opus()[ram].memory_size();
+            if next > ram_size {
                 return Err(LowerError::RamOverflow {
                     needed: next,
-                    available: ram.memory_size(),
+                    available: ram_size,
                 });
             }
             (
-                acu.name().to_owned(),
-                ram.name().to_owned(),
-                acu.inputs()[0].clone(),
-                acu.inputs()[1].clone(),
+                Some(DelayUnits {
+                    acu,
+                    ram,
+                    fp_rf: acu_inputs[0],
+                    off_rf: acu_inputs[1],
+                }),
                 RamLayout {
                     region_size: region,
                     bases,
@@ -395,10 +437,7 @@ impl<'a> Ctx<'a> {
             )
         } else {
             (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
+                None,
                 RamLayout {
                     region_size: 1,
                     bases: vec![u32::MAX; dfg.signals().len()],
@@ -410,13 +449,13 @@ impl<'a> Ctx<'a> {
             dfg,
             dp,
             opts,
-            syms: SymCache::build(dp),
             program: Program::new(),
             plans: Vec::new(),
             value_bus: Vec::new(),
             demand: Vec::new(),
-            wp_load: HashMap::new(),
-            opu_load: HashMap::new(),
+            wp_load: vec![0; syms.rfs.len()],
+            opu_load: vec![0; syms.opus.len()],
+            syms,
             node_value: vec![None; dfg.nodes().len()],
             layout,
             rom_image: dfg.coeffs().iter().map(|(_, v)| *v).collect(),
@@ -428,57 +467,56 @@ impl<'a> Ctx<'a> {
             signal_writes: BTreeMap::new(),
             signal_taps: BTreeMap::new(),
             output_order: Vec::new(),
-            fp_rf,
-            off_rf,
-            acu,
-            ram,
+            delay,
         })
     }
 
+    /// The delay-line units; only RAM accesses ask, and those exist only
+    /// for tapped signals, which resolved the units in [`Ctx::new`].
+    fn delay_units(&self) -> DelayUnits {
+        self.delay
+            .expect("tapped signals resolve the delay-line units")
+    }
+
     fn run(mut self) -> Result<Lowering, LowerError> {
-        for id in self.dfg.node_ids() {
+        let dfg = self.dfg;
+        for id in dfg.node_ids() {
             self.node(id)?;
         }
         // Inputs referenced only through taps (`u@2` with no bare `u`)
         // still consume one sample per frame into their delay line.
-        for port in 0..self.dfg.input_ports().len() {
-            let name = self.dfg.input_ports()[port].clone();
-            let signal = self
-                .dfg
+        for (port, name) in dfg.input_ports().iter().enumerate() {
+            let signal = dfg
                 .signals()
                 .iter()
-                .position(|s| s.name == name)
+                .position(|s| &s.name == name)
                 .expect("inputs are signals");
-            if self.dfg.signals()[signal].max_tap_depth > 0
-                && !self.signal_writes.contains_key(&signal)
+            if dfg.signals()[signal].max_tap_depth > 0 && !self.signal_writes.contains_key(&signal)
             {
-                let inputs: Vec<String> = self
-                    .dp
-                    .opus()
-                    .iter()
-                    .filter(|o| o.kind() == OpuKind::Input)
-                    .map(|o| o.name().to_owned())
-                    .collect();
+                let inputs = &self.syms.input_opus;
                 if inputs.is_empty() {
                     return Err(LowerError::MissingUnit("input port (IPB)"));
                 }
-                let opu_name = inputs[port % inputs.len()].clone();
-                let value = self.program.add_value(name.clone());
-                let bus = self.syms.opus[&opu_name]
+                let opu = inputs[port % inputs.len()];
+                let value = self.program.add_value(name.as_str());
+                let bus = self.syms.opus[opu]
                     .bus
-                    .expect("input ports drive a bus");
+                    .ok_or(LowerError::MissingUnit("input port with an output bus"))?;
                 self.set_bus(value, bus);
                 let idx = self.plan(Plan {
                     name: format!("in_{name}"),
-                    opu: opu_name.clone(),
-                    op: "read".to_owned(),
+                    opu,
+                    op: "read",
                     operands: Vec::new(),
                     def: Some(value),
                     immediate: None,
                     output_port: Some(port),
                     physical_dest: None,
                 });
-                self.input_reads.entry(opu_name).or_default().push(idx);
+                self.input_reads
+                    .entry(self.dp.opus()[opu].name())
+                    .or_default()
+                    .push(idx);
                 let write = self.ram_access(signal, 0, Some(value), None)?;
                 self.signal_writes.insert(signal, write);
             }
@@ -492,31 +530,23 @@ impl<'a> Ctx<'a> {
         // Frame-pointer update, once per frame, after all address
         // computations of the frame (enforced by zero-separation edges).
         let fp_update = if !self.fp_readers.is_empty() {
+            let units = self.delay_units();
             let m = self.layout.region_size as i64;
             let off = self.constant(Immediate::Raw(m - 1), "fp_step")?;
-            self.route(off, &self.off_rf.clone(), "addmod")?;
-            let fp_rf = self.fp_rf.clone();
-            let off_rf = self.off_rf.clone();
-            let acu = self.acu.clone();
+            self.route(off, units.off_rf, "addmod")?;
             Some(self.plan(Plan {
                 name: "fp_update".to_owned(),
-                opu: acu,
-                op: "addmod".to_owned(),
-                operands: vec![(None, fp_rf.clone(), 0), (Some(off), off_rf, 0)],
+                opu: units.acu,
+                op: "addmod",
+                operands: vec![(None, units.fp_rf), (Some(off), units.off_rf)],
                 def: None,
                 immediate: None,
                 output_port: None,
-                physical_dest: Some((fp_rf, 0)),
+                physical_dest: Some((units.fp_rf, 0)),
             }))
         } else {
             None
         };
-
-        // Materialise the RTs.
-        for plan in &self.plans {
-            let rt = self.emit(plan);
-            self.program.add_rt(rt);
-        }
 
         // Edges.
         let mut sequence_edges = Vec::new();
@@ -547,29 +577,39 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        let fp_reg = (self.fp_rf.clone(), 0);
+        let fp_reg = match self.delay {
+            Some(units) => (self.dp.register_files()[units.fp_rf].name().to_owned(), 0),
+            None => (String::new(), 0),
+        };
         let input_order: Vec<(String, usize)> = self
             .input_reads
             .iter()
             .flat_map(|(opu, reads)| {
                 reads
                     .iter()
-                    .map(|&i| (opu.clone(), self.plans[i].output_port.unwrap_or(0)))
+                    .map(|&i| ((*opu).to_owned(), self.plans[i].output_port.unwrap_or(0)))
                     .collect::<Vec<_>>()
             })
             .collect();
+        let immediates = self
+            .plans
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.immediate.map(|imm| (RtId(i as u32), imm)))
+            .collect();
+
+        // Materialise the RTs.
+        for plan in std::mem::take(&mut self.plans) {
+            let rt = self.emit(plan);
+            self.program.add_rt(rt);
+        }
         Ok(Lowering {
             program: self.program,
             sequence_edges,
             loop_edges,
             ram_layout: self.layout,
             rom_image: self.rom_image,
-            immediates: self
-                .plans
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.immediate.map(|imm| (RtId(i as u32), imm)))
-                .collect(),
+            immediates,
             output_order: self.output_order,
             input_order,
             fp_reg,
@@ -577,12 +617,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn plan(&mut self, plan: Plan) -> usize {
-        match self.opu_load.get_mut(&plan.opu) {
-            Some(n) => *n += 1,
-            None => {
-                self.opu_load.insert(plan.opu.clone(), 1);
-            }
-        }
+        self.opu_load[plan.opu] += 1;
         self.plans.push(plan);
         self.plans.len() - 1
     }
@@ -602,7 +637,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The register files `value` must be written into (dense by value id).
-    fn demand_mut(&mut self, value: ValueId) -> &mut Vec<Resource> {
+    fn demand_mut(&mut self, value: ValueId) -> &mut Vec<usize> {
         let i = value.0 as usize;
         if self.demand.len() <= i {
             self.demand.resize_with(i + 1, Vec::new);
@@ -610,19 +645,12 @@ impl<'a> Ctx<'a> {
         &mut self.demand[i]
     }
 
-    fn rf_syms(&self, rf: &str) -> &RfSyms {
-        self.syms
-            .rfs
-            .get(rf)
-            .unwrap_or_else(|| unreachable!("rf `{rf}` exists in validated datapath"))
-    }
-
     fn value_for(&mut self, node: NodeId) -> ValueId {
         match self.node_value[node.0 as usize] {
             Some(v) => v,
             None => {
-                let name = self.dfg.node(node).name.clone();
-                let v = self.program.add_value(&name);
+                let dfg = self.dfg;
+                let v = self.program.add_value(dfg.node(node).name.as_str());
                 self.node_value[node.0 as usize] = Some(v);
                 v
             }
@@ -631,102 +659,95 @@ impl<'a> Ctx<'a> {
 
     /// Whether `value` can be written into `rf` (a bus path exists), with
     /// no side effects.
-    fn can_route(&self, value: ValueId, rf: &str) -> bool {
+    fn can_route(&self, value: ValueId, rf: usize) -> bool {
         match self.bus_of(value) {
-            Some(bus) => self.rf_syms(rf).write_buses.contains(&bus),
+            Some(bus) => self.syms.rfs[rf].write_buses.contains(&bus),
             None => false,
         }
     }
 
     /// Whether `value` is already demanded into `rf` (a free re-read).
-    fn already_routed(&self, value: ValueId, rf: Resource) -> bool {
+    fn already_routed(&self, value: ValueId, rf: usize) -> bool {
         self.demand
             .get(value.0 as usize)
-            .map(|rfs| rfs.contains(&rf))
-            .unwrap_or(false)
+            .is_some_and(|rfs| rfs.contains(&rf))
+    }
+
+    fn no_route(&self, value: ValueId, rf: usize, op: &str) -> LowerError {
+        LowerError::NoRoute {
+            value: self.program.value(value).name().to_owned(),
+            op: op.to_owned(),
+            rf: self.dp.register_files()[rf].name().to_owned(),
+        }
     }
 
     /// Records that `value` must be written into `rf`; checks the bus
     /// path exists.
-    fn route(&mut self, value: ValueId, rf: &str, op: &str) -> Result<(), LowerError> {
+    fn route(&mut self, value: ValueId, rf: usize, op: &str) -> Result<(), LowerError> {
         if !self.can_route(value, rf) {
-            return Err(LowerError::NoRoute {
-                value: self.program.value(value).name().to_owned(),
-                op: op.to_owned(),
-                rf: rf.to_owned(),
-            });
+            return Err(self.no_route(value, rf, op));
         }
-        let rf_res = self.rf_syms(rf).res;
         let rfs = self.demand_mut(value);
-        if !rfs.contains(&rf_res) {
-            rfs.push(rf_res);
-            *self.wp_load.entry(rf_res).or_default() += 1;
+        if !rfs.contains(&rf) {
+            rfs.push(rf);
+            self.wp_load[rf] += 1;
         }
         Ok(())
     }
 
     /// Routes `value` into `rf`, inserting a single pass-through RT when
     /// there is no direct bus path.
-    fn route_or_pass(&mut self, value: ValueId, rf: &str, op: &str) -> Result<ValueId, LowerError> {
+    fn route_or_pass(
+        &mut self,
+        value: ValueId,
+        rf: usize,
+        op: &str,
+    ) -> Result<ValueId, LowerError> {
         if self.route(value, rf, op).is_ok() {
             return Ok(value);
         }
         // Find a pass-capable OPU bridging the producer's bus to `rf`.
         let bus = self.bus_of(value);
-        for opu in self.dp.opus() {
-            if !opu.supports("pass") || opu.inputs().is_empty() {
+        for (opu, spec) in self.dp.opus().iter().enumerate() {
+            let syms = &self.syms.opus[opu];
+            let (Some(&in_rf), Some(out_bus)) = (syms.inputs.first(), syms.bus) else {
                 continue;
-            }
-            let in_rf = &opu.inputs()[0];
-            if !self.syms.rfs.contains_key(in_rf.as_str()) {
-                continue;
-            }
-            let out_bus = match self.syms.opus[opu.name()].bus {
-                Some(b) => b,
-                None => continue,
             };
-            if bus.is_some_and(|b| self.rf_syms(in_rf).write_buses.contains(&b))
-                && self.rf_syms(rf).write_buses.contains(&out_bus)
+            if !spec.supports("pass") {
+                continue;
+            }
+            if bus.is_some_and(|b| self.syms.rfs[in_rf].write_buses.contains(&b))
+                && self.syms.rfs[rf].write_buses.contains(&out_bus)
             {
                 // value → (pass) → bridged.
                 self.route(value, in_rf, "pass")?;
                 let name = format!("route_{}", self.program.value(value).name());
-                let bridged = self.program.add_value(name.clone());
-                let in_rf = in_rf.clone();
-                let opu_name = opu.name().to_owned();
-                let plan = Plan {
+                let bridged = self.program.add_value(name.as_str());
+                self.plan(Plan {
                     name,
-                    opu: opu_name,
-                    op: "pass".to_owned(),
-                    operands: vec![(Some(value), in_rf, 0)],
+                    opu,
+                    op: "pass",
+                    operands: vec![(Some(value), in_rf)],
                     def: Some(bridged),
                     immediate: None,
                     output_port: None,
                     physical_dest: None,
-                };
-                self.plan(plan);
+                });
                 self.set_bus(bridged, out_bus);
                 self.route(bridged, rf, op)?;
                 return Ok(bridged);
             }
         }
-        Err(LowerError::NoRoute {
-            value: self.program.value(value).name().to_owned(),
-            op: op.to_owned(),
-            rf: rf.to_owned(),
-        })
+        Err(self.no_route(value, rf, op))
     }
 
     /// Emits (or reuses, under CSE) a constant-producing RT and returns
     /// its value.
     fn constant(&mut self, imm: Immediate, name: &str) -> Result<ValueId, LowerError> {
-        let (kind, cache_key): (OpuKind, Option<u64>) = match imm {
-            Immediate::Raw(v) => (OpuKind::ProgConst, Some(v as u64)),
-            Immediate::Fixed(v) => (
-                OpuKind::ProgConst,
-                Some(v.to_bits() ^ 0x8000_0000_0000_0000),
-            ),
-            Immediate::RomAddr(_) => (OpuKind::Rom, None),
+        let cache_key: Option<u64> = match imm {
+            Immediate::Raw(v) => Some(v as u64),
+            Immediate::Fixed(v) => Some(v.to_bits() ^ 0x8000_0000_0000_0000),
+            Immediate::RomAddr(_) => None,
         };
         if self.opts.cse_constants {
             if let Some(key) = cache_key {
@@ -740,33 +761,37 @@ impl<'a> Ctx<'a> {
                 }
             }
         }
-        let opu = self
-            .dp
-            .opus()
-            .iter()
-            .find(|o| o.kind() == kind && o.supports("const"))
-            .ok_or(LowerError::MissingUnit(match kind {
-                OpuKind::Rom => "coefficient ROM",
-                _ => "program-constant unit",
-            }))?;
+        let (unit, missing, missing_bus) = match imm {
+            Immediate::RomAddr(_) => (
+                self.syms.rom,
+                "coefficient ROM",
+                "coefficient ROM with an output bus",
+            ),
+            _ => (
+                self.syms.prog_const,
+                "program-constant unit",
+                "program-constant unit with an output bus",
+            ),
+        };
+        let opu = unit.ok_or(LowerError::MissingUnit(missing))?;
         if let Immediate::RomAddr(a) = imm {
-            if a >= opu.memory_size() {
+            let available = self.dp.opus()[opu].memory_size();
+            if a >= available {
                 return Err(LowerError::RomOverflow {
                     needed: a + 1,
-                    available: opu.memory_size(),
+                    available,
                 });
             }
         }
         let value = self.program.add_value(name);
-        let bus = self.syms.opus[opu.name()]
+        let bus = self.syms.opus[opu]
             .bus
-            .expect("constant units drive a bus");
-        let opu = opu.name().to_owned();
+            .ok_or(LowerError::MissingUnit(missing_bus))?;
         self.set_bus(value, bus);
         let idx = self.plan(Plan {
             name: name.to_owned(),
             opu,
-            op: "const".to_owned(),
+            op: "const",
             operands: Vec::new(),
             def: Some(value),
             immediate: Some(imm),
@@ -794,23 +819,24 @@ impl<'a> Ctx<'a> {
         write_data: Option<ValueId>,
         read_value: Option<ValueId>,
     ) -> Result<usize, LowerError> {
+        let units = self.delay_units();
         let base = self.layout.bases[signal];
         debug_assert_ne!(base, u32::MAX, "untapped signal has no RAM region");
         let v = base as i64 + depth as i64;
-        let sig_name = self.dfg.signals()[signal].name.clone();
+        let dfg = self.dfg;
+        let sig_name = &dfg.signals()[signal].name;
         let off = self.constant(Immediate::Raw(v), &format!("addr_{sig_name}_{depth}"))?;
-        self.route(off, &self.off_rf.clone(), "addmod")?;
+        self.route(off, units.off_rf, "addmod")?;
         let addr = self.program.add_value(format!("a_{sig_name}_{depth}"));
-        let acu_bus = self.syms.opus[&self.acu].bus.expect("acu drives a bus");
+        let acu_bus = self.syms.opus[units.acu]
+            .bus
+            .ok_or(LowerError::MissingUnit("ACU with an output bus"))?;
         self.set_bus(addr, acu_bus);
-        let fp_rf = self.fp_rf.clone();
-        let off_rf = self.off_rf.clone();
-        let acu = self.acu.clone();
         let addmod = self.plan(Plan {
             name: format!("addmod_{sig_name}@{depth}"),
-            opu: acu,
-            op: "addmod".to_owned(),
-            operands: vec![(None, fp_rf, 0), (Some(off), off_rf, 0)],
+            opu: units.acu,
+            op: "addmod",
+            operands: vec![(None, units.fp_rf), (Some(off), units.off_rf)],
             def: Some(addr),
             immediate: None,
             output_port: None,
@@ -818,22 +844,20 @@ impl<'a> Ctx<'a> {
         });
         self.fp_readers.push(addmod);
         // Address into the RAM's address register file (port 0).
-        let ram_spec = self.dp.opu(&self.ram).expect("ram exists");
-        let addr_rf = ram_spec.inputs()[0].clone();
-        self.route(addr, &addr_rf, "ram address")?;
-        let ram = self.ram.clone();
+        let ram_inputs = &self.syms.opus[units.ram].inputs;
+        let addr_rf = *ram_inputs
+            .first()
+            .ok_or(LowerError::MissingUnit("RAM with an address input"))?;
+        let data_rf = ram_inputs.get(1).copied();
+        self.route(addr, addr_rf, "ram address")?;
         let access = if let Some(data) = write_data {
-            let data_rf = ram_spec
-                .inputs()
-                .get(1)
-                .cloned()
-                .ok_or(LowerError::MissingUnit("RAM with a write-data input"))?;
-            let data = self.route_or_pass(data, &data_rf, "ram write")?;
+            let data_rf = data_rf.ok_or(LowerError::MissingUnit("RAM with a write-data input"))?;
+            let data = self.route_or_pass(data, data_rf, "ram write")?;
             self.plan(Plan {
                 name: format!("st_{sig_name}"),
-                opu: ram,
-                op: "write".to_owned(),
-                operands: vec![(Some(addr), addr_rf, 0), (Some(data), data_rf, 1)],
+                opu: units.ram,
+                op: "write",
+                operands: vec![(Some(addr), addr_rf), (Some(data), data_rf)],
                 def: None,
                 immediate: None,
                 output_port: None,
@@ -841,15 +865,15 @@ impl<'a> Ctx<'a> {
             })
         } else {
             let value = read_value.expect("read access defines a value");
-            let bus = self.syms.opus[ram_spec.name()]
+            let bus = self.syms.opus[units.ram]
                 .bus
-                .expect("readable RAM drives a bus");
+                .ok_or(LowerError::MissingUnit("RAM with an output bus"))?;
             self.set_bus(value, bus);
             self.plan(Plan {
                 name: format!("ld_{sig_name}@{depth}"),
-                opu: ram,
-                op: "read".to_owned(),
-                operands: vec![(Some(addr), addr_rf, 0)],
+                opu: units.ram,
+                op: "read",
+                operands: vec![(Some(addr), addr_rf)],
                 def: Some(value),
                 immediate: None,
                 output_port: None,
@@ -860,36 +884,34 @@ impl<'a> Ctx<'a> {
     }
 
     fn node(&mut self, id: NodeId) -> Result<(), LowerError> {
-        let node = self.dfg.node(id);
+        let dfg = self.dfg;
+        let node = dfg.node(id);
         match node.op {
             DfgOp::Input { port } => {
-                let inputs: Vec<_> = self
-                    .dp
-                    .opus()
-                    .iter()
-                    .filter(|o| o.kind() == OpuKind::Input)
-                    .collect();
+                let inputs = &self.syms.input_opus;
                 if inputs.is_empty() {
                     return Err(LowerError::MissingUnit("input port (IPB)"));
                 }
                 let opu = inputs[port % inputs.len()];
                 let value = self.value_for(id);
-                let bus = self.syms.opus[opu.name()]
+                let bus = self.syms.opus[opu]
                     .bus
-                    .expect("input ports drive a bus");
+                    .ok_or(LowerError::MissingUnit("input port with an output bus"))?;
                 self.set_bus(value, bus);
-                let opu_name = opu.name().to_owned();
                 let idx = self.plan(Plan {
                     name: format!("in_{}", node.name),
-                    opu: opu_name.clone(),
-                    op: "read".to_owned(),
+                    opu,
+                    op: "read",
                     operands: Vec::new(),
                     def: Some(value),
                     immediate: None,
                     output_port: Some(port),
                     physical_dest: None,
                 });
-                self.input_reads.entry(opu_name).or_default().push(idx);
+                self.input_reads
+                    .entry(self.dp.opus()[opu].name())
+                    .or_default()
+                    .push(idx);
                 // Tapped inputs are also stored into their delay line.
                 self.store_signal_if_tapped_by_port(port, value)?;
             }
@@ -918,42 +940,33 @@ impl<'a> Ctx<'a> {
                 self.compute_node(id, node)?;
             }
             DfgOp::Output { port } => {
-                let outputs: Vec<_> = self
-                    .dp
-                    .opus()
-                    .iter()
-                    .filter(|o| o.kind() == OpuKind::Output)
-                    .collect();
+                let outputs = &self.syms.output_opus;
                 if outputs.is_empty() {
                     return Err(LowerError::MissingUnit("output port (OPB)"));
                 }
                 let opu = outputs[port % outputs.len()];
-                let rf = opu
-                    .inputs()
+                let rf = *self.syms.opus[opu]
+                    .inputs
                     .first()
-                    .cloned()
                     .ok_or(LowerError::MissingUnit("output port with an input RF"))?;
                 let src = self.node_value[node.inputs[0].0 as usize].expect("operand lowered");
-                let src = self.route_or_pass(src, &rf, "output")?;
-                let opu_name = opu.name().to_owned();
+                let src = self.route_or_pass(src, rf, "output")?;
                 let idx = self.plan(Plan {
                     name: format!("out_{}", node.name),
-                    opu: opu_name.clone(),
-                    op: "write".to_owned(),
-                    operands: vec![(Some(src), rf, 0)],
+                    opu,
+                    op: "write",
+                    operands: vec![(Some(src), rf)],
                     def: None,
                     immediate: None,
                     output_port: Some(port),
                     physical_dest: None,
                 });
-                self.output_writes
-                    .entry(opu_name.clone())
-                    .or_default()
-                    .push(idx);
-                self.output_order.push((opu_name, port));
+                let opu_name = self.dp.opus()[opu].name();
+                self.output_writes.entry(opu_name).or_default().push(idx);
+                self.output_order.push((opu_name.to_owned(), port));
             }
             DfgOp::SignalWrite { signal } => {
-                if self.dfg.signals()[signal].max_tap_depth == 0 {
+                if dfg.signals()[signal].max_tap_depth == 0 {
                     return Ok(()); // dead state: nothing ever reads it
                 }
                 let data = self.node_value[node.inputs[0].0 as usize].expect("operand lowered");
@@ -971,14 +984,14 @@ impl<'a> Ctx<'a> {
         port: usize,
         value: ValueId,
     ) -> Result<(), LowerError> {
-        let name = &self.dfg.input_ports()[port];
-        let signal = self
-            .dfg
+        let dfg = self.dfg;
+        let name = &dfg.input_ports()[port];
+        let signal = dfg
             .signals()
             .iter()
             .position(|s| &s.name == name)
             .expect("inputs are signals");
-        if self.dfg.signals()[signal].max_tap_depth > 0 {
+        if dfg.signals()[signal].max_tap_depth > 0 {
             let write = self.ram_access(signal, 0, Some(value), None)?;
             self.signal_writes.insert(signal, write);
         }
@@ -1002,118 +1015,120 @@ impl<'a> Ctx<'a> {
             .map(|n| self.node_value[n.0 as usize].expect("operand lowered first"))
             .collect();
 
-        // Candidate OPUs are borrowed straight from the datapath (its
-        // lifetime outlives the context) — no per-node clone of names,
-        // input lists, or buses.
-        let candidates: Vec<&dspcc_arch::OpuSpec> = self
-            .dp
-            .opus_supporting(op)
-            .into_iter()
-            .filter(|o| o.inputs().len() >= operand_values.len() && o.output_bus().is_some())
+        let candidates: Vec<usize> = (0..self.dp.opus().len())
+            .filter(|&i| {
+                let syms = &self.syms.opus[i];
+                self.dp.opus()[i].supports(op)
+                    && syms.inputs.len() >= operand_values.len()
+                    && syms.bus.is_some()
+            })
             .collect();
         if candidates.is_empty() {
             return Err(LowerError::NoOpuFor(op.to_owned()));
         }
         // Prefer the least-loaded feasible candidate (the per-OPU load is
-        // maintained incrementally as plans are created).
+        // maintained incrementally as plans are created; the stable sort
+        // keeps declaration order among equals).
         let mut ordered = candidates.clone();
-        ordered.sort_by_key(|o| self.opu_load.get(o.name()).copied().unwrap_or(0));
+        ordered.sort_by_key(|&i| self.opu_load[i]);
 
-        for cand in ordered {
-            let (opu, inputs) = (cand.name(), cand.inputs());
-            let orders: Vec<Vec<usize>> = if operand_values.len() == 2 && commutative {
-                vec![vec![0, 1], vec![1, 0]]
-            } else {
-                vec![(0..operand_values.len()).collect()]
-            };
+        let orders: Vec<Vec<usize>> = if operand_values.len() == 2 && commutative {
+            vec![vec![0, 1], vec![1, 0]]
+        } else {
+            vec![(0..operand_values.len()).collect()]
+        };
+        for opu in ordered {
+            let inputs = &self.syms.opus[opu].inputs;
             // Among routable port assignments, prefer the one that adds
             // the least load to the busiest write port it touches:
             // write ports are 1-per-cycle resources, so imbalance turns
             // directly into schedule length.
-            let mut best: Option<(usize, Vec<usize>)> = None;
-            for order in orders {
+            let mut best: Option<(usize, &Vec<usize>)> = None;
+            for order in &orders {
                 let mut routable = true;
                 let mut cost = 0usize;
                 for (port_idx, &operand_idx) in order.iter().enumerate() {
                     let v = operand_values[operand_idx];
-                    let rf = &inputs[port_idx];
+                    let rf = inputs[port_idx];
                     if !self.can_route(v, rf) {
                         routable = false;
                         break;
                     }
-                    let rf_res = self.rf_syms(rf).res;
-                    if !self.already_routed(v, rf_res) {
-                        cost = cost.max(self.wp_load.get(&rf_res).copied().unwrap_or(0) + 1);
+                    if !self.already_routed(v, rf) {
+                        cost = cost.max(self.wp_load[rf] + 1);
                     }
                 }
-                if routable && best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
+                if routable && best.map(|(c, _)| cost < c).unwrap_or(true) {
                     best = Some((cost, order));
                 }
             }
             if let Some((_, order)) = best {
-                let mut by_source: Vec<(Option<ValueId>, String, u32)> =
-                    vec![(None, String::new(), 0); order.len()];
+                let mut by_source: Vec<(Option<ValueId>, usize)> = vec![(None, 0); order.len()];
                 for (port_idx, &operand_idx) in order.iter().enumerate() {
                     let v = operand_values[operand_idx];
-                    let rf = &inputs[port_idx];
+                    let rf = self.syms.opus[opu].inputs[port_idx];
                     self.route(v, rf, op).expect("checked routable");
-                    by_source[operand_idx] = (Some(v), rf.clone(), port_idx as u32);
+                    by_source[operand_idx] = (Some(v), rf);
                 }
-                let value = self.value_for(id);
-                let bus = self.syms.opus[opu].bus.expect("compute unit drives a bus");
-                self.set_bus(value, bus);
-                self.plan(Plan {
-                    name: format!("{op}_{}", node.name),
-                    opu: opu.to_owned(),
-                    op: op.to_owned(),
-                    operands: by_source,
-                    def: Some(value),
-                    immediate: None,
-                    output_port: None,
-                    physical_dest: None,
-                });
+                self.plan_compute(id, node, opu, op, by_source);
                 return Ok(());
             }
         }
         // Direct routing failed everywhere: retry first candidate with
         // pass-insertion per operand.
-        let cand = candidates[0];
-        let (opu, inputs) = (cand.name(), cand.inputs());
-        let mut operands: Vec<(Option<ValueId>, String, u32)> = Vec::new();
+        let opu = candidates[0];
+        let mut operands: Vec<(Option<ValueId>, usize)> = Vec::new();
         for (port_idx, &v) in operand_values.iter().enumerate() {
-            let rf = &inputs[port_idx];
+            let rf = self.syms.opus[opu].inputs[port_idx];
             let routed = self.route_or_pass(v, rf, op)?;
-            operands.push((Some(routed), rf.clone(), port_idx as u32));
+            operands.push((Some(routed), rf));
         }
+        self.plan_compute(id, node, opu, op, operands);
+        Ok(())
+    }
+
+    /// Plans the RT of compute node `id` on `opu`, whose bus carries the
+    /// result.
+    fn plan_compute(
+        &mut self,
+        id: NodeId,
+        node: &dspcc_dfg::DfgNode,
+        opu: usize,
+        op: &'static str,
+        operands: Vec<(Option<ValueId>, usize)>,
+    ) {
         let value = self.value_for(id);
-        let bus = self.syms.opus[opu].bus.expect("compute unit drives a bus");
+        let bus = self.syms.opus[opu]
+            .bus
+            .expect("compute candidates drive a bus");
         self.set_bus(value, bus);
         self.plan(Plan {
             name: format!("{op}_{}", node.name),
-            opu: opu.to_owned(),
-            op: op.to_owned(),
+            opu,
+            op,
             operands,
             def: Some(value),
             immediate: None,
             output_port: None,
             physical_dest: None,
         });
-        Ok(())
     }
 
     /// Materialises a plan into an [`Rt`] with full usage specification.
-    fn emit(&self, plan: &Plan) -> Rt {
-        let mut rt = Rt::new(plan.name.clone());
-        let opu_spec = self.dp.opu(&plan.opu).expect("validated opu");
-        rt.set_latency(opu_spec.latency_of(&plan.op).unwrap_or(1));
-        let opu = &self.syms.opus[&plan.opu];
+    fn emit(&mut self, plan: Plan) -> Rt {
+        let mut rt = Rt::new(plan.name);
+        rt.set_latency(self.dp.opus()[plan.opu].latency_of(plan.op).unwrap_or(1));
+        let (opu_res, opu_buf, opu_bus) = {
+            let opu = &self.syms.opus[plan.opu];
+            (opu.res, opu.buf, opu.bus)
+        };
         // Operands.
-        for (value, rf, _) in &plan.operands {
-            let rf_res = self.rf_syms(rf).res;
+        for &(value, rf) in &plan.operands {
+            let rf_res = self.syms.rfs[rf].res;
             match value {
                 Some(v) => {
                     rt.add_operand(RegRef::new(rf_res, VIRTUAL_BASE + v.0));
-                    rt.add_use(*v);
+                    rt.add_use(v);
                 }
                 None => rt.add_operand(RegRef::new(rf_res, 0)), // pinned fp
             }
@@ -1124,57 +1139,50 @@ impl<'a> Ctx<'a> {
         // (RAM writes, output-port writes) leave the bus free — their OPU
         // usage carries the operand values instead, so two *different*
         // writes can never share the unit while identical ones still may.
-        // All fixed symbols come interned from the per-datapath cache;
-        // only the value tags are constructed here.
-        let result_tag = match (&plan.def, &plan.physical_dest) {
-            (Some(v), _) => Some(format!("v{}", v.0)),
-            (None, Some(_)) => Some("fp".to_owned()),
+        // All fixed symbols come from the per-datapath tables; only the
+        // value tags are constructed here.
+        let def_tag = plan.def.map(|v| format!("v{}", v.0));
+        let result_tag = match (&def_tag, plan.physical_dest) {
+            (Some(tag), _) => Some(tag.as_str()),
+            (None, Some(_)) => Some("fp"),
             (None, None) => None,
         };
-        match &result_tag {
+        match result_tag {
             Some(tag) => {
-                rt.add_usage_id(opu.res, self.syms.token(&plan.op));
-                let bus = opu.bus.expect("result-producing unit drives a bus");
-                rt.add_usage_id(opu.buf, self.syms.write_token);
-                rt.add_usage_id(bus, UsageId::of_apply1(&plan.op, tag));
+                rt.add_usage_id(opu_res, self.syms.token(plan.op));
+                let bus = opu_bus.expect("result-producing unit drives a bus");
+                rt.add_usage_id(opu_buf, self.syms.write_token);
+                rt.add_usage_id(bus, UsageId::of_apply1(plan.op, tag));
             }
             None => {
                 let args: Vec<String> = plan
                     .operands
                     .iter()
-                    .map(|(v, _, _)| match v {
+                    .map(|(v, _)| match v {
                         Some(v) => format!("v{}", v.0),
                         None => "fp".to_owned(),
                     })
                     .collect();
-                rt.add_usage_id(opu.res, UsageId::of(&Usage::apply(&plan.op, args)));
+                rt.add_usage_id(opu_res, UsageId::of(&Usage::apply(plan.op, args)));
             }
         }
         // Destinations.
-        if let Some(def) = plan.def {
+        if let Some((def, tag)) = plan.def.zip(def_tag.as_deref()) {
             rt.add_def(def);
-            let empty = Vec::new();
-            let rfs = self.demand.get(def.0 as usize).unwrap_or(&empty);
-            for &rf_res in rfs {
-                rt.add_dest(RegRef::new(rf_res, VIRTUAL_BASE + def.0));
-                self.dest_usage(&mut rt, rf_res, opu.bus, &format!("v{}", def.0));
+            let rfs = self
+                .demand
+                .get(def.0 as usize)
+                .map_or(&[][..], Vec::as_slice);
+            for &rf in rfs {
+                rt.add_dest(RegRef::new(self.syms.rfs[rf].res, VIRTUAL_BASE + def.0));
+                self.syms.dest_usage(&mut rt, rf, plan.opu, tag);
             }
         }
-        if let Some((rf, index)) = &plan.physical_dest {
-            let rf_res = self.rf_syms(rf).res;
-            rt.add_dest(RegRef::new(rf_res, *index));
-            self.dest_usage(&mut rt, rf_res, opu.bus, "fp");
+        if let Some((rf, index)) = plan.physical_dest {
+            rt.add_dest(RegRef::new(self.syms.rfs[rf].res, index));
+            self.syms.dest_usage(&mut rt, rf, plan.opu, "fp");
         }
         rt
-    }
-
-    fn dest_usage(&self, rt: &mut Rt, rf: Resource, bus: Option<Resource>, tag: &str) {
-        let spec = &self.syms.rfs[rf.name()];
-        if let Some(mux) = spec.mux {
-            let bus = bus.expect("mux write implies a bus");
-            rt.add_usage_id(mux, self.syms.pass_of_bus[&bus]);
-        }
-        rt.add_usage_id(spec.wp, UsageId::of_apply1("write", tag));
     }
 }
 
@@ -1186,7 +1194,15 @@ mod tests {
 
     /// A small audio-style core: IPB, OPB, ACU+RAM, ROM, PRG_C, MULT, ALU.
     pub(crate) fn test_core() -> Datapath {
-        DatapathBuilder::new()
+        test_core_without("")
+    }
+
+    /// [`test_core`] with one part left out, a shape the builder accepts:
+    /// the output bus of the unit named `missing` (dropped from every
+    /// write port too), or the RAM's input register files when `missing`
+    /// is `"ram inputs"`.
+    fn test_core_without(missing: &str) -> Datapath {
+        let mut b = DatapathBuilder::new()
             .register_file("rf_acu_base", 2)
             .register_file("rf_acu_off", 8)
             .register_file("rf_ram_addr", 8)
@@ -1198,26 +1214,19 @@ mod tests {
             .register_file("rf_opb_1", 4)
             .register_file("rf_opb_2", 4)
             .opu(OpuKind::Input, "ipb", &[("read", 1)])
-            .output("ipb", "bus_ipb")
             .opu(OpuKind::Output, "opb_1", &[("write", 1)])
             .inputs("opb_1", &["rf_opb_1"])
             .opu(OpuKind::Output, "opb_2", &[("write", 1)])
             .inputs("opb_2", &["rf_opb_2"])
             .opu(OpuKind::Acu, "acu", &[("addmod", 1)])
             .inputs("acu", &["rf_acu_base", "rf_acu_off"])
-            .output("acu", "bus_acu")
             .opu(OpuKind::Ram, "ram", &[("read", 1), ("write", 1)])
             .memory("ram", 64)
-            .inputs("ram", &["rf_ram_addr", "rf_ram_data"])
-            .output("ram", "bus_ram")
             .opu(OpuKind::Rom, "rom", &[("const", 1)])
             .memory("rom", 64)
-            .output("rom", "bus_rom")
             .opu(OpuKind::ProgConst, "prgc", &[("const", 1)])
-            .output("prgc", "bus_prgc")
             .opu(OpuKind::Mult, "mult", &[("mult", 1)])
             .inputs("mult", &["rf_mult_c", "rf_mult_x"])
-            .output("mult", "bus_mult")
             .opu(
                 OpuKind::Alu,
                 "alu",
@@ -1229,23 +1238,50 @@ mod tests {
                     ("pass_clip", 1),
                 ],
             )
-            .inputs("alu", &["rf_alu_a", "rf_alu_b"])
-            .output("alu", "bus_alu")
-            .write_port("rf_acu_base", &["bus_acu"])
-            .write_port("rf_acu_off", &["bus_prgc"])
-            .write_port("rf_ram_addr", &["bus_acu"])
-            .write_port("rf_ram_data", &["bus_alu", "bus_ipb"])
-            .write_port("rf_mult_c", &["bus_rom", "bus_prgc"])
-            .write_port("rf_mult_x", &["bus_ram", "bus_ipb", "bus_alu"])
-            .write_port(
+            .inputs("alu", &["rf_alu_a", "rf_alu_b"]);
+        if missing != "ram inputs" {
+            b = b.inputs("ram", &["rf_ram_addr", "rf_ram_data"]);
+        }
+        let mut dropped = None;
+        for (unit, bus) in [
+            ("ipb", "bus_ipb"),
+            ("acu", "bus_acu"),
+            ("ram", "bus_ram"),
+            ("rom", "bus_rom"),
+            ("prgc", "bus_prgc"),
+            ("mult", "bus_mult"),
+            ("alu", "bus_alu"),
+        ] {
+            if unit == missing {
+                dropped = Some(bus);
+            } else {
+                b = b.output(unit, bus);
+            }
+        }
+        let write_ports: [(&str, &[&str]); 10] = [
+            ("rf_acu_base", &["bus_acu"]),
+            ("rf_acu_off", &["bus_prgc"]),
+            ("rf_ram_addr", &["bus_acu"]),
+            ("rf_ram_data", &["bus_alu", "bus_ipb"]),
+            ("rf_mult_c", &["bus_rom", "bus_prgc"]),
+            ("rf_mult_x", &["bus_ram", "bus_ipb", "bus_alu"]),
+            (
                 "rf_alu_a",
                 &["bus_mult", "bus_ram", "bus_ipb", "bus_prgc", "bus_alu"],
-            )
-            .write_port("rf_alu_b", &["bus_alu", "bus_mult", "bus_ram"])
-            .write_port("rf_opb_1", &["bus_alu"])
-            .write_port("rf_opb_2", &["bus_alu"])
-            .build()
-            .unwrap()
+            ),
+            ("rf_alu_b", &["bus_alu", "bus_mult", "bus_ram"]),
+            ("rf_opb_1", &["bus_alu"]),
+            ("rf_opb_2", &["bus_alu"]),
+        ];
+        for (rf, buses) in write_ports {
+            let kept: Vec<&str> = buses
+                .iter()
+                .copied()
+                .filter(|&bus| Some(bus) != dropped)
+                .collect();
+            b = b.write_port(rf, &kept);
+        }
+        b.build().unwrap()
     }
 
     fn lower_src(src: &str) -> Lowering {
@@ -1560,6 +1596,39 @@ mod tests {
         let dfg2 = Dfg::build(&parse("input u; output y; y = pass(u);").unwrap()).unwrap();
         let err2 = lower(&dfg2, &tiny, &LowerOptions::default()).unwrap_err();
         assert_eq!(err2, LowerError::MissingUnit("output port (OPB)"));
+    }
+
+    #[test]
+    fn units_without_their_bus_or_ram_inputs_are_typed_errors() {
+        let tap = "input u; output y; y = pass(u@1);";
+        for (missing, src, unit) in [
+            (
+                "ipb",
+                "input u; output y; y = pass(u);",
+                "input port with an output bus",
+            ),
+            (
+                "rom",
+                "input u; coeff k = 0.5; output y; y = mlt(k, u);",
+                "coefficient ROM with an output bus",
+            ),
+            (
+                "prgc",
+                "input u; output y; y = mlt(0.5, u);",
+                "program-constant unit with an output bus",
+            ),
+            ("acu", tap, "ACU with an output bus"),
+            ("ram", tap, "RAM with an output bus"),
+            ("ram inputs", tap, "RAM with an address input"),
+        ] {
+            let dfg = Dfg::build(&parse(src).unwrap()).unwrap();
+            let result = lower(&dfg, &test_core_without(missing), &LowerOptions::default());
+            assert_eq!(
+                result.unwrap_err(),
+                LowerError::MissingUnit(unit),
+                "{missing}"
+            );
+        }
     }
 
     #[test]

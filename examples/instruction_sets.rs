@@ -42,7 +42,7 @@ fn main() {
     // The conflict graph (figure 6) and a clique cover.
     let g = iset.conflict_graph();
     println!("conflict graph: {} edges (figure 6)", g.edge_count());
-    let cover = greedy_edge_clique_cover(&g);
+    let cover = greedy_edge_clique_cover(g);
     print!("greedy clique cover: ");
     for clique in &cover {
         let names: Vec<&str> = clique.iter().map(|&c| NAMES[c]).collect();

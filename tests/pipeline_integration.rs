@@ -2,13 +2,16 @@
 //! every interface — schedule legality, instruction-set conformance,
 //! encoding round trips, and bit-exact execution.
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use dspcc::arch::Fnv64;
-use dspcc::dfg::Interpreter;
+use dspcc::dfg::{parse, Dfg, Interpreter};
 use dspcc::encode::decode;
-use dspcc::isa::ClassId;
+use dspcc::ir::ValueId;
+use dspcc::isa::{artificial_resources, ClassId, Classification, CoverStrategy};
 use dspcc::num::WordFormat;
+use dspcc::rtgen::{lower, LowerOptions, Lowering};
 use dspcc::{apps, cores, CompileOptions, CompileSession, Compiler};
 
 /// Every schedule instruction of a compiled audio program maps to an
@@ -64,6 +67,113 @@ fn audio_compile_is_pinned_bit_for_bit() {
         }
     });
     assert_eq!(digest, 0x3fcd_77bd_6cfd_cec8, "digest {digest:#018x}");
+}
+
+/// Renders everything RT generation produces, in an order that no
+/// interned symbol id can reach: `Rt`'s `Display` lists usages by
+/// resource name.
+fn render_lowering(out: &mut impl fmt::Write, l: &Lowering) -> fmt::Result {
+    for (id, rt) in l.program.rts() {
+        writeln!(
+            out,
+            "{id} {} latency {} defs {:?} uses {:?}",
+            rt.name(),
+            rt.latency(),
+            rt.defs(),
+            rt.uses()
+        )?;
+        write!(out, "{rt}")?;
+    }
+    for v in 0..l.program.value_count() {
+        write!(out, "{} ", l.program.value(ValueId(v as u32)).name())?;
+    }
+    writeln!(out)?;
+    writeln!(out, "sequence {:?}", l.sequence_edges)?;
+    writeln!(out, "loop {:?}", l.loop_edges)?;
+    writeln!(out, "ram {:?}", l.ram_layout)?;
+    let rom: Vec<u64> = l.rom_image.iter().map(|v| v.to_bits()).collect();
+    writeln!(out, "rom {rom:?}")?;
+    writeln!(out, "immediates {:?}", l.immediates)?;
+    writeln!(out, "outputs {:?}", l.output_order)?;
+    writeln!(out, "inputs {:?}", l.input_order)?;
+    writeln!(out, "fp {:?}", l.fp_reg)
+}
+
+/// RT generation is pinned bit for bit on every (core, app, constant
+/// CSE) cell: the three hand-built cores and 16 generated ones against
+/// the audio application and four parametric kernel families. A cell
+/// that cannot lower renders its typed error instead.
+#[test]
+fn rt_generation_is_pinned_bit_for_bit() {
+    let mut targets = vec![
+        cores::audio_core(),
+        cores::tiny_core(),
+        cores::unmerged_intermediate(),
+    ];
+    targets.extend((0..16).map(cores::generated_core));
+    let mut sources = vec![apps::audio_application()];
+    sources.extend((2..=10).map(apps::fir));
+    sources.extend((1..=5).map(apps::biquad_cascade));
+    sources.extend((2..=10).map(apps::sum_of_products));
+    sources.extend((2..=6).map(apps::add_tree));
+    let dfgs: Vec<Dfg> = sources
+        .iter()
+        .map(|s| Dfg::build(&parse(s).unwrap()).unwrap())
+        .collect();
+    let mut h = Fnv64::new();
+    for core in &targets {
+        for (app, dfg) in dfgs.iter().enumerate() {
+            for cse_constants in [false, true] {
+                writeln!(h, "cell {} {app} {cse_constants}", core.name).unwrap();
+                match lower(dfg, &core.datapath, &LowerOptions { cse_constants }) {
+                    Ok(l) => render_lowering(&mut h, &l).unwrap(),
+                    Err(e) => writeln!(h, "error {e:?}").unwrap(),
+                }
+            }
+        }
+    }
+    let digest = h.finish();
+    assert_eq!(digest, 0x0d23_582b_3458_2ecc, "digest {digest:#018x}");
+}
+
+/// The audio instruction set and every derived one of generated seeds
+/// 0..64 keep their conflict graph (edges and each neighbour list, in
+/// order), their artificial resources under all three cover strategies,
+/// and their fingerprint.
+#[test]
+fn instruction_sets_are_pinned_bit_for_bit() {
+    let mut targets = vec![cores::audio_core()];
+    targets.extend((0..64).map(cores::generated_core));
+    let mut h = Fnv64::new();
+    let mut sets = 0;
+    for core in &targets {
+        let Some(iset) = &core.instruction_set else {
+            continue;
+        };
+        sets += 1;
+        let classification = core
+            .classification
+            .clone()
+            .unwrap_or_else(|| Classification::identify(&core.datapath));
+        let g = iset.conflict_graph();
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        writeln!(h, "{} {:#x} {edges:?}", core.name, iset.fingerprint()).unwrap();
+        for a in 0..g.node_count() {
+            writeln!(h, "{a}: {:?}", g.neighbors(a)).unwrap();
+        }
+        for strategy in [
+            CoverStrategy::PerEdge,
+            CoverStrategy::GreedyMaximal,
+            CoverStrategy::ExactMinimum,
+        ] {
+            for ar in artificial_resources(iset, &classification, strategy) {
+                writeln!(h, "{strategy} {ar}").unwrap();
+            }
+        }
+    }
+    let digest = h.finish();
+    assert_eq!(sets, 44);
+    assert_eq!(digest, 0x023b_f3ea_dcb6_b007, "digest {digest:#018x}");
 }
 
 /// The schedule respects dependences and resource compatibility (the
