@@ -23,7 +23,7 @@ pub fn sequential_schedule(program: &Program, deps: &DependenceGraph) -> Schedul
     let mut issue = vec![0u32; program.rt_count()];
     let mut schedule = Schedule::new();
     let mut next_free = 0u32;
-    for rt in order {
+    for &rt in order {
         let i = rt.0 as usize;
         let mut t = next_free;
         for (pred, lat) in deps.predecessors(rt) {

@@ -25,10 +25,17 @@
 //!   the per-resource argument across resources
 //!   ([`conflict_clique_bound`]).
 //!
-//! The old [`crate::list::resource_lower_bound`] (usage *occurrence*
-//! counting) is retained as a priority-target heuristic only: identical
-//! usages may legally share a cycle, so occurrence counts can exceed the
-//! true optimum and must not gate termination.
+//! The first two are stored when the analysis is built: the critical path
+//! by [`DependenceGraph`] construction, the distinct-usage count by
+//! [`ConflictMatrix::build`]. The greedy clique runs per call — it is
+//! cheap on small programs, and kept out of the analysis so that
+//! rebuilding an analysis (a service restart re-derives it for schedules
+//! read from disk) pays nothing for a bound no scheduling run needs then.
+//!
+//! [`crate::list::resource_lower_bound`] (usage *occurrence* counting) is
+//! no bound and no scheduler reads it: identical usages may legally share
+//! a cycle, so occurrence counts can exceed the true optimum. It remains
+//! only as the resource-pressure figure the experiment binaries print.
 
 use dspcc_ir::{Program, RtId};
 
@@ -50,6 +57,10 @@ pub fn critical_path_bound(deps: &DependenceGraph) -> u32 {
 /// The busiest resource's distinct-usage count. RTs whose usages of a
 /// shared resource differ conflict pairwise, so each distinct usage value
 /// of one resource claims a cycle of its own.
+///
+/// A built [`ConflictMatrix`] stores the same count
+/// ([`ConflictMatrix::distinct_usages`]); this derivation from the
+/// program alone is its reference.
 pub fn distinct_usage_bound(program: &Program) -> u32 {
     // Interned ids: one integer sort, distinct usages per resource are
     // runs — no string hashing or tree maps.
@@ -128,13 +139,18 @@ pub fn conflict_clique_bound(matrix: &ConflictMatrix) -> u32 {
 
 /// The combined schedule-length lower bound: the strongest of the critical
 /// path, distinct-usage, and conflict-clique arguments.
+///
+/// `deps` and `matrix` must be built from `program`; the critical path and
+/// the distinct-usage count are read from them as stored, and only the
+/// clique is computed here.
 pub fn length_lower_bound(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
 ) -> u32 {
+    debug_assert_eq!(program.rt_count(), matrix.rt_count());
     critical_path_bound(deps)
-        .max(distinct_usage_bound(program))
+        .max(matrix.distinct_usages())
         .max(conflict_clique_bound(matrix))
 }
 
@@ -202,7 +218,7 @@ mod tests {
     fn identical_usages_do_not_inflate_the_bound() {
         // Two RTs with the *same* token usage are compatible: they can
         // share one cycle, so the bound must stay 1 (occurrence counting
-        // would claim 2 — why resource_lower_bound is only a heuristic).
+        // would claim 2 — why resource_lower_bound is no bound).
         let mut p = Program::new();
         for name in ["a", "b"] {
             let mut rt = Rt::new(name);
@@ -234,6 +250,7 @@ mod tests {
         p.add_rt(c);
         let matrix = ConflictMatrix::build(&p);
         assert_eq!(distinct_usage_bound(&p), 2);
+        assert_eq!(matrix.distinct_usages(), 2);
         assert_eq!(conflict_clique_bound(&matrix), 3);
     }
 

@@ -16,9 +16,22 @@ use dspcc_graph::dag::Dag;
 use dspcc_ir::{Program, RtId};
 
 /// Flow-dependence graph with ASAP/ALAP analysis.
+///
+/// Construction already needs a topological order (its acyclicity check),
+/// so it keeps what follows from that order: the order itself, every RT's
+/// ASAP cycle and successor depth, and the critical path. Schedulers and
+/// their lower bounds read these on every call; none re-sorts the graph.
 #[derive(Debug, Clone)]
 pub struct DependenceGraph {
     dag: Dag,
+    /// Kahn's topological order, from the acyclicity check.
+    order: Vec<RtId>,
+    /// Longest latency-weighted path from any source to each RT.
+    asap: Vec<u32>,
+    /// Longest latency-weighted path from each RT to any sink.
+    depth: Vec<u32>,
+    /// The longest path over the whole graph.
+    critical_path: u32,
 }
 
 /// Error building the dependence graph.
@@ -62,13 +75,23 @@ impl DependenceGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`DepError`] if the program is malformed or cyclic.
+    /// Returns [`DepError`] if the program is malformed (a sequence edge
+    /// naming an RT outside the program included) or cyclic.
     pub fn build_with_edges(
         program: &Program,
         sequence_edges: &[(RtId, RtId, u32)],
     ) -> Result<Self, DepError> {
         program.validate().map_err(DepError::MalformedProgram)?;
         let n = program.rt_count();
+        let outside = |rt: RtId| rt.0 as usize >= n;
+        if let Some((from, to, _)) = sequence_edges
+            .iter()
+            .find(|&&(from, to, _)| outside(from) || outside(to))
+        {
+            return Err(DepError::MalformedProgram(format!(
+                "sequence edge {from} → {to} names an RT outside the program's {n} RTs"
+            )));
+        }
         let mut dag = Dag::new(n);
         // The program maintains the producer table as RTs are added (and
         // `validate` above just cross-checked it), so no per-build
@@ -88,10 +111,30 @@ impl DependenceGraph {
                 dag.add_edge(from.0 as usize, to.0 as usize, sep as i64);
             }
         }
-        match dag.topological_order() {
-            Ok(_) => Ok(DependenceGraph { dag }),
-            Err(e) => Err(DepError::CyclicDependences(e.stuck_nodes)),
+        let order = dag
+            .topological_order()
+            .map_err(|e| DepError::CyclicDependences(e.stuck_nodes))?;
+        // Longest paths from the sources (forward over the order) and to
+        // the sinks (backward over it).
+        let mut asap = vec![0i64; n];
+        for &v in &order {
+            for &(s, w) in dag.successors(v) {
+                asap[s] = asap[s].max(asap[v] + w);
+            }
         }
+        let mut depth = vec![0i64; n];
+        for &v in order.iter().rev() {
+            for &(s, w) in dag.successors(v) {
+                depth[v] = depth[v].max(depth[s] + w);
+            }
+        }
+        Ok(DependenceGraph {
+            dag,
+            order: order.into_iter().map(|v| RtId(v as u32)).collect(),
+            critical_path: asap.iter().copied().max().unwrap_or(0) as u32,
+            asap: asap.into_iter().map(|t| t as u32).collect(),
+            depth: depth.into_iter().map(|t| t as u32).collect(),
+        })
     }
 
     /// Number of RTs.
@@ -116,19 +159,26 @@ impl DependenceGraph {
     }
 
     /// ASAP issue cycle of every RT (index = RT id).
-    pub fn asap(&self) -> Vec<u32> {
-        self.dag.asap().into_iter().map(|t| t as u32).collect()
+    pub fn asap(&self) -> &[u32] {
+        &self.asap
+    }
+
+    /// Successor depth of every RT (index = RT id): the latency-weighted
+    /// cycles of work on its longest chain to a sink — the critical-path
+    /// priority.
+    pub fn depths(&self) -> &[u32] {
+        &self.depth
     }
 
     /// ALAP issue cycle of every RT when the whole schedule must fit in
     /// `budget` cycles (every RT must *finish* by `budget`, i.e. issue by
     /// `budget − latency`; latency is handled on the edges, so sinks issue
-    /// at `budget − 1` at the latest, counting cycles from 0).
+    /// at `budget − 1` at the latest, counting cycles from 0): the RT's
+    /// successor depth before that, clamped at 0.
     pub fn alap(&self, budget: u32) -> Vec<u32> {
-        self.dag
-            .alap(budget as i64 - 1)
-            .into_iter()
-            .map(|t| t.max(0) as u32)
+        self.depth
+            .iter()
+            .map(|&d| (budget as i64 - 1 - d as i64).max(0) as u32)
             .collect()
     }
 
@@ -136,7 +186,7 @@ impl DependenceGraph {
     /// schedule (issue of the last RT is ≥ this, so the schedule length is
     /// ≥ this + 1).
     pub fn critical_path(&self) -> u32 {
-        self.dag.critical_path_length() as u32
+        self.critical_path
     }
 
     /// The time-mirrored dependence graph: every edge `a →(w) b` becomes
@@ -145,25 +195,23 @@ impl DependenceGraph {
     /// latest feasible cycle, which packs tail-heavy programs (outputs,
     /// stores at the end of the time-loop) far better than forward
     /// greed.
+    ///
+    /// Nothing is re-derived: the edge lists trade places, the reversed
+    /// order is topological in the mirror, and ASAP and successor depth
+    /// swap.
     pub fn reversed(&self) -> DependenceGraph {
-        let n = self.dag.node_count();
-        let mut dag = Dag::new(n);
-        for v in 0..n {
-            for &(s, w) in self.dag.successors(v) {
-                dag.add_edge(s, v, w);
-            }
+        DependenceGraph {
+            dag: self.dag.reversed(),
+            order: self.order.iter().rev().copied().collect(),
+            asap: self.depth.clone(),
+            depth: self.asap.clone(),
+            critical_path: self.critical_path,
         }
-        DependenceGraph { dag }
     }
 
     /// A topological order of the RTs.
-    pub fn topological_order(&self) -> Vec<RtId> {
-        self.dag
-            .topological_order()
-            .expect("checked acyclic at build")
-            .into_iter()
-            .map(|i| RtId(i as u32))
-            .collect()
+    pub fn topological_order(&self) -> &[RtId] {
+        &self.order
     }
 }
 
@@ -298,6 +346,21 @@ mod tests {
             DependenceGraph::build_with_edges(&p, &[(RtId(0), RtId(1), 1), (RtId(1), RtId(0), 1)])
                 .unwrap_err();
         assert!(matches!(err, DepError::CyclicDependences(_)));
+    }
+
+    #[test]
+    fn sequence_edge_outside_the_program_rejected() {
+        let mut p = Program::new();
+        p.add_rt(Rt::new("a"));
+        p.add_rt(Rt::new("b"));
+        for edge in [(RtId(0), RtId(2), 1), (RtId(7), RtId(1), 0)] {
+            match DependenceGraph::build_with_edges(&p, &[(RtId(0), RtId(1), 1), edge]) {
+                Err(DepError::MalformedProgram(m)) => {
+                    assert!(m.contains(&format!("{} → {}", edge.0, edge.1)), "{m}");
+                }
+                other => panic!("expected malformed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn exact_schedule(
         hit_limit: false,
         cancelled: false,
     };
-    let mut lo = asap;
+    let mut lo = asap.to_vec();
     let mut hi = alap;
     let found = search.solve(&mut lo, &mut hi);
     let schedule = found.then(|| {

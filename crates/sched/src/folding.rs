@@ -27,7 +27,9 @@ pub struct LoopEdge {
     pub from: RtId,
     /// Consumer RT in a later iteration (e.g. a tap of the signal).
     pub to: RtId,
-    /// Iteration distance (the tap depth), ≥ 1.
+    /// Iteration distance (the tap depth), ≥ 1: a distance-0 edge would
+    /// be an intra-iteration dependence, which
+    /// [`fold_schedule_with_restarts`] rejects.
     pub distance: u32,
 }
 
@@ -51,6 +53,13 @@ pub enum FoldError {
         /// Largest II tried.
         max_ii: u32,
     },
+    /// A loop edge has iteration distance 0.
+    ZeroDistance {
+        /// Producer RT of the edge.
+        from: RtId,
+        /// Consumer RT of the edge.
+        to: RtId,
+    },
 }
 
 impl fmt::Display for FoldError {
@@ -58,6 +67,9 @@ impl fmt::Display for FoldError {
         match self {
             FoldError::NoIiFound { min_ii, max_ii } => {
                 write!(f, "no modulo schedule found for II in {min_ii}..={max_ii}")
+            }
+            FoldError::ZeroDistance { from, to } => {
+                write!(f, "loop edge {from} → {to} has iteration distance 0")
             }
         }
     }
@@ -153,7 +165,8 @@ pub fn fold_schedule(
 ///
 /// # Errors
 ///
-/// Returns [`FoldError::NoIiFound`] when no attempted order fits any
+/// Returns [`FoldError::ZeroDistance`] for a loop edge of distance 0, and
+/// [`FoldError::NoIiFound`] when no attempted order fits any
 /// II ≤ `max_ii`.
 pub fn fold_schedule_with_restarts(
     program: &Program,
@@ -163,24 +176,19 @@ pub fn fold_schedule_with_restarts(
     restarts: u32,
     max_stages: u32,
 ) -> Result<FoldedSchedule, FoldError> {
+    if let Some(e) = loop_edges.iter().find(|e| e.distance == 0) {
+        return Err(FoldError::ZeroDistance {
+            from: e.from,
+            to: e.to,
+        });
+    }
     let matrix = ConflictMatrix::build(program);
     // Candidate IIs ascend from the provable bound, so the first feasible
     // II found is optimal and the search stops there — the folding
     // counterpart of the list scheduler's bound cutoff.
     let min_ii = min_ii_with(program, deps, loop_edges, &matrix).max(1);
-    let n = program.rt_count();
     let alap = deps.alap(deps.critical_path() + 1);
-    let depth = {
-        let order = deps.topological_order();
-        let mut d = vec![0u32; n];
-        for &rt in order.iter().rev() {
-            let i = rt.0 as usize;
-            for (succ, lat) in deps.successors(rt) {
-                d[i] = d[i].max(d[succ.0 as usize] + lat);
-            }
-        }
-        d
-    };
+    let depth = deps.depths();
     for ii in min_ii..=max_ii {
         // Rau's iterative modulo scheduling (placement with eviction)
         // first — it converges at or near the minimum II.
@@ -242,14 +250,7 @@ fn ims_schedule(
     }
     // Height-based priority (successor chains, loop edges discounted by
     // distance·II).
-    let order = deps.topological_order();
-    let mut height = vec![0i64; n];
-    for &rt in order.iter().rev() {
-        let i = rt.0 as usize;
-        for (succ, lat) in deps.successors(rt) {
-            height[i] = height[i].max(height[succ.0 as usize] + lat as i64);
-        }
-    }
+    let mut height: Vec<i64> = deps.depths().iter().map(|&d| d as i64).collect();
     for e in loop_edges {
         let h = height[e.to.0 as usize] + program.rt(e.from).latency() as i64
             - (e.distance * ii) as i64;
@@ -401,7 +402,7 @@ fn splitmix(x: u64, seed: u64) -> u64 {
 /// resource and the conflict-clique bound — a clique needs pairwise
 /// distinct kernel phases, so II is at least its size) and recurrence
 /// bound (latency/distance over loop-carried cycles, approximated per
-/// edge).
+/// edge; an edge of distance 0 carries no recurrence and is skipped).
 pub fn min_initiation_interval(
     program: &Program,
     deps: &DependenceGraph,
@@ -418,7 +419,8 @@ fn min_ii_with(
     loop_edges: &[LoopEdge],
     matrix: &ConflictMatrix,
 ) -> u32 {
-    let res_mii = crate::bounds::distinct_usage_bound(program)
+    let res_mii = matrix
+        .distinct_usages()
         .max(crate::bounds::conflict_clique_bound(matrix));
     // Per-edge recurrence bound: a chain from `to …→ from` of length L plus
     // the back edge needs II ≥ (L + latency) / distance. Approximate L with
@@ -426,6 +428,7 @@ fn min_ii_with(
     let asap = deps.asap();
     let rec_mii = loop_edges
         .iter()
+        .filter(|e| e.distance > 0)
         .map(|e| {
             let l_from = asap[e.from.0 as usize] as i64;
             let l_to = asap[e.to.0 as usize] as i64;
@@ -630,6 +633,29 @@ mod tests {
         let folded = fold_schedule(&p, &deps, &edges, 10).unwrap();
         folded.verify(&p, &deps, &edges).unwrap();
         assert_eq!(folded.ii(), 3);
+    }
+
+    #[test]
+    fn zero_distance_loop_edge_is_rejected() {
+        // c → a at distance 0: c issues at 2 (+1 latency) after a at 0, so
+        // the recurrence term would divide by the distance.
+        let p = chains(1);
+        let deps = DependenceGraph::build(&p).unwrap();
+        let edges = [LoopEdge {
+            from: RtId(2),
+            to: RtId(0),
+            distance: 0,
+        }];
+        assert_eq!(min_initiation_interval(&p, &deps, &edges), 1);
+        let err = fold_schedule(&p, &deps, &edges, 10).unwrap_err();
+        assert_eq!(
+            err,
+            FoldError::ZeroDistance {
+                from: RtId(2),
+                to: RtId(0)
+            }
+        );
+        assert!(err.to_string().contains("distance 0"));
     }
 
     #[test]

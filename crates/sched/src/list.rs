@@ -11,16 +11,17 @@
 //! The innermost operation — "does RT r fit the instruction under
 //! construction?" — is answered by ANDing r's packed conflict row against a
 //! per-cycle **occupancy bitset** ([`ConflictMatrix::fits_mask`]): one
-//! word-parallel pass instead of a loop over the cycle's RTs. The
-//! per-schedule priority data (ASAP/ALAP/depth/sink deadlines) is computed
-//! once in a [`ScheduleContext`] and shared across all restarts of
-//! [`best_effort_schedule`], which also reuses one [`SchedScratch`] buffer
-//! set for every attempt, so restarts allocate nothing but the winning
-//! schedule.
+//! word-parallel pass instead of a loop over the cycle's RTs. ASAP times,
+//! successor depths and the critical path come stored with the
+//! [`DependenceGraph`], the distinct-usage count with the
+//! [`ConflictMatrix`]; what depends on the budget (ALAP and sink
+//! deadlines) is derived once per run in a [`ScheduleContext`] and shared
+//! across all restarts of [`best_effort_schedule`]. Its attempts fill one
+//! reused [`SchedScratch`] with issue cycles and report a length; only the
+//! winner becomes a [`Schedule`].
 
 use dspcc_ir::{Program, RtId};
 
-use crate::bounds::distinct_usage_bound;
 use crate::deps::DependenceGraph;
 use crate::fuel::{CancelToken, Fuel};
 use crate::schedule::{ConflictMatrix, SchedError, Schedule};
@@ -83,34 +84,38 @@ impl ListConfig {
     }
 }
 
-/// Priority data shared by every restart of a scheduling run: ASAP/ALAP
-/// windows, critical-path depths, and lane (sink) deadlines, all computed
-/// **once** per `(program, deps, budget)` instead of per attempt.
+/// Priority data shared by every restart of a scheduling run: ALAP
+/// windows and lane (sink) deadlines, computed **once** per
+/// `(deps, matrix, budget)` instead of per attempt. ASAP times and
+/// successor depths need no budget and are read from `deps` directly.
 #[derive(Debug, Clone)]
 pub struct ScheduleContext {
-    asap: Vec<u32>,
     alap: Vec<u32>,
-    depth: Vec<u32>,
     sink: Vec<u32>,
     horizon: u32,
 }
 
 impl ScheduleContext {
-    /// Computes the context for scheduling `program` under `budget`.
-    pub fn build(program: &Program, deps: &DependenceGraph, budget: Option<u32>) -> Self {
-        let asap = deps.asap();
-        let horizon = budget.unwrap_or_else(|| serial_upper_bound(program, deps));
+    /// Computes the context for scheduling the program behind `deps` and
+    /// `matrix` under `budget`, from the values both stored at build.
+    pub fn build(matrix: &ConflictMatrix, deps: &DependenceGraph, budget: Option<u32>) -> Self {
+        let critical = deps.critical_path() + 1;
+        // Without a budget the horizon is the serial bound: every RT in
+        // its own cycle after its predecessors.
+        let horizon = budget.unwrap_or(deps.rt_count() as u32 + critical);
         // Deadlines for the *priority* functions are computed against a
-        // tight target — the best conceivable schedule — regardless of the
-        // actual budget; loose deadlines make every priority meaningless.
-        let target = priority_target(program, deps, budget);
+        // tight target — the best conceivable schedule: the budget, the
+        // critical path or the busiest resource's distinct usages,
+        // whichever is largest — regardless of the actual budget; loose
+        // deadlines make every priority meaningless.
+        let target = budget
+            .unwrap_or(0)
+            .max(critical)
+            .max(matrix.distinct_usages());
         let alap = deps.alap(target);
-        let depth = successor_depths(deps);
         let sink = sink_alaps(deps, &alap);
         ScheduleContext {
-            asap,
             alap,
-            depth,
             sink,
             horizon,
         }
@@ -123,12 +128,18 @@ type Key = (i64, i64, i64, i64);
 /// Reusable buffers for the scheduler inner loops. One instance serves any
 /// number of attempts (sizes are re-established per attempt); restarts in
 /// [`best_effort_schedule`] share a single scratch.
+///
+/// An attempt leaves its result here: `issue`, and for list scheduling
+/// `placed`, which fixes the order of RTs within a cycle.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
     /// Priority key per RT for the current attempt.
     keys: Vec<Key>,
     /// Issue cycle per RT (`None` = unplaced).
     issue: Vec<Option<u32>>,
+    /// RTs in placement order (list scheduling). Empty after an insertion
+    /// attempt, whose cycles list their RTs by id.
+    placed: Vec<usize>,
     /// Unscheduled-predecessor counts.
     remaining_preds: Vec<usize>,
     /// Earliest feasible cycle per RT (ASAP ∨ pred issue + latency).
@@ -157,8 +168,9 @@ pub struct SchedScratch {
 
 impl SchedScratch {
     /// Fills `keys` for this attempt's priority function and jitter seed.
-    fn compute_keys(&mut self, ctx: &ScheduleContext, config: &ListConfig) {
-        let n = ctx.asap.len();
+    fn compute_keys(&mut self, deps: &DependenceGraph, ctx: &ScheduleContext, config: &ListConfig) {
+        let (asap, depth) = (deps.asap(), deps.depths());
+        let n = asap.len();
         self.keys.clear();
         self.keys.reserve(n);
         for rt in 0..n {
@@ -167,8 +179,8 @@ impl SchedScratch {
             } else {
                 (jitter(rt, config.jitter_seed) & 0xFFFF) as i64
             };
-            let (asap, alap) = (ctx.asap[rt] as i64, ctx.alap[rt] as i64);
-            let depth = ctx.depth[rt] as i64;
+            let (asap, alap) = (asap[rt] as i64, ctx.alap[rt] as i64);
+            let depth = depth[rt] as i64;
             self.keys.push(match config.priority {
                 Priority::Slack => (alap - asap, -depth, tie, 0),
                 Priority::Alap => (alap, -depth, tie, 0),
@@ -178,6 +190,28 @@ impl SchedScratch {
             });
         }
     }
+
+    /// The schedule of the last attempt.
+    fn schedule(&self) -> Schedule {
+        schedule_of(&self.issue, &self.placed)
+    }
+}
+
+/// Builds a schedule from issue cycles, listing each cycle's RTs in
+/// `placed` order, or by RT id when `placed` is empty.
+fn schedule_of(issue: &[Option<u32>], placed: &[usize]) -> Schedule {
+    let mut schedule = Schedule::new();
+    let cycle = |i: usize| issue[i].expect("every RT placed");
+    if placed.is_empty() {
+        for i in 0..issue.len() {
+            schedule.place(RtId(i as u32), cycle(i));
+        }
+    } else {
+        for &i in placed {
+            schedule.place(RtId(i as u32), cycle(i));
+        }
+    }
+    schedule
 }
 
 /// Runs list scheduling over several priorities and jitter seeds, keeping
@@ -232,13 +266,14 @@ struct AttemptSet<'a> {
 }
 
 impl AttemptSet<'_> {
-    /// Runs one `(priority, jitter seed, algorithm)` attempt.
+    /// Runs one `(priority, jitter seed, algorithm)` attempt, leaving its
+    /// placement in `scratch` and returning its length.
     fn run(
         &self,
         &(priority, seed, algo): &(Priority, u64, Algo),
         scratch: &mut SchedScratch,
         cutoff: u32,
-    ) -> Result<Schedule, SchedError> {
+    ) -> Result<u32, SchedError> {
         // `cutoff` is the best length already recorded (`u32::MAX` when
         // none): an attempt that cannot get below it loses to the earlier
         // attempt even on a tie, so it may run under a tightened budget
@@ -257,7 +292,7 @@ impl AttemptSet<'_> {
             jitter_seed: seed,
         };
         match algo {
-            Algo::Insertion => insertion_schedule_in(
+            Algo::Insertion => insertion_attempt(
                 self.program,
                 self.deps,
                 self.matrix,
@@ -265,7 +300,7 @@ impl AttemptSet<'_> {
                 &self.ctx,
                 scratch,
             ),
-            Algo::Backward => backward_insertion_schedule_in(
+            Algo::Backward => backward_attempt(
                 self.program,
                 &self.reversed,
                 self.matrix,
@@ -273,7 +308,7 @@ impl AttemptSet<'_> {
                 &self.ctx_rev,
                 scratch,
             ),
-            Algo::List => list_schedule_in(
+            Algo::List => list_attempt(
                 self.program,
                 self.deps,
                 self.matrix,
@@ -294,7 +329,10 @@ impl AttemptSet<'_> {
 /// algorithms), every later round holds the 3 algorithm attempts of one
 /// `(priority, jittered seed)` pair. Every attempt runs on the calling
 /// thread, in enumeration order, and the winner is the shortest schedule
-/// (the earliest attempt on a tie). Two stopping rules bound the work:
+/// (the earliest attempt on a tie). Attempts only fill the shared scratch;
+/// the engine keeps the best attempt's issue cycles (and placement order)
+/// and builds the one [`Schedule`] it returns at the end. Two stopping
+/// rules bound the work:
 ///
 /// * **Bound cutoff** — the moment an attempt meets the provable length
 ///   lower bound ([`crate::bounds`]) the engine returns it: nothing can
@@ -356,9 +394,9 @@ pub(crate) fn best_effort_bounded(
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
 ) -> Result<(Schedule, u64), SchedError> {
-    let ctx = ScheduleContext::build(program, deps, budget);
+    let ctx = ScheduleContext::build(matrix, deps, budget);
     let reversed = deps.reversed();
-    let ctx_rev = ScheduleContext::build(program, &reversed, budget);
+    let ctx_rev = ScheduleContext::build(matrix, &reversed, budget);
     let set = AttemptSet {
         program,
         deps,
@@ -387,9 +425,11 @@ pub(crate) fn best_effort_bounded(
             rounds.push(start..attempts.len());
         }
     }
-    // The shortest schedule so far, and the error of the latest failed
-    // attempt (what the run reports if no attempt succeeds).
-    let mut best: Option<Schedule> = None;
+    // The length of the shortest attempt so far with its placement (taken
+    // out of the scratch), and the error of the latest failed attempt
+    // (what the run reports if no attempt succeeds).
+    let mut best: Option<u32> = None;
+    let (mut best_issue, mut best_placed) = (Vec::new(), Vec::new());
     let mut last_err = None;
     let mut scratch = SchedScratch::default();
     let mut skipped = 0u64;
@@ -405,12 +445,16 @@ pub(crate) fn best_effort_bounded(
             skipped = (attempts.len() - range.start) as u64;
             break;
         }
-        let before = best.as_ref().map_or(u32::MAX, Schedule::length);
+        let before = best.unwrap_or(u32::MAX);
         for attempt in &attempts[range.clone()] {
-            let cutoff = best.as_ref().map_or(u32::MAX, Schedule::length);
+            let cutoff = best.unwrap_or(u32::MAX);
             match set.run(attempt, &mut scratch, cutoff) {
-                Ok(s) if s.length() <= bound => return Ok((s, 0)),
-                Ok(s) if s.length() < cutoff => best = Some(s),
+                Ok(len) if len <= bound => return Ok((scratch.schedule(), 0)),
+                Ok(len) if len < cutoff => {
+                    best = Some(len);
+                    std::mem::swap(&mut best_issue, &mut scratch.issue);
+                    std::mem::swap(&mut best_placed, &mut scratch.placed);
+                }
                 Ok(_) => {}
                 Err(e) => last_err = Some(e),
             }
@@ -418,12 +462,12 @@ pub(crate) fn best_effort_bounded(
         // Stagnation: a jittered round that improved nothing ends the run
         // — but never before *some* schedule exists, else a budgeted call
         // would forfeit restarts that could still find a feasible one.
-        if r >= 1 && best.as_ref().is_some_and(|s| s.length() >= before) {
+        if r >= 1 && best.is_some_and(|len| len >= before) {
             break;
         }
     }
     match best {
-        Some(s) => Ok((s, skipped)),
+        Some(_) => Ok((schedule_of(&best_issue, &best_placed), skipped)),
         None => Err(last_err.expect("round 0 always runs at least one attempt")),
     }
 }
@@ -447,7 +491,7 @@ pub fn insertion_schedule(
     matrix: &ConflictMatrix,
     config: &ListConfig,
 ) -> Result<Schedule, SchedError> {
-    let ctx = ScheduleContext::build(program, deps, config.budget);
+    let ctx = ScheduleContext::build(matrix, deps, config.budget);
     insertion_schedule_in(
         program,
         deps,
@@ -459,8 +503,7 @@ pub fn insertion_schedule(
 }
 
 /// As [`insertion_schedule`], with caller-provided context and scratch
-/// (the restart-loop entry point: no per-attempt recomputation of
-/// ASAP/ALAP and no per-attempt allocation).
+/// (no per-attempt recomputation of ALAP and no per-attempt allocation).
 pub fn insertion_schedule_in(
     program: &Program,
     deps: &DependenceGraph,
@@ -469,14 +512,29 @@ pub fn insertion_schedule_in(
     ctx: &ScheduleContext,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
+    insertion_attempt(program, deps, matrix, config, ctx, scratch)?;
+    Ok(scratch.schedule())
+}
+
+/// One insertion-scheduling attempt: leaves the issue cycles in `scratch`
+/// and returns the schedule length.
+fn insertion_attempt(
+    program: &Program,
+    deps: &DependenceGraph,
+    matrix: &ConflictMatrix,
+    config: &ListConfig,
+    ctx: &ScheduleContext,
+    scratch: &mut SchedScratch,
+) -> Result<u32, SchedError> {
     let n = program.rt_count();
-    if n == 0 {
-        return Ok(Schedule::new());
-    }
-    let words = matrix.words_per_row();
-    scratch.compute_keys(ctx, config);
     scratch.issue.clear();
     scratch.issue.resize(n, None);
+    scratch.placed.clear();
+    if n == 0 {
+        return Ok(0);
+    }
+    let words = matrix.words_per_row();
+    scratch.compute_keys(deps, ctx, config);
     scratch.remaining_preds.clear();
     scratch
         .remaining_preds
@@ -495,6 +553,8 @@ pub fn insertion_schedule_in(
         .min(ctx.horizon + n as u32);
     scratch.hints.clear();
     scratch.hints.resize(matrix.class_count(), 0);
+    let asap = deps.asap();
+    let mut length = 0;
     let mut unplaced = n;
     while unplaced > 0 {
         // Most urgent ready RT (ties by RT id).
@@ -503,7 +563,7 @@ pub fn insertion_schedule_in(
             .pop()
             .expect("acyclic graph always has a ready RT");
         let id = RtId(rt as u32);
-        let mut earliest = ctx.asap[rt];
+        let mut earliest = asap[rt];
         for (pred, lat) in deps.predecessors(id) {
             earliest = earliest.max(scratch.issue[pred.0 as usize].expect("topo order") + lat);
         }
@@ -528,6 +588,7 @@ pub fn insertion_schedule_in(
             if matrix.fits_mask(id, occ) {
                 occ[rt / 64] |= 1 << (rt % 64);
                 scratch.issue[rt] = Some(t);
+                length = length.max(t + 1);
                 if contiguous {
                     scratch.hints[class] = t;
                 }
@@ -550,11 +611,7 @@ pub fn insertion_schedule_in(
             }
         }
     }
-    let mut schedule = Schedule::new();
-    for (i, t) in scratch.issue.iter().enumerate() {
-        schedule.place(RtId(i as u32), t.expect("all placed"));
-    }
-    Ok(schedule)
+    Ok(length)
 }
 
 /// Deterministic per-RT hash for tie-break jitter (splitmix64).
@@ -588,7 +645,7 @@ pub fn list_schedule_with_matrix(
     matrix: &ConflictMatrix,
     config: &ListConfig,
 ) -> Result<Schedule, SchedError> {
-    let ctx = ScheduleContext::build(program, deps, config.budget);
+    let ctx = ScheduleContext::build(matrix, deps, config.budget);
     list_schedule_in(
         program,
         deps,
@@ -600,7 +657,7 @@ pub fn list_schedule_with_matrix(
 }
 
 /// As [`list_schedule_with_matrix`], with caller-provided context and
-/// scratch (the restart-loop entry point).
+/// scratch.
 pub fn list_schedule_in(
     program: &Program,
     deps: &DependenceGraph,
@@ -609,21 +666,36 @@ pub fn list_schedule_in(
     ctx: &ScheduleContext,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
+    list_attempt(program, deps, matrix, config, ctx, scratch)?;
+    Ok(scratch.schedule())
+}
+
+/// One list-scheduling attempt: leaves the issue cycles and the placement
+/// order in `scratch` and returns the schedule length.
+fn list_attempt(
+    program: &Program,
+    deps: &DependenceGraph,
+    matrix: &ConflictMatrix,
+    config: &ListConfig,
+    ctx: &ScheduleContext,
+    scratch: &mut SchedScratch,
+) -> Result<u32, SchedError> {
     let n = program.rt_count();
-    if n == 0 {
-        return Ok(Schedule::new());
-    }
-    let words = matrix.words_per_row();
-    scratch.compute_keys(ctx, config);
     scratch.issue.clear();
     scratch.issue.resize(n, None);
+    scratch.placed.clear();
+    if n == 0 {
+        return Ok(0);
+    }
+    let words = matrix.words_per_row();
+    scratch.compute_keys(deps, ctx, config);
     scratch.remaining_preds.clear();
     scratch
         .remaining_preds
         .extend((0..n).map(|i| deps.predecessors(RtId(i as u32)).count()));
     // earliest[rt]: max over scheduled preds of issue+latency, and asap.
     scratch.earliest.clear();
-    scratch.earliest.extend_from_slice(&ctx.asap);
+    scratch.earliest.extend_from_slice(deps.asap());
     scratch.occ.clear();
     scratch.occ.resize(words, 0);
     // Candidate pool: RTs whose predecessors have all issued, sorted by
@@ -639,7 +711,6 @@ pub fn list_schedule_in(
     scratch.arrivals.clear();
 
     let mut unscheduled = n;
-    let mut schedule = Schedule::new();
     let mut t: u32 = 0;
     while unscheduled > 0 {
         if let Some(budget) = config.budget {
@@ -664,7 +735,7 @@ pub fn list_schedule_in(
             if matrix.fits_mask(rt, &scratch.occ) {
                 scratch.occ[i / 64] |= 1 << (i % 64);
                 scratch.issue[i] = Some(t);
-                schedule.place(rt, t);
+                scratch.placed.push(i);
                 placed_any = true;
                 unscheduled -= 1;
                 for (succ, lat) in deps.successors(rt) {
@@ -699,7 +770,8 @@ pub fn list_schedule_in(
             ));
         }
     }
-    Ok(schedule)
+    // The last placement ended the loop in cycle t − 1.
+    Ok(t)
 }
 
 /// Backward insertion scheduling: runs [`insertion_schedule`] on the
@@ -719,7 +791,7 @@ pub fn backward_insertion_schedule(
     config: &ListConfig,
 ) -> Result<Schedule, SchedError> {
     let reversed = deps.reversed();
-    let ctx_rev = ScheduleContext::build(program, &reversed, config.budget);
+    let ctx_rev = ScheduleContext::build(matrix, &reversed, config.budget);
     backward_insertion_schedule_in(
         program,
         &reversed,
@@ -741,15 +813,25 @@ pub fn backward_insertion_schedule_in(
     ctx_rev: &ScheduleContext,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
-    let mirrored = insertion_schedule_in(program, reversed_deps, matrix, config, ctx_rev, scratch)?;
-    let len = mirrored.length();
-    let mut flipped = Schedule::new();
-    for (t, instr) in mirrored.instructions() {
-        for &rt in instr {
-            flipped.place(rt, len - 1 - t);
-        }
+    backward_attempt(program, reversed_deps, matrix, config, ctx_rev, scratch)?;
+    Ok(scratch.schedule())
+}
+
+/// One backward insertion attempt: an insertion attempt on the mirror,
+/// its issue cycles flipped in place (`t ← L−1−t`, the length `L` kept).
+fn backward_attempt(
+    program: &Program,
+    reversed_deps: &DependenceGraph,
+    matrix: &ConflictMatrix,
+    config: &ListConfig,
+    ctx_rev: &ScheduleContext,
+    scratch: &mut SchedScratch,
+) -> Result<u32, SchedError> {
+    let len = insertion_attempt(program, reversed_deps, matrix, config, ctx_rev, scratch)?;
+    for t in scratch.issue.iter_mut().flatten() {
+        *t = len - 1 - *t;
     }
-    Ok(flipped)
+    Ok(len)
 }
 
 /// ALAP of the most urgent transitive sink of each RT (the RT's own ALAP
@@ -768,41 +850,10 @@ fn sink_alaps(deps: &DependenceGraph, alap: &[u32]) -> Vec<u32> {
     sink
 }
 
-/// The deadline target used for priority computation: the larger of the
-/// budget (if any), the critical path, and the distinct-usage resource
-/// pressure (the allocation-free bound from [`crate::bounds`] — this runs
-/// once per context build, i.e. on every scheduling call).
-fn priority_target(program: &Program, deps: &DependenceGraph, budget: Option<u32>) -> u32 {
-    budget
-        .unwrap_or(0)
-        .max(deps.critical_path() + 1)
-        .max(distinct_usage_bound(program))
-}
-
-/// Longest-chain depth of each RT (number of latency-weighted cycles of
-/// work after it) — the critical-path priority.
-fn successor_depths(deps: &DependenceGraph) -> Vec<u32> {
-    let order = deps.topological_order();
-    let mut depth = vec![0u32; deps.rt_count()];
-    for &rt in order.iter().rev() {
-        let i = rt.0 as usize;
-        for (succ, lat) in deps.successors(rt) {
-            depth[i] = depth[i].max(depth[succ.0 as usize] + lat);
-        }
-    }
-    depth
-}
-
-/// Upper bound on schedule length: every RT in its own cycle after its
-/// predecessors.
-fn serial_upper_bound(program: &Program, deps: &DependenceGraph) -> u32 {
-    program.rt_count() as u32 + deps.critical_path() + 1
-}
-
-/// Resource-pressure estimate used as a *priority target* — for each
-/// resource, the number of usage occurrences. Identical usages may
-/// legally share a cycle, so this can exceed the true optimum; use
-/// [`crate::bounds`] for sound termination bounds.
+/// Resource-pressure figure — for each resource, the number of usage
+/// occurrences; the busiest resource's count. Identical usages may
+/// legally share a cycle, so this can exceed the true optimum: no
+/// scheduler reads it, and [`crate::bounds`] holds the sound bounds.
 pub fn resource_lower_bound(program: &Program) -> u32 {
     use std::collections::BTreeMap;
     let mut demand: BTreeMap<&str, BTreeMap<String, usize>> = BTreeMap::new();
@@ -986,7 +1037,7 @@ mod tests {
         let p = two_chain_program();
         let deps = DependenceGraph::build(&p).unwrap();
         let matrix = ConflictMatrix::build(&p);
-        let ctx = ScheduleContext::build(&p, &deps, None);
+        let ctx = ScheduleContext::build(&matrix, &deps, None);
         let mut scratch = SchedScratch::default();
         let config = ListConfig::default();
         let first = list_schedule_in(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();

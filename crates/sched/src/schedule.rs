@@ -26,6 +26,10 @@ pub struct ConflictMatrix {
     row_class: Vec<u32>,
     /// Number of distinct row classes.
     class_count: u32,
+    /// The busiest resource's number of distinct usage values — the
+    /// distinct-usage lower bound on schedule length
+    /// ([`crate::bounds::distinct_usage_bound`]).
+    distinct_usages: u32,
 }
 
 impl ConflictMatrix {
@@ -39,7 +43,9 @@ impl ConflictMatrix {
     /// member's row then ORs in "users of this resource outside my class"
     /// with one masked word-copy — `O(Σ usages · words)` instead of
     /// `O(n²)` `compatible_with` walks, which dominated whole-pipeline
-    /// profiles at a few hundred RTs.
+    /// profiles at a few hundred RTs. The same walk counts the usage
+    /// classes of every resource, so the busiest resource's distinct-usage
+    /// count comes for free.
     pub fn build(program: &Program) -> Self {
         let n = program.rt_count();
         let words = n.div_ceil(64);
@@ -54,6 +60,7 @@ impl ConflictMatrix {
         triples.sort_unstable();
         let mut all = vec![0u64; words];
         let mut class = vec![0u64; words];
+        let mut distinct_usages = 0u32;
         let mut i = 0;
         while i < triples.len() {
             // One resource's run: [i, j).
@@ -68,8 +75,10 @@ impl ConflictMatrix {
                 j += 1;
             }
             // Usage-class sub-runs within [i, j).
+            let mut usages = 0u32;
             let mut k = i;
             while k < j {
+                usages += 1;
                 let usage = triples[k].1;
                 let mut m = k;
                 for w in class.iter_mut() {
@@ -89,9 +98,10 @@ impl ConflictMatrix {
                 }
                 k = m;
             }
+            distinct_usages = distinct_usages.max(usages);
             i = j;
         }
-        Self::with_spans(n, bits)
+        Self::with_spans(n, bits, distinct_usages)
     }
 
     /// The retained string-keyed reference construction: per-RT usage maps
@@ -101,7 +111,7 @@ impl ConflictMatrix {
     /// differential property test can pin [`ConflictMatrix::build`]
     /// bit-identical to the string semantics on random programs.
     pub fn build_reference(program: &Program) -> Self {
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         let n = program.rt_count();
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
@@ -126,10 +136,17 @@ impl ConflictMatrix {
                 }
             }
         }
-        Self::with_spans(n, bits)
+        let mut usages: BTreeMap<&str, BTreeSet<&dspcc_ir::Usage>> = BTreeMap::new();
+        for map in &maps {
+            for (res, u) in map {
+                usages.entry(res.as_str()).or_default().insert(u);
+            }
+        }
+        let distinct_usages = usages.values().map(|u| u.len() as u32).max().unwrap_or(0);
+        Self::with_spans(n, bits, distinct_usages)
     }
 
-    fn with_spans(n: usize, bits: Vec<u64>) -> Self {
+    fn with_spans(n: usize, bits: Vec<u64>, distinct_usages: u32) -> Self {
         let words = n.div_ceil(64);
         let spans = (0..n)
             .map(|i| {
@@ -156,7 +173,15 @@ impl ConflictMatrix {
             spans,
             row_class,
             class_count,
+            distinct_usages,
         }
+    }
+
+    /// The busiest resource's number of distinct usage values: RTs whose
+    /// usages of one resource differ conflict pairwise, so the schedule
+    /// needs at least this many cycles.
+    pub fn distinct_usages(&self) -> u32 {
+        self.distinct_usages
     }
 
     /// The row class of `rt`: equal classes ⇔ identical conflict rows.

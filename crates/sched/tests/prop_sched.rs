@@ -5,9 +5,12 @@
 //!   lets the restart loops stop at the bound.
 //! * The compacted production schedule stays verified on random
 //!   programs.
+//! * What the dependence graph and the conflict matrix store at build
+//!   equals a from-scratch derivation.
 
-use dspcc_ir::{Program, Rt, Usage};
-use dspcc_sched::bounds::length_lower_bound;
+use dspcc_graph::dag::Dag;
+use dspcc_ir::{Program, Rt, RtId, Usage};
+use dspcc_sched::bounds::{distinct_usage_bound, length_lower_bound};
 use dspcc_sched::compact::schedule_and_compact;
 use dspcc_sched::deps::DependenceGraph;
 use dspcc_sched::list::{insertion_schedule, list_schedule, ListConfig};
@@ -60,7 +63,94 @@ fn arb_program(max_n: usize) -> impl Strategy<Value = Program> {
     })
 }
 
+/// Strategy: a random program of up to `max_n` RTs plus sequence edges
+/// of separation 0 or 1, each from a lower to a higher RT id like the
+/// value flow, so the graph stays acyclic.
+fn arb_sequenced(max_n: usize) -> impl Strategy<Value = (Program, Vec<(RtId, RtId, u32)>)> {
+    arb_program(max_n).prop_flat_map(|p| {
+        let n = p.rt_count() as u32;
+        let edge =
+            (0..n, 0..n, 0u32..2).prop_map(|(a, b, sep)| (RtId(a.min(b)), RtId(a.max(b)), sep));
+        (Just(p), proptest::collection::vec(edge, 0..n as usize * 2))
+    })
+}
+
+/// Every edge of `deps` as `(from, to, weight)`, sorted.
+fn edges(deps: &DependenceGraph) -> Vec<(u32, u32, u32)> {
+    let mut out: Vec<_> = (0..deps.rt_count() as u32)
+        .flat_map(|v| deps.successors(RtId(v)).map(move |(s, w)| (v, s.0, w)))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Whether `order` lists every RT of `deps` once, each after its
+/// predecessors.
+fn is_topological(deps: &DependenceGraph, order: &[RtId]) -> bool {
+    let mut pos = vec![usize::MAX; deps.rt_count()];
+    for (k, rt) in order.iter().enumerate() {
+        pos[rt.0 as usize] = k;
+    }
+    order.len() == deps.rt_count()
+        && pos.iter().all(|&k| k != usize::MAX)
+        && edges(deps)
+            .iter()
+            .all(|&(a, b, _)| pos[a as usize] < pos[b as usize])
+}
+
 proptest! {
+    /// The stored order, ASAP times, successor depths, critical path and
+    /// ALAP windows, the mirror, and the stored distinct-usage count all
+    /// equal what a fresh derivation computes.
+    #[test]
+    fn stored_analysis_matches_a_fresh_derivation((p, seq) in arb_sequenced(24)) {
+        let deps = DependenceGraph::build_with_edges(&p, &seq).unwrap();
+        let n = deps.rt_count();
+        let mut dag = Dag::new(n);
+        let mut mirror = Dag::new(n);
+        for (a, b, w) in edges(&deps) {
+            dag.add_edge(a as usize, b as usize, w as i64);
+            mirror.add_edge(b as usize, a as usize, w as i64);
+        }
+        let to_u32 = |v: Vec<i64>| v.into_iter().map(|t| t as u32).collect::<Vec<_>>();
+        prop_assert_eq!(deps.asap(), &to_u32(dag.asap())[..]);
+        prop_assert_eq!(deps.depths(), &to_u32(mirror.longest_path_lengths())[..]);
+        let cp = dag.critical_path_length() as u32;
+        prop_assert_eq!(deps.critical_path(), cp);
+        for b in [0, cp, cp + 1, cp + 7] {
+            let alap: Vec<u32> = dag
+                .alap(b as i64 - 1)
+                .into_iter()
+                .map(|t| t.max(0) as u32)
+                .collect();
+            prop_assert_eq!(deps.alap(b), alap, "budget {}", b);
+        }
+        prop_assert!(is_topological(&deps, deps.topological_order()));
+
+        let r = deps.reversed();
+        let mirrored: Vec<_> = {
+            let mut e: Vec<_> = edges(&r).into_iter().map(|(a, b, w)| (b, a, w)).collect();
+            e.sort_unstable();
+            e
+        };
+        prop_assert_eq!(&mirrored, &edges(&deps));
+        for v in 0..n as u32 {
+            let mut preds: Vec<_> = r.predecessors(RtId(v)).collect();
+            let mut succs: Vec<_> = deps.successors(RtId(v)).collect();
+            preds.sort_unstable();
+            succs.sort_unstable();
+            prop_assert_eq!(preds, succs);
+        }
+        prop_assert_eq!(r.asap(), deps.depths());
+        prop_assert_eq!(r.depths(), deps.asap());
+        prop_assert_eq!(r.critical_path(), cp);
+        prop_assert!(is_topological(&r, r.topological_order()));
+
+        let distinct = distinct_usage_bound(&p);
+        prop_assert_eq!(ConflictMatrix::build(&p).distinct_usages(), distinct);
+        prop_assert_eq!(ConflictMatrix::build_reference(&p).distinct_usages(), distinct);
+    }
+
     /// The lower bound never exceeds any verified schedule's length.
     #[test]
     fn lower_bound_is_sound(p in arb_program(24)) {

@@ -136,6 +136,137 @@ fn rt_generation_is_pinned_bit_for_bit() {
     assert_eq!(digest, 0x0d23_582b_3458_2ecc, "digest {digest:#018x}");
 }
 
+/// The scheduling stage is pinned bit for bit on every (core, app,
+/// options) cell: the three hand-built cores and 8 generated ones against
+/// the audio application and four parametric kernel families, each
+/// analysed once and scheduled under the defaults, a budget ladder from
+/// the default length down to the bound, two restart counts, list
+/// scheduling under every priority, two fuel limits and (on small
+/// programs) the exact scheduler. Every row of the schedule is digested
+/// in order, so the order of RTs within a cycle is pinned too.
+#[test]
+fn schedules_are_pinned_bit_for_bit() {
+    use dspcc::sched::list::Priority;
+    use dspcc::stages::{
+        run_analysis, run_frontend, run_lower, run_modify, run_schedule, ScheduleArtifact,
+    };
+    use dspcc::CompileError;
+
+    let mut targets = vec![
+        cores::audio_core(),
+        cores::tiny_core(),
+        cores::unmerged_intermediate(),
+    ];
+    targets.extend((0..8).map(cores::generated_core));
+    let mut sources = vec![apps::audio_application()];
+    sources.extend((2..=10).map(apps::fir));
+    sources.extend((1..=5).map(apps::biquad_cascade));
+    sources.extend((2..=10).map(apps::sum_of_products));
+    sources.extend((2..=6).map(apps::add_tree));
+    let frontends: Vec<_> = sources.iter().map(|s| run_frontend(s).unwrap()).collect();
+    let defaults = CompileOptions::default();
+    let mut h = Fnv64::new();
+    let mut cells = 0;
+    for core in &targets {
+        for (app, frontend) in frontends.iter().enumerate() {
+            writeln!(h, "pair {} {app}", core.name).unwrap();
+            let analysed = run_lower(&frontend.dfg, core, &defaults).and_then(|lowered| {
+                let modified = run_modify(&lowered, core);
+                run_analysis(&modified).map(|analysis| (modified, analysis))
+            });
+            let (modified, analysis) = match analysed {
+                Ok(pair) => pair,
+                Err(e) => {
+                    writeln!(h, "error {e}").unwrap();
+                    continue;
+                }
+            };
+            let schedule =
+                |options: &CompileOptions| run_schedule(&modified, &analysis, core, options, None);
+            let mut digest_cell =
+                |options: &CompileOptions, result: &Result<ScheduleArtifact, CompileError>| {
+                    cells += 1;
+                    writeln!(
+                        h,
+                        "cell {:?} {} {} {} {:?} {}",
+                        options.budget,
+                        options.priority,
+                        options.restarts,
+                        options.compaction,
+                        options.fuel,
+                        options.exact
+                    )
+                    .unwrap();
+                    match result {
+                        Ok(s) => {
+                            for row in s.schedule.cycles() {
+                                writeln!(h, "{row:?}").unwrap();
+                            }
+                            writeln!(h, "bound {} {:?}", s.bound, s.degradation).unwrap();
+                        }
+                        Err(e) => writeln!(h, "error {e}").unwrap(),
+                    }
+                };
+            let first = schedule(&defaults);
+            digest_cell(&defaults, &first);
+            let mut variants = Vec::new();
+            if let Ok(first) = &first {
+                let (cycles, bound) = (first.schedule.length(), first.bound);
+                let gap = cycles.saturating_sub(bound);
+                let mut budgets = vec![
+                    cycles,
+                    cycles - gap.div_ceil(3),
+                    cycles - (2 * gap).div_ceil(3),
+                    bound,
+                ];
+                budgets.dedup();
+                variants.extend(budgets.into_iter().map(|b| CompileOptions {
+                    budget: Some(b),
+                    ..defaults.clone()
+                }));
+            }
+            for restarts in [2, 12] {
+                variants.push(CompileOptions {
+                    restarts,
+                    ..defaults.clone()
+                });
+            }
+            for priority in [
+                Priority::Slack,
+                Priority::Alap,
+                Priority::SinkAlap,
+                Priority::CriticalPath,
+                Priority::SourceOrder,
+            ] {
+                variants.push(CompileOptions {
+                    compaction: false,
+                    priority,
+                    ..defaults.clone()
+                });
+            }
+            for fuel in [1, 3] {
+                variants.push(CompileOptions {
+                    fuel: Some(fuel),
+                    ..defaults.clone()
+                });
+            }
+            if modified.lowering.program.rt_count() <= 24 {
+                variants.push(CompileOptions {
+                    exact: true,
+                    exact_max_nodes: 2_000,
+                    ..defaults.clone()
+                });
+            }
+            for options in &variants {
+                digest_cell(options, &schedule(options));
+            }
+        }
+    }
+    let digest = h.finish();
+    assert_eq!(cells, 3286);
+    assert_eq!(digest, 0x35f2_00bc_143d_0625, "digest {digest:#018x}");
+}
+
 /// The audio instruction set and every derived one of generated seeds
 /// 0..64 keep their conflict graph (edges and each neighbour list, in
 /// order), their artificial resources under all three cover strategies,
