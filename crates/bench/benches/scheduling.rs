@@ -1,15 +1,14 @@
-//! Scheduler runtime: list scheduling, insertion scheduling, compaction,
-//! and folding on generated DSP workloads of growing size.
+//! Scheduler runtime: one list pass, the compacting scheduler, and
+//! folding on generated DSP workloads of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dspcc::dfg::{parse, Dfg};
 use dspcc::rtgen::{lower, LowerOptions, Lowering};
 use dspcc::sched::bounds::length_lower_bound;
-use dspcc::sched::compact::schedule_and_compact;
 use dspcc::sched::deps::DependenceGraph;
-use dspcc::sched::folding::fold_schedule;
-use dspcc::sched::list::{best_effort_schedule, insertion_schedule, list_schedule, ListConfig};
-use dspcc::sched::ConflictMatrix;
+use dspcc::sched::folding::fold_schedule_with_restarts;
+use dspcc::sched::list::Priority;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc::{apps, cores};
 
 fn lowered_fir(taps: usize) -> (Lowering, DependenceGraph) {
@@ -25,18 +24,23 @@ fn bench_schedulers(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduling");
     for taps in [8usize, 16, 32] {
         let (lowering, deps) = lowered_fir(taps);
-        let matrix = ConflictMatrix::build(&lowering.program);
+        let program = &lowering.program;
+        // Each run builds its conflict matrix, so a row times scheduling
+        // from the lowered program, including the length lower bound that
+        // `schedule` returns.
+        let run = |scheduler| {
+            let matrix = ConflictMatrix::build(program);
+            let mut fuel = Fuel::unlimited();
+            schedule(program, &deps, &matrix, scheduler, None, &mut fuel, None).unwrap()
+        };
+        let list = Scheduler::List {
+            priority: Priority::Slack,
+        };
         group.bench_with_input(BenchmarkId::new("list", taps), &taps, |b, _| {
-            b.iter(|| list_schedule(&lowering.program, &deps, &ListConfig::default()).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("insertion", taps), &taps, |b, _| {
-            b.iter(|| {
-                insertion_schedule(&lowering.program, &deps, &matrix, &ListConfig::default())
-                    .unwrap()
-            })
+            b.iter(|| run(list))
         });
         group.bench_with_input(BenchmarkId::new("compacted", taps), &taps, |b, _| {
-            b.iter(|| schedule_and_compact(&lowering.program, &deps, None, 2).unwrap())
+            b.iter(|| run(Scheduler::Compacting { restarts: 2 }))
         });
     }
     // Folding on a feedback cascade.
@@ -51,13 +55,13 @@ fn bench_schedulers(c: &mut Criterion) {
         .map(|&(from, to, distance)| dspcc::sched::folding::LoopEdge { from, to, distance })
         .collect();
     group.bench_function("fold_biquad6", |b| {
-        b.iter(|| fold_schedule(&lowering.program, &deps, &edges, 64).unwrap())
+        b.iter(|| fold_schedule_with_restarts(&lowering.program, &deps, &edges, 64, 8, 8).unwrap())
     });
     group.finish();
 }
 
-/// The bound-aware restart engine: how much the provable lower bound
-/// costs to compute, and what the full restart roster costs.
+/// What the provable lower bound that stops every restart loop costs to
+/// compute.
 fn bench_bound_cutoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("bound_cutoff");
     for taps in [16usize, 32] {
@@ -65,9 +69,6 @@ fn bench_bound_cutoff(c: &mut Criterion) {
         let matrix = ConflictMatrix::build(&lowering.program);
         group.bench_with_input(BenchmarkId::new("bound_compute", taps), &taps, |b, _| {
             b.iter(|| length_lower_bound(&lowering.program, &deps, &matrix))
-        });
-        group.bench_with_input(BenchmarkId::new("restarts_serial", taps), &taps, |b, _| {
-            b.iter(|| best_effort_schedule(&lowering.program, &deps, None, 4).unwrap())
         });
     }
     group.finish();

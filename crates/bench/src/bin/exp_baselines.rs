@@ -1,13 +1,30 @@
 //! E10 — codegen-quality baselines (paper section 2: "existing compilers
 //! generate code of which the efficiency is not sufficient").
 
+use dspcc::ir::Program;
 use dspcc::sched::baseline::{
     count_illegal_instructions, sequential_schedule, strip_artificial_resources,
 };
-use dspcc::sched::compact::schedule_and_compact;
 use dspcc::sched::deps::DependenceGraph;
-use dspcc::sched::list::{list_schedule, ListConfig, Priority};
+use dspcc::sched::list::Priority;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Schedule, Scheduler};
 use dspcc::{apps, cores, Compiler};
+
+/// Runs `scheduler` without a budget.
+fn run(program: &Program, deps: &DependenceGraph, scheduler: Scheduler) -> Schedule {
+    let matrix = ConflictMatrix::build(program);
+    schedule(
+        program,
+        deps,
+        &matrix,
+        scheduler,
+        None,
+        &mut Fuel::unlimited(),
+        None,
+    )
+    .expect("no budget to miss")
+    .schedule
+}
 
 fn main() {
     println!("=== E10: scheduler baselines on the audio application ===\n");
@@ -30,23 +47,17 @@ fn main() {
         sequential.length(),
         count_illegal_instructions(program, &sequential)
     );
-    let greedy = list_schedule(
-        program,
-        deps,
-        &ListConfig {
-            budget: None,
-            priority: Priority::SourceOrder,
-            jitter_seed: 0,
-        },
-    )
-    .unwrap();
+    let source_order = Scheduler::List {
+        priority: Priority::SourceOrder,
+    };
+    let greedy = run(program, deps, source_order);
     println!(
         "{:<36} {:>8} {:>14}",
         "greedy list (source order)",
         greedy.length(),
         count_illegal_instructions(program, &greedy)
     );
-    let full = schedule_and_compact(program, deps, None, 6).unwrap();
+    let full = run(program, deps, Scheduler::Compacting { restarts: 6 });
     println!(
         "{:<36} {:>8} {:>14}",
         "list + restarts + justification",
@@ -70,7 +81,11 @@ fn main() {
     let stripped = strip_artificial_resources(program, &names);
     let stripped_deps =
         DependenceGraph::build_with_edges(&stripped, &compiled.lowering.sequence_edges).unwrap();
-    let unaware = schedule_and_compact(&stripped, &stripped_deps, None, 6).unwrap();
+    let unaware = run(
+        &stripped,
+        &stripped_deps,
+        Scheduler::Compacting { restarts: 6 },
+    );
     println!(
         "{:<36} {:>8} {:>14}",
         "ISA-unaware (ABC stripped)",

@@ -8,7 +8,8 @@ use dspcc::dfg::{parse, Dfg};
 use dspcc::isa::{artificial_resources, CoverStrategy};
 use dspcc::rtgen::{apply_instruction_set, lower, LowerOptions};
 use dspcc::sched::deps::DependenceGraph;
-use dspcc::sched::list::{list_schedule, ListConfig};
+use dspcc::sched::list::Priority;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc::{apps, cores};
 
 fn main() {
@@ -38,8 +39,26 @@ fn main() {
         let start = Instant::now();
         let mut cycles = 0;
         const REPS: u32 = 20;
+        let list = Scheduler::List {
+            priority: Priority::Slack,
+        };
         for _ in 0..REPS {
-            let s = list_schedule(&lowering.program, &deps, &ListConfig::default()).unwrap();
+            // The conflict matrix is built per run: its cost is the conflict
+            // check the cover strategy makes cheaper. The time also covers
+            // the length lower bound that `schedule` returns.
+            let matrix = ConflictMatrix::build(&lowering.program);
+            let mut fuel = Fuel::unlimited();
+            let s = schedule(
+                &lowering.program,
+                &deps,
+                &matrix,
+                list,
+                None,
+                &mut fuel,
+                None,
+            )
+            .unwrap()
+            .schedule;
             cycles = s.length();
         }
         let elapsed = start.elapsed() / REPS;

@@ -4,13 +4,25 @@
 use dspcc::arch::merge::MergePlan;
 use dspcc::dfg::{parse, Dfg};
 use dspcc::rtgen::{apply_merge_plan, lower, LowerOptions};
-use dspcc::sched::compact::schedule_and_compact;
 use dspcc::sched::deps::DependenceGraph;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc::{apps, cores};
 
 fn schedule_cycles(l: &dspcc::rtgen::Lowering) -> u32 {
     let deps = DependenceGraph::build_with_edges(&l.program, &l.sequence_edges).unwrap();
-    let s = schedule_and_compact(&l.program, &deps, None, 4).unwrap();
+    let matrix = ConflictMatrix::build(&l.program);
+    let scheduler = Scheduler::Compacting { restarts: 4 };
+    let s = schedule(
+        &l.program,
+        &deps,
+        &matrix,
+        scheduler,
+        None,
+        &mut Fuel::unlimited(),
+        None,
+    )
+    .unwrap()
+    .schedule;
     s.verify(&l.program, &deps).unwrap();
     s.length()
 }

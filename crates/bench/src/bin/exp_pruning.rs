@@ -6,6 +6,7 @@ use dspcc::dfg::{parse, Dfg};
 use dspcc::rtgen::{lower, LowerOptions};
 use dspcc::sched::deps::DependenceGraph;
 use dspcc::sched::exact::{exact_schedule, ExactConfig};
+use dspcc::sched::ConflictMatrix;
 use dspcc::{apps, cores};
 
 fn main() {
@@ -21,11 +22,12 @@ fn main() {
         let lowering = lower(&dfg, &core.datapath, &LowerOptions::default()).unwrap();
         let deps =
             DependenceGraph::build_with_edges(&lowering.program, &lowering.sequence_edges).unwrap();
+        let matrix = ConflictMatrix::build(&lowering.program);
         // One cycle below feasible: the provers must exhaust the space.
         let feasible = {
             let mut cfg = ExactConfig::new(200);
             cfg.prune = true;
-            exact_schedule(&lowering.program, &deps, &cfg)
+            exact_schedule(&lowering.program, &deps, &matrix, &cfg)
                 .schedule
                 .expect("loose budget feasible")
                 .length()
@@ -34,11 +36,11 @@ fn main() {
         let mut pruned_cfg = ExactConfig::new(budget);
         pruned_cfg.prune = true;
         pruned_cfg.max_nodes = 50_000_000;
-        let pruned = exact_schedule(&lowering.program, &deps, &pruned_cfg);
+        let pruned = exact_schedule(&lowering.program, &deps, &matrix, &pruned_cfg);
         let mut blind_cfg = ExactConfig::new(budget);
         blind_cfg.prune = false;
         blind_cfg.max_nodes = 50_000_000;
-        let blind = exact_schedule(&lowering.program, &deps, &blind_cfg);
+        let blind = exact_schedule(&lowering.program, &deps, &matrix, &blind_cfg);
         let speedup = blind.nodes_explored as f64 / pruned.nodes_explored.max(1) as f64;
         println!(
             "sop({taps:<2})        {budget:>7} {:>16} {:>16} {:>8.1}x{}",

@@ -232,9 +232,10 @@ pub struct Compiler<'c> {
 
 impl<'c> Compiler<'c> {
     /// A compiler for `core` with default options: no explicit budget
-    /// (the controller's program depth still caps the schedule), slack
-    /// priority, constant CSE off (each offset is refetched, the
-    /// behaviour of the paper's constant units), list scheduling.
+    /// (the controller's program depth still caps the schedule), constant
+    /// CSE off (each offset is refetched, the behaviour of the paper's
+    /// constant units), and the compacting scheduler (the restart engine
+    /// with 6 restarts, then justification).
     pub fn new(core: &'c Core) -> Self {
         Compiler {
             core,
@@ -254,7 +255,8 @@ impl<'c> Compiler<'c> {
         self
     }
 
-    /// Sets the list-scheduling priority function.
+    /// Sets the priority function of the list pass that
+    /// `compaction(false)` selects.
     pub fn priority(&mut self, priority: Priority) -> &mut Self {
         self.options.priority = priority;
         self
@@ -267,7 +269,7 @@ impl<'c> Compiler<'c> {
     }
 
     /// Uses the exact branch-and-bound scheduler (with execution-interval
-    /// pruning) instead of list scheduling. Requires a budget.
+    /// pruning) within the budget instead of the compacting scheduler.
     pub fn exact(&mut self, on: bool) -> &mut Self {
         self.options.exact = on;
         self

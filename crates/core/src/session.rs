@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dspcc_dfg::Dfg;
 use dspcc_sched::list::Priority;
+use dspcc_sched::Scheduler;
 
 use crate::cache::{self, DiskCache, Load, TransientPolicy};
 use crate::pipeline::{CompileError, CompileStats, Compiled, Core};
@@ -62,11 +63,15 @@ use crate::stages::{
 /// Defaults match [`crate::Compiler::new`]: no explicit budget (the
 /// controller's program depth still caps the schedule), slack priority,
 /// constant CSE off, compacting restart scheduler.
+///
+/// Five fields select the scheduler and its option;
+/// [`CompileOptions::scheduler`] says which of them count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Hard cycle budget; `None` caps at the controller's program depth.
     pub budget: Option<u32>,
-    /// List-scheduling priority function.
+    /// List-scheduling priority function (read only without `exact` and
+    /// `compaction`).
     pub priority: Priority,
     /// Merge identical constant fetches.
     pub cse_constants: bool,
@@ -74,9 +79,10 @@ pub struct CompileOptions {
     pub exact: bool,
     /// Node limit for the exact scheduler.
     pub exact_max_nodes: u64,
-    /// Restart count for the randomised scheduling search.
+    /// Restart count for the compacting scheduler's search.
     pub restarts: u32,
-    /// Justification compaction on/off.
+    /// The compacting scheduler (restarts and justification) rather than
+    /// one list pass; ignored under `exact`.
     pub compaction: bool,
     /// Selects nothing: every scheduler runs on the calling thread. The
     /// field is kept only so existing struct literals that name it still
@@ -103,6 +109,29 @@ impl Default for CompileOptions {
             compaction: true,
             sched_threads: 0,
             fuel: None,
+        }
+    }
+}
+
+impl CompileOptions {
+    /// The scheduler these options select, with the one option it reads:
+    /// `exact` picks the exact scheduler, else `compaction` the
+    /// compacting one, else one list pass under `priority`. The
+    /// scheduling stage runs it and its key hashes it, so a scheduler
+    /// field the selected scheduler does not read changes nothing.
+    pub fn scheduler(&self) -> Scheduler {
+        if self.exact {
+            Scheduler::Exact {
+                max_nodes: self.exact_max_nodes,
+            }
+        } else if self.compaction {
+            Scheduler::Compacting {
+                restarts: self.restarts,
+            }
+        } else {
+            Scheduler::List {
+                priority: self.priority,
+            }
         }
     }
 }

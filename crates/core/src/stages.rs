@@ -34,13 +34,10 @@ use dspcc_dfg::{parse, Dfg};
 use dspcc_encode::{allocate_registers, encode, FieldLayout, Microcode, RegAssignment};
 use dspcc_isa::{artificial_resources, Classification};
 use dspcc_rtgen::{apply_instruction_set, lower, LowerOptions, Lowering};
-use dspcc_sched::bounds::length_lower_bound;
-use dspcc_sched::compact::schedule_and_compact_fueled;
 use dspcc_sched::deps::DependenceGraph;
-use dspcc_sched::exact::{exact_schedule, ExactConfig};
-use dspcc_sched::list::{list_schedule_with_matrix, ListConfig, Priority};
+use dspcc_sched::list::Priority;
 use dspcc_sched::{
-    CancelToken, ConflictMatrix, Degradation, DegradeAction, Fuel, SchedError, Schedule,
+    CancelToken, ConflictMatrix, Degradation, Fuel, SchedError, Schedule, Scheduled, Scheduler,
 };
 
 use crate::pipeline::{CompileError, Core};
@@ -122,16 +119,18 @@ pub fn analysis_key(modify_key: u64) -> u64 {
 
 /// Key of the scheduling stage: the analysed program plus the controller
 /// fingerprint (the stage reads its program depth as the hard cap; keying
-/// the whole controller is conservative) and **exactly the option subset
-/// the chosen scheduler reads** — `exact_max_nodes` only under the exact scheduler,
-/// `restarts` only under the compacting restart engine, `priority` only
-/// under plain list scheduling. Re-compiling with a different priority
-/// while the compacting scheduler is active is therefore a *full* cache
-/// hit: the option is not an input of that path.
+/// the whole controller is conservative), the budget and **exactly what
+/// the selected [`CompileOptions::scheduler`] reads** — its own option,
+/// and the fuel unless it is the list pass, which runs one mandatory
+/// attempt whatever the fuel ([`Scheduler::reads_fuel`]). A fuel-limited
+/// result is thus never cached under a full-budget key, and re-compiling
+/// with a different priority while the compacting scheduler is active is
+/// a *full* cache hit: the option is not an input of that path.
 ///
 /// The budget is keyed as given (not clamped to the cap) — conservative,
 /// but key computation stays a pure function of the options.
 pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) -> u64 {
+    let scheduler = options.scheduler();
     Fnv64::of_parts(|h| {
         h.write_text("schedule");
         h.write_u64(analysis_key);
@@ -143,23 +142,22 @@ pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) ->
             }
             None => h.write_bool(false),
         }
-        h.write_bool(options.exact);
-        h.write_bool(options.compaction);
-        if options.exact {
-            h.write_u64(options.exact_max_nodes);
-        } else if options.compaction {
-            h.write_u32(options.restarts);
-        } else {
-            h.write_u8(priority_tag(options.priority));
+        match scheduler {
+            Scheduler::Compacting { restarts } => {
+                h.write_u8(0);
+                h.write_u32(restarts);
+            }
+            Scheduler::List { priority } => {
+                h.write_u8(1);
+                h.write_u8(priority_tag(priority));
+            }
+            Scheduler::Exact { max_nodes } => {
+                h.write_u8(2);
+                h.write_u64(max_nodes);
+            }
         }
-        // Fuel is an *input* of the exact and restart schedulers (a
-        // truncated search produces a different — possibly degraded —
-        // schedule), so a fuel-limited result must never be cached under
-        // a full-budget key. The plain list scheduler runs exactly one
-        // mandatory attempt whatever the fuel, so there fuel is excluded
-        // as output-invariant.
         match options.fuel {
-            Some(f) if options.exact || options.compaction => {
+            Some(f) if scheduler.reads_fuel() => {
                 h.write_bool(true);
                 h.write_u64(f);
             }
@@ -404,17 +402,12 @@ fn schedule_error(e: SchedError) -> CompileError {
     }
 }
 
-/// Scheduling (compiler step 3): exact, compacting-restart, or plain list
-/// scheduling per the options, plus the provable length lower bound and
-/// the controller's program-memory check.
-///
-/// When [`CompileOptions::fuel`] is set, the search runs under that
-/// deterministic unit budget (one unit = one attempt, justification
-/// pass, or branch-and-bound node): exhaustion degrades — the exact
-/// scheduler falls back to the heuristic, the heuristic returns its
-/// best-so-far — and the artifact carries the [`Degradation`] report.
-/// `cancel` is polled inside the search; a raised token aborts with
-/// [`CompileError::Cancelled`].
+/// Scheduling (compiler step 3): runs [`CompileOptions::scheduler`]
+/// within the budget, capped at the controller's program depth, under
+/// [`CompileOptions::fuel`] (see [`dspcc_sched::schedule`]). Fuel
+/// exhaustion degrades the search instead of failing it, and the artifact
+/// carries the [`Degradation`] report. `cancel` is polled inside the
+/// search; a raised token aborts with [`CompileError::Cancelled`].
 ///
 /// # Errors
 ///
@@ -427,95 +420,24 @@ pub fn run_schedule(
     options: &CompileOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<ScheduleArtifact, CompileError> {
-    let program = &modified.lowering.program;
-    let deps = &analysis.deps;
-    let matrix = &analysis.matrix;
     let t = Instant::now();
     let hard_cap = core.controller.program_depth();
     let budget = options.budget.map(|b| b.min(hard_cap)).unwrap_or(hard_cap);
     let mut fuel = options.fuel.map(Fuel::limited).unwrap_or_default();
-    let (schedule, bound, degradation) = if options.exact {
-        // Fuel counts branch-and-bound node expansions here: the node cap
-        // is the smaller of the configured cap and the remaining fuel,
-        // and the nodes actually explored are charged afterwards.
-        let mut config = ExactConfig::new(budget);
-        config.max_nodes = options.exact_max_nodes.min(fuel.remaining());
-        config.cancel = cancel.cloned();
-        let fuel_capped = config.max_nodes < options.exact_max_nodes;
-        let result = exact_schedule(program, deps, &config);
-        fuel.charge_saturating(result.nodes_explored);
-        if result.cancelled {
-            return Err(CompileError::Cancelled);
-        }
-        match result.schedule {
-            Some(s) => {
-                let bound = length_lower_bound(program, deps, matrix);
-                (s, bound, None)
-            }
-            None if !result.complete && fuel_capped => {
-                // The fuel budget (not the user's node cap) stopped the
-                // exact search short of an answer: degrade to the
-                // heuristic scheduler on whatever fuel remains instead of
-                // failing a compile that more machinery could still
-                // serve.
-                let fallback = schedule_and_compact_fueled(
-                    program,
-                    deps,
-                    matrix,
-                    Some(budget),
-                    options.restarts,
-                    &mut fuel,
-                    cancel,
-                )
-                .map_err(schedule_error)?;
-                let degradation = Degradation {
-                    stage: "schedule",
-                    spent: fuel.used(),
-                    action: DegradeAction::ExactToHeuristic {
-                        nodes_explored: result.nodes_explored,
-                    },
-                };
-                (fallback.schedule, fallback.bound, Some(degradation))
-            }
-            None => {
-                // Proven infeasibility, or the user's own node cap gave
-                // up: both keep their historical error surface.
-                return Err(CompileError::Schedule(SchedError::BudgetExceeded {
-                    budget,
-                    unplaced: program.rt_count(),
-                }));
-            }
-        }
-    } else if options.compaction {
-        let r = schedule_and_compact_fueled(
-            program,
-            deps,
-            matrix,
-            Some(budget),
-            options.restarts,
-            &mut fuel,
-            cancel,
-        )
-        .map_err(schedule_error)?;
-        (r.schedule, r.bound, r.degradation)
-    } else {
-        // One mandatory list attempt: runs whatever the fuel (the
-        // baseline every degradation ladder bottoms out at), so fuel is
-        // charged saturating and never changes the output.
-        if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
-            return Err(CompileError::Cancelled);
-        }
-        fuel.charge_saturating(1);
-        let config = ListConfig {
-            budget: Some(budget),
-            priority: options.priority,
-            jitter_seed: 0,
-        };
-        let schedule = list_schedule_with_matrix(program, deps, matrix, &config)
-            .map_err(CompileError::Schedule)?;
-        let bound = length_lower_bound(program, deps, matrix);
-        (schedule, bound, None)
-    };
+    let Scheduled {
+        schedule,
+        bound,
+        degradation,
+    } = dspcc_sched::schedule(
+        &modified.lowering.program,
+        &analysis.deps,
+        &analysis.matrix,
+        options.scheduler(),
+        Some(budget),
+        &mut fuel,
+        cancel,
+    )
+    .map_err(schedule_error)?;
     let time = t.elapsed();
     if schedule.length() > hard_cap {
         return Err(CompileError::ProgramTooLong {
@@ -633,6 +555,55 @@ mod tests {
             sk,
             schedule_key(analysis_key(modify_key(lk, &core)), &core, &threads)
         );
+        // Per scheduler, an option it reads re-keys the stage and an
+        // option it ignores does not.
+        let key = |o: &CompileOptions| schedule_key(analysis_key(modify_key(lk, &core)), &core, o);
+        type Edit = fn(&mut CompileOptions);
+        let budget: Edit = |o| o.budget = Some(40);
+        let restarts: Edit = |o| o.restarts += 1;
+        let fuel: Edit = |o| o.fuel = Some(10);
+        let priority: Edit = |o| o.priority = Priority::Alap;
+        let max_nodes: Edit = |o| o.exact_max_nodes += 1;
+        let compaction: Edit = |o| o.compaction = !o.compaction;
+        let list = CompileOptions {
+            compaction: false,
+            ..opts.clone()
+        };
+        let exact = CompileOptions {
+            exact: true,
+            ..opts.clone()
+        };
+        let cases: [(&CompileOptions, &[Edit], &[Edit]); 3] = [
+            (
+                &opts,
+                &[budget, restarts, fuel, compaction],
+                &[priority, max_nodes],
+            ),
+            (
+                &list,
+                &[budget, priority, compaction],
+                &[restarts, fuel, max_nodes],
+            ),
+            (
+                &exact,
+                &[budget, max_nodes, fuel],
+                &[restarts, priority, compaction],
+            ),
+        ];
+        for (base, reads, ignores) in cases {
+            for (edits, changes) in [(reads, true), (ignores, false)] {
+                for edit in edits {
+                    let mut edited = base.clone();
+                    edit(&mut edited);
+                    assert_eq!(
+                        key(base) != key(&edited),
+                        changes,
+                        "{:?} → {edited:?}",
+                        base.scheduler()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

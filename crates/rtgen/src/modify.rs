@@ -247,14 +247,24 @@ mod tests {
 
     #[test]
     fn merged_schedule_still_valid_but_longer_or_equal() {
+        use dspcc_ir::Program;
         use dspcc_sched::deps::DependenceGraph;
-        use dspcc_sched::list::{list_schedule, ListConfig};
+        use dspcc_sched::{list::Priority, schedule, ConflictMatrix, Fuel, Schedule, Scheduler};
 
+        let list = |p: &Program, deps: &DependenceGraph| -> Schedule {
+            let matrix = ConflictMatrix::build(p);
+            let list = Scheduler::List {
+                priority: Priority::Slack,
+            };
+            let mut fuel = Fuel::unlimited();
+            schedule(p, deps, &matrix, list, None, &mut fuel, None)
+                .unwrap()
+                .schedule
+        };
         let (l_before, dp) = lowered();
         let deps_before =
             DependenceGraph::build_with_edges(&l_before.program, &l_before.sequence_edges).unwrap();
-        let before =
-            list_schedule(&l_before.program, &deps_before, &ListConfig::default()).unwrap();
+        let before = list(&l_before.program, &deps_before);
         before.verify(&l_before.program, &deps_before).unwrap();
 
         let (mut l_after, _) = lowered();
@@ -263,7 +273,7 @@ mod tests {
         apply_merge_plan(&mut l_after, &dp, &plan).unwrap();
         let deps_after =
             DependenceGraph::build_with_edges(&l_after.program, &l_after.sequence_edges).unwrap();
-        let after = list_schedule(&l_after.program, &deps_after, &ListConfig::default()).unwrap();
+        let after = list(&l_after.program, &deps_after);
         after.verify(&l_after.program, &deps_after).unwrap();
         assert!(
             after.length() >= before.length(),

@@ -69,7 +69,8 @@ pub fn count_illegal_instructions(reference: &Program, schedule: &Schedule) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::{list_schedule, ListConfig};
+    use crate::list::{list_pass, Priority};
+    use crate::schedule::ConflictMatrix;
     use dspcc_ir::{Rt, RtId, Usage};
 
     fn program_with_artificial() -> Program {
@@ -130,14 +131,16 @@ mod tests {
         let p = program_with_artificial();
         let stripped = strip_artificial_resources(&p, &["ABC"]);
         let deps = DependenceGraph::build(&stripped).unwrap();
-        let s = list_schedule(&stripped, &deps, &ListConfig::default()).unwrap();
+        let matrix = ConflictMatrix::build(&stripped);
+        let s = list_pass(&stripped, &deps, &matrix, None, Priority::Slack).unwrap();
         // Without ABC the two RTs pack into one cycle…
         assert_eq!(s.length(), 1);
         // …which the reference program calls illegal.
         assert_eq!(count_illegal_instructions(&p, &s), 1);
         // A legal schedule has no illegal instructions.
         let legal_deps = DependenceGraph::build(&p).unwrap();
-        let legal = list_schedule(&p, &legal_deps, &ListConfig::default()).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        let legal = list_pass(&p, &legal_deps, &matrix, None, Priority::Slack).unwrap();
         assert_eq!(count_illegal_instructions(&p, &legal), 0);
     }
 }

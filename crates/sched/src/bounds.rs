@@ -4,10 +4,11 @@
 //! be shorter. That turns the bounds into stopping rules — the moment a
 //! restart loop produces a schedule whose length equals the bound, the
 //! schedule is provably optimal and every remaining restart is wasted
-//! work. [`length_lower_bound`] is the conjunction the scheduling engine
-//! threads through [`crate::list::best_effort_schedule`],
-//! [`crate::compact::schedule_and_compact`] and
-//! [`crate::folding::fold_schedule_with_restarts`].
+//! work. [`length_lower_bound`] is the conjunction [`crate::schedule()`]
+//! computes once per call and threads through the restart engine, the
+//! justification rounds and the iterated local search;
+//! [`crate::folding::fold_schedule_with_restarts`] starts its initiation
+//! interval search from the same bounds.
 //!
 //! Three independent arguments contribute:
 //!
@@ -256,12 +257,12 @@ mod tests {
 
     #[test]
     fn bound_never_exceeds_a_verified_schedule() {
-        use crate::list::{list_schedule, ListConfig};
+        use crate::list::{list_pass, Priority};
         for k in 1..=5 {
             let p = chains(k);
             let deps = DependenceGraph::build(&p).unwrap();
             let matrix = ConflictMatrix::build(&p);
-            let s = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
+            let s = list_pass(&p, &deps, &matrix, None, Priority::Slack).unwrap();
             s.verify(&p, &deps).unwrap();
             assert!(
                 length_lower_bound(&p, &deps, &matrix) <= s.length(),

@@ -10,27 +10,30 @@
 //! lines the tail chains up against the deadline, freeing the resource
 //! slots that the original greedy pass wasted early.
 //!
-//! [`compact`] alternates passes to a fixpoint; [`schedule_and_compact`]
-//! is the production entry point: best-effort construction followed by
-//! compaction, optionally iterated with perturbation.
+//! [`compacting`] is [`crate::Scheduler::Compacting`]: the restart engine,
+//! then justification rounds to a fixpoint, then an iterated local search
+//! that perturbs the left-justification order.
 
 use dspcc_ir::{Program, RtId};
 
-use crate::bounds::length_lower_bound;
 use crate::deps::DependenceGraph;
 use crate::fuel::{CancelToken, Degradation, DegradeAction, Fuel};
-use crate::list::best_effort_bounded;
+use crate::list::{best_effort_bounded, jitter, schedule_of};
 use crate::schedule::{ConflictMatrix, SchedError, Schedule};
+use crate::Scheduled;
 
 /// One right-justification pass: every RT moves to its latest feasible
-/// cycle < `deadline`, processed in decreasing issue order.
+/// cycle < `deadline`, processed in decreasing issue order. Each step
+/// takes the first RT in that order whose successors are all placed: a
+/// separation-0 edge lets a successor share its predecessor's cycle, and
+/// such a successor may come later in the order.
 ///
 /// Feasibility is answered on per-cycle occupancy bitsets
 /// ([`ConflictMatrix::fits_mask`]) — one row-AND per probed cycle, the
 /// same inner loop as insertion scheduling. Justification runs dozens of
 /// times per compaction, so this pass being cheap is what makes the
 /// iterated local search affordable.
-pub fn right_justify(
+fn right_justify(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
@@ -40,18 +43,31 @@ pub fn right_justify(
     let n = program.rt_count();
     let words = matrix.words_per_row();
     let issue = schedule.issue_cycles(n);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(issue[i].expect("complete schedule")));
+    let mut pending: Vec<usize> = (0..n).collect();
+    pending.sort_by_key(|&i| std::cmp::Reverse(issue[i].expect("complete schedule")));
     let mut new_issue: Vec<Option<u32>> = vec![None; n];
     let mut occ = vec![0u64; deadline as usize * words];
-    for &i in &order {
+    for next in 0..n {
+        // The first RT in order whose successors are all placed, and the
+        // latest start they allow. `pending[next..]` keeps the unplaced
+        // RTs in order; the chosen one moves to its front.
+        let (ready, latest) = pending[next..]
+            .iter()
+            .enumerate()
+            .find_map(|(k, &i)| {
+                let latest = deps.successors(RtId(i as u32)).try_fold(
+                    deadline - 1,
+                    |latest, (succ, lat)| {
+                        let ts = new_issue[succ.0 as usize]?;
+                        Some(latest.min(ts.saturating_sub(lat)))
+                    },
+                )?;
+                Some((k, latest))
+            })
+            .expect("acyclic graph always has a ready RT");
+        pending[next..=next + ready].rotate_right(1);
+        let i = pending[next];
         let id = RtId(i as u32);
-        // Latest start bounded by already-placed successors.
-        let mut latest = deadline - 1;
-        for (succ, lat) in deps.successors(id) {
-            let ts = new_issue[succ.0 as usize].expect("reverse order");
-            latest = latest.min(ts.saturating_sub(lat));
-        }
         let mut t = latest;
         loop {
             let base = t as usize * words;
@@ -64,29 +80,14 @@ pub fn right_justify(
             t -= 1;
         }
     }
-    let mut out = Schedule::new();
-    for (i, t) in new_issue.iter().enumerate() {
-        out.place(RtId(i as u32), t.expect("all placed"));
-    }
-    out
+    schedule_of(&new_issue, &[])
 }
 
 /// One left-justification pass: every RT moves to its earliest feasible
-/// cycle, processed in increasing issue order.
-pub fn left_justify(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    schedule: &Schedule,
-) -> Schedule {
-    left_justify_seeded(program, deps, matrix, schedule, 0)
-}
-
-/// As [`left_justify`], with a deterministic perturbation of the
-/// processing order (seed 0 = pure issue order). Perturbed passes are the
-/// escape mechanism of the iterated local search in
-/// [`schedule_and_compact`].
-pub fn left_justify_seeded(
+/// cycle, processed in increasing issue order. A nonzero `seed` perturbs
+/// that order deterministically — the escape mechanism of the iterated
+/// local search in [`compacting`].
+fn left_justify(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
@@ -102,8 +103,8 @@ pub fn left_justify_seeded(
             (base, 0)
         } else {
             // Nudge issue keys by ±2 cycles to reshuffle near-ties.
-            let j = (splitmix(i as u64, seed) % 5) as i64 - 2;
-            (base + j, splitmix(i as u64, seed ^ 0xABCD) as i64)
+            let j = (jitter(i, seed) % 5) as i64 - 2;
+            (base + j, jitter(i, seed ^ 0xABCD) as i64)
         }
     });
     // A perturbed order may not respect dependences; fall back to a
@@ -152,67 +153,23 @@ pub fn left_justify_seeded(
             t += 1;
         }
     }
-    let mut out = Schedule::new();
-    for (i, t) in new_issue.iter().enumerate() {
-        out.place(RtId(i as u32), t.expect("all placed"));
-    }
-    out
+    schedule_of(&new_issue, &[])
 }
 
-fn splitmix(x: u64, seed: u64) -> u64 {
-    let mut z = x.wrapping_add(seed.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Alternates right/left justification until the length stops improving.
-pub fn compact(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    schedule: Schedule,
-    max_rounds: u32,
-) -> Schedule {
-    compact_to_bound(program, deps, matrix, schedule, max_rounds, 0)
-}
-
-/// As [`compact`], stopping as soon as the schedule reaches `bound`
-/// cycles (a provable lower bound — see [`crate::bounds`] — below which
-/// further justification rounds cannot improve anything).
-pub fn compact_to_bound(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    schedule: Schedule,
-    max_rounds: u32,
-    bound: u32,
-) -> Schedule {
-    compact_to_bound_fueled(
-        program,
-        deps,
-        matrix,
-        schedule,
-        max_rounds,
-        bound,
-        &mut Fuel::unlimited(),
-        None,
-    )
-    .map(|(schedule, _)| schedule)
-    .unwrap_or_else(|_| unreachable!("unlimited fuel, no cancel token"))
-}
-
-/// As [`compact_to_bound`], paying one [`Fuel`] unit per justification
-/// round *before* running it (rounds are atomic: paid-for work always
-/// completes). Exhaustion returns the best schedule so far plus the
-/// number of rounds skipped; compaction only ever shortens, so a
-/// truncated run is still valid. `cancel` is polled per round.
+/// Alternates right and left justification until the length stops
+/// improving, reaches `bound` (a provable lower bound — see
+/// [`crate::bounds`] — below which no round can improve anything) or
+/// `max_rounds` ran. One [`Fuel`] unit pays for a round *before* it runs
+/// (rounds are atomic: paid-for work always completes). Exhaustion
+/// returns the best schedule so far plus the number of rounds skipped;
+/// compaction only ever shortens, so a truncated run is still valid.
+/// `cancel` is polled per round.
 ///
 /// # Errors
 ///
 /// [`SchedError::Cancelled`] when the token is raised mid-compaction.
 #[allow(clippy::too_many_arguments)]
-pub fn compact_to_bound_fueled(
+fn compact(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
@@ -229,7 +186,7 @@ pub fn compact_to_bound_fueled(
         if len == 0 || len <= bound {
             break;
         }
-        if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(SchedError::Cancelled);
         }
         if !fuel.try_charge(1) {
@@ -237,7 +194,7 @@ pub fn compact_to_bound_fueled(
             break;
         }
         let right = right_justify(program, deps, matrix, &best, len);
-        let left = left_justify(program, deps, matrix, &right);
+        let left = left_justify(program, deps, matrix, &right, 0);
         if left.length() >= len {
             // Keep the shorter of the two; stop on stagnation.
             if left.length() < best.length() {
@@ -250,82 +207,21 @@ pub fn compact_to_bound_fueled(
     Ok((best, skipped))
 }
 
-/// The production scheduler: best-effort construction (multiple
-/// priorities, restarts, forward and backward) followed by justification
-/// compaction.
-///
-/// Both the construction restarts and the iterated local search stop the
-/// moment the schedule meets the provable length lower bound
-/// ([`length_lower_bound`]): at the bound the schedule is optimal and the
-/// remaining perturbation rounds are pure waste.
-///
-/// # Errors
-///
-/// Returns [`SchedError::BudgetExceeded`] when even the compacted
-/// schedule misses the budget.
-pub fn schedule_and_compact(
-    program: &Program,
-    deps: &DependenceGraph,
-    budget: Option<u32>,
-    restarts: u32,
-) -> Result<Schedule, SchedError> {
-    let matrix = ConflictMatrix::build(program);
-    schedule_and_compact_in(program, deps, &matrix, budget, restarts).map(|(s, _)| s)
-}
-
-/// As [`schedule_and_compact`], with a caller-provided conflict matrix.
-/// Returns the schedule together with the provable length lower bound
-/// the cutoffs used (`schedule.length() == bound` proves the schedule
-/// optimal) — computed exactly once for the whole run.
-///
-/// # Errors
-///
-/// Returns [`SchedError::BudgetExceeded`] when even the compacted
-/// schedule misses the budget.
-pub fn schedule_and_compact_in(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    budget: Option<u32>,
-    restarts: u32,
-) -> Result<(Schedule, u32), SchedError> {
-    schedule_and_compact_fueled(
-        program,
-        deps,
-        matrix,
-        budget,
-        restarts,
-        &mut Fuel::unlimited(),
-        None,
-    )
-    .map(|r| (r.schedule, r.bound))
-}
-
-/// The result of a fuel-bounded scheduling run.
-#[derive(Debug, Clone)]
-pub struct FueledSchedule {
-    /// The best schedule found.
-    pub schedule: Schedule,
-    /// The provable length lower bound the cutoffs used.
-    pub bound: u32,
-    /// `Some` when fuel ran out and search work was skipped; the
-    /// schedule is then best-so-far rather than the full-budget result.
-    pub degradation: Option<Degradation>,
-}
-
-/// As [`schedule_and_compact_in`], under a deterministic compute budget
-/// and an optional cancellation token.
+/// The production scheduler ([`crate::Scheduler::Compacting`]):
+/// best-effort construction (multiple priorities, restarts, forward and
+/// backward) followed by justification compaction and an iterated local
+/// search, all stopping the moment the schedule meets `bound`, the
+/// provable length lower bound: at the bound the schedule is optimal and
+/// the remaining rounds are pure waste.
 ///
 /// One fuel unit pays for one construction attempt, one justification
-/// round, or one perturbation seed — never wall-clock — so the same
-/// `(input, fuel)` pair produces bit-identical output on every machine.
-/// The baseline construction round is mandatory (charged saturating);
-/// everything after it must pay up front, and a failed charge truncates
-/// the search *there*, keeping the best schedule found so far. A
-/// truncated run that still meets the cycle budget succeeds with a
-/// [`Degradation`] report; only when the budget is missed *and* fuel
-/// was the binding constraint does the attributable
-/// [`SchedError::FuelExhausted`] replace the generic
+/// round, or one perturbation seed. The baseline construction round is
+/// mandatory (charged saturating); everything after it must pay up
+/// front, and a failed charge truncates the search *there*, keeping the
+/// best schedule found so far. A truncated run that still meets the
+/// cycle budget succeeds with a [`Degradation`] report; only when the
+/// budget is missed *and* fuel was the binding constraint does the
+/// attributable [`SchedError::FuelExhausted`] replace the generic
 /// [`SchedError::BudgetExceeded`].
 ///
 /// # Errors
@@ -334,22 +230,22 @@ pub struct FueledSchedule {
 /// [`SchedError::FuelExhausted`] / [`SchedError::BudgetExceeded`] when
 /// no schedule meets `budget`.
 #[allow(clippy::too_many_arguments)]
-pub fn schedule_and_compact_fueled(
+pub(crate) fn compacting(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
     budget: Option<u32>,
     restarts: u32,
+    bound: u32,
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
-) -> Result<FueledSchedule, SchedError> {
-    let bound = length_lower_bound(program, deps, matrix);
+) -> Result<Scheduled, SchedError> {
     // Construct without a hard budget so a too-tight target cannot wedge
     // the greedy pass, then compact and check the budget at the end.
     let (initial, mut skipped) =
         best_effort_bounded(program, deps, matrix, None, restarts, bound, fuel, cancel)?;
     let (mut best, compact_skipped) =
-        compact_to_bound_fueled(program, deps, matrix, initial, 32, bound, fuel, cancel)?;
+        compact(program, deps, matrix, initial, 32, bound, fuel, cancel)?;
     skipped += compact_skipped;
     let good_enough =
         |s: &Schedule| s.length() <= bound || budget.map(|b| s.length() <= b).unwrap_or(false);
@@ -364,16 +260,16 @@ pub fn schedule_and_compact_fueled(
         let first_seed = restarts as u64 + 1;
         let last_seed = restarts as u64 + (restarts as u64 * 4).max(8);
         for seed in first_seed..=last_seed {
-            if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(SchedError::Cancelled);
             }
             if !fuel.try_charge(1) {
                 skipped += last_seed - seed + 1;
                 break;
             }
-            let perturbed = left_justify_seeded(program, deps, matrix, &best, seed);
+            let perturbed = left_justify(program, deps, matrix, &best, seed);
             let (candidate, ils_skipped) =
-                compact_to_bound_fueled(program, deps, matrix, perturbed, 8, bound, fuel, cancel)?;
+                compact(program, deps, matrix, perturbed, 8, bound, fuel, cancel)?;
             skipped += ils_skipped;
             if candidate.length() < best.length() {
                 best = candidate;
@@ -402,7 +298,7 @@ pub fn schedule_and_compact_fueled(
                 })
             }
         }
-        _ => Ok(FueledSchedule {
+        _ => Ok(Scheduled {
             schedule: best,
             bound,
             degradation,
@@ -413,7 +309,8 @@ pub fn schedule_and_compact_fueled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::{list_schedule, ListConfig};
+    use crate::list::{list_pass, Priority};
+    use crate::{schedule, Scheduler};
     use dspcc_ir::{Rt, Usage};
 
     fn chains(k: usize) -> Program {
@@ -438,19 +335,63 @@ mod tests {
         p
     }
 
+    fn compacted(
+        p: &Program,
+        deps: &DependenceGraph,
+        budget: Option<u32>,
+        restarts: u32,
+    ) -> Result<Schedule, SchedError> {
+        let matrix = ConflictMatrix::build(p);
+        let scheduler = Scheduler::Compacting { restarts };
+        schedule(
+            p,
+            deps,
+            &matrix,
+            scheduler,
+            budget,
+            &mut Fuel::unlimited(),
+            None,
+        )
+        .map(|s| s.schedule)
+    }
+
     #[test]
     fn justification_never_lengthens() {
         let p = chains(6);
         let deps = DependenceGraph::build(&p).unwrap();
         let matrix = ConflictMatrix::build(&p);
-        let s = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
+        let s = list_pass(&p, &deps, &matrix, None, Priority::Slack).unwrap();
         let len = s.length();
         let right = right_justify(&p, &deps, &matrix, &s, len);
         right.verify(&p, &deps).unwrap();
         assert!(right.length() <= len);
-        let left = left_justify(&p, &deps, &matrix, &right);
+        let left = left_justify(&p, &deps, &matrix, &right, 0);
         left.verify(&p, &deps).unwrap();
         assert!(left.length() <= right.length());
+    }
+
+    #[test]
+    fn right_justify_waits_for_a_same_cycle_successor() {
+        // a → b with separation 0 lets both issue in cycle 0, and b
+        // conflicts with c in cycle 1. Decreasing issue order visits a
+        // before its successor b, which must still be placed first.
+        let mut p = Program::new();
+        let mut a = Rt::new("a");
+        a.add_usage("alu", Usage::token("add"));
+        let mut b = Rt::new("b");
+        b.add_usage("mult", Usage::token("x"));
+        let mut c = Rt::new("c");
+        c.add_usage("mult", Usage::token("y"));
+        p.add_rt(a);
+        p.add_rt(b);
+        p.add_rt(c);
+        let deps = DependenceGraph::build_with_edges(&p, &[(RtId(0), RtId(1), 0)]).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        let s = Schedule::from_cycles(vec![vec![RtId(0), RtId(1)], vec![RtId(2)]]);
+        s.verify(&p, &deps).unwrap();
+        let right = right_justify(&p, &deps, &matrix, &s, 2);
+        right.verify(&p, &deps).unwrap();
+        assert_eq!(right.issue_cycles(3), [Some(0), Some(0), Some(1)]);
     }
 
     #[test]
@@ -460,7 +401,18 @@ mod tests {
         let deps = DependenceGraph::build(&p).unwrap();
         let matrix = ConflictMatrix::build(&p);
         let bad = crate::baseline::sequential_schedule(&p, &deps);
-        let good = compact(&p, &deps, &matrix, bad.clone(), 16);
+        let (good, skipped) = compact(
+            &p,
+            &deps,
+            &matrix,
+            bad.clone(),
+            16,
+            0,
+            &mut Fuel::unlimited(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(skipped, 0);
         good.verify(&p, &deps).unwrap();
         assert!(
             good.length() < bad.length(),
@@ -476,7 +428,7 @@ mod tests {
     fn schedule_and_compact_end_to_end() {
         let p = chains(5);
         let deps = DependenceGraph::build(&p).unwrap();
-        let s = schedule_and_compact(&p, &deps, Some(8), 4).unwrap();
+        let s = compacted(&p, &deps, Some(8), 4).unwrap();
         s.verify(&p, &deps).unwrap();
         assert!(s.length() <= 8);
     }
@@ -485,7 +437,7 @@ mod tests {
     fn budget_failure_reported_after_compaction() {
         let p = chains(5);
         let deps = DependenceGraph::build(&p).unwrap();
-        let err = schedule_and_compact(&p, &deps, Some(3), 2).unwrap_err();
+        let err = compacted(&p, &deps, Some(3), 2).unwrap_err();
         assert!(matches!(err, SchedError::BudgetExceeded { budget: 3, .. }));
     }
 
@@ -493,7 +445,7 @@ mod tests {
     fn empty_program_compacts() {
         let p = Program::new();
         let deps = DependenceGraph::build(&p).unwrap();
-        let s = schedule_and_compact(&p, &deps, None, 1).unwrap();
+        let s = compacted(&p, &deps, None, 1).unwrap();
         assert_eq!(s.length(), 0);
     }
 }

@@ -64,13 +64,14 @@ pub struct ExactResult {
 }
 
 /// Runs exact branch-and-bound scheduling: finds *a* schedule within
-/// `config.budget` cycles or proves none exists.
+/// `config.budget` cycles or proves none exists. `matrix` is the conflict
+/// matrix of `program`.
 pub fn exact_schedule(
     program: &Program,
     deps: &DependenceGraph,
+    matrix: &ConflictMatrix,
     config: &ExactConfig,
 ) -> ExactResult {
-    let matrix = ConflictMatrix::build(program);
     let n = program.rt_count();
     if n == 0 {
         return ExactResult {
@@ -105,7 +106,7 @@ pub fn exact_schedule(
     let mut search = Search {
         program,
         deps,
-        matrix: &matrix,
+        matrix,
         budget: config.budget,
         prune: config.prune,
         max_nodes: config.max_nodes,
@@ -301,8 +302,12 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::{list_schedule, ListConfig};
+    use crate::list::{list_pass, Priority};
     use dspcc_ir::{Rt, Usage};
+
+    fn exact(p: &Program, deps: &DependenceGraph, config: &ExactConfig) -> ExactResult {
+        exact_schedule(p, deps, &ConflictMatrix::build(p), config)
+    }
 
     /// k independent RTs all fighting for one ALU (distinct usages).
     fn serial_program(k: usize) -> Program {
@@ -319,7 +324,7 @@ mod tests {
     fn finds_schedule_at_exact_resource_bound() {
         let p = serial_program(4);
         let deps = DependenceGraph::build(&p).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(4));
+        let r = exact(&p, &deps, &ExactConfig::new(4));
         assert!(r.complete);
         let s = r.schedule.expect("4 serial RTs fit in 4 cycles");
         s.verify(&p, &deps).unwrap();
@@ -330,7 +335,7 @@ mod tests {
     fn proves_infeasibility_below_resource_bound() {
         let p = serial_program(4);
         let deps = DependenceGraph::build(&p).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(3));
+        let r = exact(&p, &deps, &ExactConfig::new(3));
         assert!(r.complete);
         assert!(r.schedule.is_none());
     }
@@ -343,10 +348,10 @@ mod tests {
         let deps = DependenceGraph::build(&p).unwrap();
         let mut pruned_cfg = ExactConfig::new(5);
         pruned_cfg.prune = true;
-        let pruned = exact_schedule(&p, &deps, &pruned_cfg);
+        let pruned = exact(&p, &deps, &pruned_cfg);
         let mut blind_cfg = ExactConfig::new(5);
         blind_cfg.prune = false;
-        let blind = exact_schedule(&p, &deps, &blind_cfg);
+        let blind = exact(&p, &deps, &blind_cfg);
         assert!(pruned.complete && blind.complete);
         assert!(pruned.schedule.is_none() && blind.schedule.is_none());
         assert!(
@@ -376,7 +381,7 @@ mod tests {
         p.add_rt(b);
         p.add_rt(c);
         let deps = DependenceGraph::build(&p).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(2));
+        let r = exact(&p, &deps, &ExactConfig::new(2));
         assert!(r.complete);
         assert!(r.schedule.is_none());
         assert_eq!(r.nodes_explored, 0); // cut before any placement
@@ -386,8 +391,8 @@ mod tests {
     fn exact_matches_or_beats_list_on_small_programs() {
         let p = serial_program(3);
         let deps = DependenceGraph::build(&p).unwrap();
-        let list = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(list.length()));
+        let list = list_pass(&p, &deps, &ConflictMatrix::build(&p), None, Priority::Slack).unwrap();
+        let r = exact(&p, &deps, &ExactConfig::new(list.length()));
         assert!(r.schedule.is_some());
     }
 
@@ -401,7 +406,7 @@ mod tests {
             max_nodes: 10,
             cancel: None,
         };
-        let r = exact_schedule(&p, &deps, &cfg);
+        let r = exact(&p, &deps, &cfg);
         assert!(!r.complete);
         assert!(r.schedule.is_none());
     }
@@ -410,7 +415,7 @@ mod tests {
     fn empty_program_is_trivially_schedulable() {
         let p = Program::new();
         let deps = DependenceGraph::build(&p).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(0));
+        let r = exact(&p, &deps, &ExactConfig::new(0));
         assert!(r.complete);
         assert_eq!(r.schedule.unwrap().length(), 0);
     }
@@ -428,7 +433,7 @@ mod tests {
             p.add_rt(rt);
         }
         let deps = DependenceGraph::build(&p).unwrap();
-        let r = exact_schedule(&p, &deps, &ExactConfig::new(1));
+        let r = exact(&p, &deps, &ExactConfig::new(1));
         assert!(r.complete);
         let s = r.schedule.expect("identical RTs share one instruction");
         assert_eq!(s.length(), 1);

@@ -144,24 +144,10 @@ impl FoldedSchedule {
     }
 }
 
-/// Attempts modulo scheduling for increasing II until success.
-///
-/// # Errors
-///
-/// Returns [`FoldError::NoIiFound`] when no II up to the unfolded list
-/// length works (at which point folding is pointless anyway).
-pub fn fold_schedule(
-    program: &Program,
-    deps: &DependenceGraph,
-    loop_edges: &[LoopEdge],
-    max_ii: u32,
-) -> Result<FoldedSchedule, FoldError> {
-    fold_schedule_with_restarts(program, deps, loop_edges, max_ii, 8, 8)
-}
-
-/// As [`fold_schedule`], trying several placement orders per candidate II
-/// (deadline-ordered, depth-ordered, and jittered variants) — iterative
-/// modulo scheduling.
+/// Attempts modulo scheduling for increasing II until success, trying
+/// several placement orders per candidate II (deadline-ordered,
+/// depth-ordered, and jittered variants) — iterative modulo scheduling.
+/// No kernel may overlap more than `max_stages` iterations.
 ///
 /// # Errors
 ///
@@ -511,7 +497,7 @@ fn try_modulo_schedule_ordered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::{list_schedule, ListConfig};
+    use crate::list::{list_pass, Priority};
     use dspcc_ir::{Rt, Usage};
 
     /// k chains const→mult→add over shared rom/mult/alu: unfolded length
@@ -542,8 +528,9 @@ mod tests {
     fn folding_beats_unfolded_length() {
         let p = chains(4);
         let deps = DependenceGraph::build(&p).unwrap();
-        let unfolded = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
-        let folded = fold_schedule(&p, &deps, &[], unfolded.length()).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        let unfolded = list_pass(&p, &deps, &matrix, None, Priority::Slack).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &[], unfolded.length(), 8, 8).unwrap();
         folded.verify(&p, &deps, &[]).unwrap();
         assert!(
             folded.ii() < unfolded.length(),
@@ -588,7 +575,7 @@ mod tests {
         }];
         // c issues at 2, latency 1 ⇒ a of next iteration ≥ 3 ⇒ II ≥ 3.
         assert_eq!(min_initiation_interval(&p, &deps, &edges), 3);
-        let folded = fold_schedule(&p, &deps, &edges, 10).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &edges, 10, 8, 8).unwrap();
         folded.verify(&p, &deps, &edges).unwrap();
         assert_eq!(folded.ii(), 3);
     }
@@ -597,7 +584,7 @@ mod tests {
     fn stage_count_reflects_overlap() {
         let p = chains(2);
         let deps = DependenceGraph::build(&p).unwrap();
-        let folded = fold_schedule(&p, &deps, &[], 10).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &[], 10, 8, 8).unwrap();
         assert!(folded.stage_count() >= 2, "chains must overlap iterations");
     }
 
@@ -606,7 +593,7 @@ mod tests {
         // max_ii below the resource bound: no II can work.
         let p = chains(4);
         let deps = DependenceGraph::build(&p).unwrap();
-        let err = fold_schedule(&p, &deps, &[], 3).unwrap_err();
+        let err = fold_schedule_with_restarts(&p, &deps, &[], 3, 8, 8).unwrap_err();
         assert_eq!(
             err,
             FoldError::NoIiFound {
@@ -630,7 +617,7 @@ mod tests {
             distance: 1,
         }];
         assert_eq!(min_initiation_interval(&p, &deps, &edges), 3);
-        let folded = fold_schedule(&p, &deps, &edges, 10).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &edges, 10, 8, 8).unwrap();
         folded.verify(&p, &deps, &edges).unwrap();
         assert_eq!(folded.ii(), 3);
     }
@@ -647,7 +634,7 @@ mod tests {
             distance: 0,
         }];
         assert_eq!(min_initiation_interval(&p, &deps, &edges), 1);
-        let err = fold_schedule(&p, &deps, &edges, 10).unwrap_err();
+        let err = fold_schedule_with_restarts(&p, &deps, &edges, 10, 8, 8).unwrap_err();
         assert_eq!(
             err,
             FoldError::ZeroDistance {
@@ -662,7 +649,7 @@ mod tests {
     fn phase_and_issue_consistency() {
         let p = chains(3);
         let deps = DependenceGraph::build(&p).unwrap();
-        let folded = fold_schedule(&p, &deps, &[], 10).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &[], 10, 8, 8).unwrap();
         for id in p.rt_ids() {
             assert_eq!(
                 folded.phase(id),
@@ -675,7 +662,7 @@ mod tests {
     fn empty_program_folds_trivially() {
         let p = Program::new();
         let deps = DependenceGraph::build(&p).unwrap();
-        let folded = fold_schedule(&p, &deps, &[], 4).unwrap();
+        let folded = fold_schedule_with_restarts(&p, &deps, &[], 4, 8, 8).unwrap();
         assert!(folded.issue_cycles().is_empty());
     }
 }

@@ -1,10 +1,16 @@
-//! Priority-based list scheduling under a cycle budget.
+//! Priority-based construction passes under a cycle budget, and the
+//! restart engine that runs them.
 //!
-//! The production scheduler: cycle by cycle, ready RTs are packed into the
-//! current instruction in priority order, most-urgent first. Thanks to the
-//! RT-modification step, "ready and pairwise compatible" is the *complete*
-//! legality condition — datapath and instruction set are both encoded in
-//! the usage maps.
+//! Three passes build a schedule from scratch. List scheduling packs
+//! ready RTs into the current instruction cycle by cycle, most urgent
+//! first; insertion scheduling places RTs one at a time into their
+//! earliest feasible cycle; backward insertion does the same on the
+//! time-mirrored graph. Thanks to the RT-modification step, "ready and
+//! pairwise compatible" is the *complete* legality condition — datapath
+//! and instruction set are both encoded in the usage maps. The passes are
+//! reached through [`crate::schedule()`]: [`crate::Scheduler::List`] runs
+//! one list pass, [`crate::Scheduler::Compacting`] the restart engine
+//! over all three.
 //!
 //! # Performance notes
 //!
@@ -15,10 +21,9 @@
 //! successor depths and the critical path come stored with the
 //! [`DependenceGraph`], the distinct-usage count with the
 //! [`ConflictMatrix`]; what depends on the budget (ALAP and sink
-//! deadlines) is derived once per run in a [`ScheduleContext`] and shared
-//! across all restarts of [`best_effort_schedule`]. Its attempts fill one
-//! reused [`SchedScratch`] with issue cycles and report a length; only the
-//! winner becomes a [`Schedule`].
+//! deadlines) is derived once per run and shared across all restarts.
+//! Attempts fill one reused scratch with issue cycles and report a
+//! length; only the winner becomes a [`Schedule`].
 
 use dspcc_ir::{Program, RtId};
 
@@ -60,28 +65,17 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// Configuration of [`list_schedule`].
+/// One construction attempt's settings.
 #[derive(Debug, Clone, Default)]
-pub struct ListConfig {
+struct ListConfig {
     /// Hard cycle budget; `None` schedules without a deadline.
-    pub budget: Option<u32>,
+    budget: Option<u32>,
     /// Priority function.
-    pub priority: Priority,
+    priority: Priority,
     /// Deterministic tie-break perturbation; 0 is unperturbed. Randomised
     /// restarts over a handful of seeds recover most of the gap between
-    /// one greedy pass and an exact schedule (see
-    /// [`best_effort_schedule`]).
-    pub jitter_seed: u64,
-}
-
-impl ListConfig {
-    /// Config with a hard budget and default priority.
-    pub fn with_budget(budget: u32) -> Self {
-        ListConfig {
-            budget: Some(budget),
-            ..ListConfig::default()
-        }
-    }
+    /// one greedy pass and an exact schedule (see [`best_effort_bounded`]).
+    jitter_seed: u64,
 }
 
 /// Priority data shared by every restart of a scheduling run: ALAP
@@ -89,7 +83,7 @@ impl ListConfig {
 /// `(deps, matrix, budget)` instead of per attempt. ASAP times and
 /// successor depths need no budget and are read from `deps` directly.
 #[derive(Debug, Clone)]
-pub struct ScheduleContext {
+struct ScheduleContext {
     alap: Vec<u32>,
     sink: Vec<u32>,
     horizon: u32,
@@ -98,7 +92,7 @@ pub struct ScheduleContext {
 impl ScheduleContext {
     /// Computes the context for scheduling the program behind `deps` and
     /// `matrix` under `budget`, from the values both stored at build.
-    pub fn build(matrix: &ConflictMatrix, deps: &DependenceGraph, budget: Option<u32>) -> Self {
+    fn build(matrix: &ConflictMatrix, deps: &DependenceGraph, budget: Option<u32>) -> Self {
         let critical = deps.critical_path() + 1;
         // Without a budget the horizon is the serial bound: every RT in
         // its own cycle after its predecessors.
@@ -127,12 +121,12 @@ type Key = (i64, i64, i64, i64);
 
 /// Reusable buffers for the scheduler inner loops. One instance serves any
 /// number of attempts (sizes are re-established per attempt); restarts in
-/// [`best_effort_schedule`] share a single scratch.
+/// [`best_effort_bounded`] share a single scratch.
 ///
 /// An attempt leaves its result here: `issue`, and for list scheduling
 /// `placed`, which fixes the order of RTs within a cycle.
 #[derive(Debug, Default)]
-pub struct SchedScratch {
+struct SchedScratch {
     /// Priority key per RT for the current attempt.
     keys: Vec<Key>,
     /// Issue cycle per RT (`None` = unplaced).
@@ -199,7 +193,7 @@ impl SchedScratch {
 
 /// Builds a schedule from issue cycles, listing each cycle's RTs in
 /// `placed` order, or by RT id when `placed` is empty.
-fn schedule_of(issue: &[Option<u32>], placed: &[usize]) -> Schedule {
+pub(crate) fn schedule_of(issue: &[Option<u32>], placed: &[usize]) -> Schedule {
     let mut schedule = Schedule::new();
     let cycle = |i: usize| issue[i].expect("every RT placed");
     if placed.is_empty() {
@@ -212,30 +206,6 @@ fn schedule_of(issue: &[Option<u32>], placed: &[usize]) -> Schedule {
         }
     }
     schedule
-}
-
-/// Runs list scheduling over several priorities and jitter seeds, keeping
-/// the shortest verified schedule. `restarts` counts jittered attempts
-/// per priority (beyond the unjittered one).
-///
-/// The conflict matrix, dependence contexts (forward and time-mirrored),
-/// and scratch buffers are built once and shared by every attempt, and
-/// the run stops the moment an attempt meets the provable length lower
-/// bound ([`crate::bounds::length_lower_bound`]) — the remaining restarts
-/// cannot beat it.
-///
-/// # Errors
-///
-/// Returns the best schedule found; [`SchedError::BudgetExceeded`] only
-/// if *no* attempt fits the budget.
-pub fn best_effort_schedule(
-    program: &Program,
-    deps: &DependenceGraph,
-    budget: Option<u32>,
-    restarts: u32,
-) -> Result<Schedule, SchedError> {
-    let matrix = ConflictMatrix::build(program);
-    best_effort_schedule_with(program, deps, &matrix, budget, restarts)
 }
 
 /// The three construction algorithms tried per `(priority, seed)` pair.
@@ -253,6 +223,17 @@ const ATTEMPT_PRIORITIES: [Priority; 4] = [
     Priority::CriticalPath,
 ];
 const ATTEMPT_ALGOS: [Algo; 3] = [Algo::Insertion, Algo::Backward, Algo::List];
+
+/// A construction pass: fills `scratch` with its placement and returns
+/// the schedule length.
+type Attempt = fn(
+    &Program,
+    &DependenceGraph,
+    &ConflictMatrix,
+    &ListConfig,
+    &ScheduleContext,
+    &mut SchedScratch,
+) -> Result<u32, SchedError>;
 
 /// Everything one restart attempt needs, built once per run.
 struct AttemptSet<'a> {
@@ -291,39 +272,19 @@ impl AttemptSet<'_> {
             priority,
             jitter_seed: seed,
         };
-        match algo {
-            Algo::Insertion => insertion_attempt(
-                self.program,
-                self.deps,
-                self.matrix,
-                &config,
-                &self.ctx,
-                scratch,
-            ),
-            Algo::Backward => backward_attempt(
-                self.program,
-                &self.reversed,
-                self.matrix,
-                &config,
-                &self.ctx_rev,
-                scratch,
-            ),
-            Algo::List => list_attempt(
-                self.program,
-                self.deps,
-                self.matrix,
-                &config,
-                &self.ctx,
-                scratch,
-            ),
-        }
+        let (attempt, deps, ctx): (Attempt, _, _) = match algo {
+            Algo::Insertion => (insertion_attempt, self.deps, &self.ctx),
+            Algo::Backward => (backward_attempt, &self.reversed, &self.ctx_rev),
+            Algo::List => (list_attempt, self.deps, &self.ctx),
+        };
+        attempt(self.program, deps, self.matrix, &config, ctx, scratch)
     }
 }
 
-/// As [`best_effort_schedule`], with a caller-provided conflict matrix
-/// (reused across the compaction pipeline).
-///
-/// The restart engine. Attempts form a fixed enumeration of
+/// The restart engine: runs list, insertion and backward insertion
+/// scheduling over several priorities and jitter seeds and keeps the
+/// shortest schedule. `restarts` counts jittered rounds per priority
+/// (beyond the unjittered one). Attempts form a fixed enumeration of
 /// `(priority, jitter seed, algorithm)` triples, grouped into **rounds**:
 /// round 0 holds the 12 unjittered attempts (4 priorities × 3
 /// algorithms), every later round holds the 3 algorithm attempts of one
@@ -345,36 +306,8 @@ impl AttemptSet<'_> {
 ///   loop lacked. While every attempt still fails a tight budget, all
 ///   rounds run — a later seed may be the first feasible one.)
 ///
-/// # Errors
-///
-/// See [`best_effort_schedule`].
-pub fn best_effort_schedule_with(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    budget: Option<u32>,
-    restarts: u32,
-) -> Result<Schedule, SchedError> {
-    // The stopping rule: computed once per run (not per single-pass entry
-    // point — the single-pass schedulers have no restart loop to stop).
-    let bound = crate::bounds::length_lower_bound(program, deps, matrix);
-    best_effort_bounded(
-        program,
-        deps,
-        matrix,
-        budget,
-        restarts,
-        bound,
-        &mut Fuel::unlimited(),
-        None,
-    )
-    .map(|(schedule, _)| schedule)
-}
-
-/// The restart engine behind [`best_effort_schedule_with`], taking the
-/// already-computed length lower bound so callers that need the bound
-/// themselves (the compaction pipeline) don't pay for it twice.
-///
+/// `bound` is the provable length lower bound
+/// ([`crate::bounds::length_lower_bound`]), computed once by the caller.
 /// `fuel` is charged one unit per attempt, at round barriers only.
 /// Round 0 (the unjittered roster) is mandatory — it charges
 /// saturating, so even a zero budget yields a best-effort schedule —
@@ -383,6 +316,11 @@ pub fn best_effort_schedule_with(
 /// ran out (`0` = the search was not truncated). `cancel` is polled at
 /// the same barriers; a raised token aborts with
 /// [`SchedError::Cancelled`] and discards the partial result.
+///
+/// # Errors
+///
+/// [`SchedError::Cancelled`], or the error of the last failed attempt
+/// when *no* attempt fits the budget.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn best_effort_bounded(
     program: &Program,
@@ -472,52 +410,17 @@ pub(crate) fn best_effort_bounded(
     }
 }
 
-/// Insertion scheduling: RTs are placed one at a time, each into the
-/// *earliest* cycle where its predecessors have delivered and no placed RT
-/// conflicts. Chains then pack like bricks — each pipeline lane slides in
-/// behind the previous one — which suits the steady-state resource
-/// saturation of DSP time-loops far better than cycle-by-cycle greediness.
+/// One insertion-scheduling attempt: RTs are placed one at a time, each
+/// into the *earliest* cycle where its predecessors have delivered and no
+/// placed RT conflicts. Chains then pack like bricks — each pipeline lane
+/// slides in behind the previous one — which suits the steady-state
+/// resource saturation of DSP time-loops far better than cycle-by-cycle
+/// greediness. RTs are visited in topological order, most urgent first
+/// among ready ones.
 ///
-/// RTs are visited in topological order, most urgent first among ready
-/// ones (`priority`/`jitter_seed` as in [`ListConfig`]).
-///
-/// # Errors
-///
-/// Returns [`SchedError::BudgetExceeded`] when an RT cannot be placed
-/// within the budget.
-pub fn insertion_schedule(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    config: &ListConfig,
-) -> Result<Schedule, SchedError> {
-    let ctx = ScheduleContext::build(matrix, deps, config.budget);
-    insertion_schedule_in(
-        program,
-        deps,
-        matrix,
-        config,
-        &ctx,
-        &mut SchedScratch::default(),
-    )
-}
-
-/// As [`insertion_schedule`], with caller-provided context and scratch
-/// (no per-attempt recomputation of ALAP and no per-attempt allocation).
-pub fn insertion_schedule_in(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    config: &ListConfig,
-    ctx: &ScheduleContext,
-    scratch: &mut SchedScratch,
-) -> Result<Schedule, SchedError> {
-    insertion_attempt(program, deps, matrix, config, ctx, scratch)?;
-    Ok(scratch.schedule())
-}
-
-/// One insertion-scheduling attempt: leaves the issue cycles in `scratch`
-/// and returns the schedule length.
+/// Leaves the issue cycles in `scratch` and returns the schedule length,
+/// or [`SchedError::BudgetExceeded`] when an RT cannot be placed within
+/// the budget.
 fn insertion_attempt(
     program: &Program,
     deps: &DependenceGraph,
@@ -615,63 +518,41 @@ fn insertion_attempt(
 }
 
 /// Deterministic per-RT hash for tie-break jitter (splitmix64).
-fn jitter(rt: usize, seed: u64) -> u64 {
+pub(crate) fn jitter(rt: usize, seed: u64) -> u64 {
     let mut z = (rt as u64).wrapping_add(seed.wrapping_mul(0x9E3779B97F4A7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
 
-/// Runs list scheduling.
+/// One unjittered list-scheduling pass ([`crate::Scheduler::List`]).
 ///
 /// # Errors
 ///
-/// Returns [`SchedError::BudgetExceeded`] if a budget is set and some RT
-/// cannot be placed within it.
-pub fn list_schedule(
-    program: &Program,
-    deps: &DependenceGraph,
-    config: &ListConfig,
-) -> Result<Schedule, SchedError> {
-    let matrix = ConflictMatrix::build(program);
-    list_schedule_with_matrix(program, deps, &matrix, config)
-}
-
-/// As [`list_schedule`], with a caller-provided conflict matrix (reused
-/// across repeated scheduling runs).
-pub fn list_schedule_with_matrix(
+/// [`SchedError::BudgetExceeded`] if a budget is set and some RT cannot
+/// be placed within it.
+pub(crate) fn list_pass(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
-    config: &ListConfig,
+    budget: Option<u32>,
+    priority: Priority,
 ) -> Result<Schedule, SchedError> {
-    let ctx = ScheduleContext::build(matrix, deps, config.budget);
-    list_schedule_in(
-        program,
-        deps,
-        matrix,
-        config,
-        &ctx,
-        &mut SchedScratch::default(),
-    )
-}
-
-/// As [`list_schedule_with_matrix`], with caller-provided context and
-/// scratch.
-pub fn list_schedule_in(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    config: &ListConfig,
-    ctx: &ScheduleContext,
-    scratch: &mut SchedScratch,
-) -> Result<Schedule, SchedError> {
-    list_attempt(program, deps, matrix, config, ctx, scratch)?;
+    let config = ListConfig {
+        budget,
+        priority,
+        jitter_seed: 0,
+    };
+    let ctx = ScheduleContext::build(matrix, deps, budget);
+    let mut scratch = SchedScratch::default();
+    list_attempt(program, deps, matrix, &config, &ctx, &mut scratch)?;
     Ok(scratch.schedule())
 }
 
-/// One list-scheduling attempt: leaves the issue cycles and the placement
-/// order in `scratch` and returns the schedule length.
+/// One list-scheduling attempt: cycle by cycle, ready RTs are packed into
+/// the current instruction in priority order, most urgent first. Leaves
+/// the issue cycles and the placement order in `scratch` and returns the
+/// schedule length.
 fn list_attempt(
     program: &Program,
     deps: &DependenceGraph,
@@ -774,51 +655,12 @@ fn list_attempt(
     Ok(t)
 }
 
-/// Backward insertion scheduling: runs [`insertion_schedule`] on the
-/// time-mirrored dependence graph and flips the result, so every RT lands
-/// at its *latest* feasible cycle. Complements forward insertion on
-/// programs whose sinks (output writes, stores) crowd the end of the
-/// time-loop.
-///
-/// # Errors
-///
-/// Returns [`SchedError::BudgetExceeded`] when the mirrored placement
-/// cannot fit the budget.
-pub fn backward_insertion_schedule(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    config: &ListConfig,
-) -> Result<Schedule, SchedError> {
-    let reversed = deps.reversed();
-    let ctx_rev = ScheduleContext::build(matrix, &reversed, config.budget);
-    backward_insertion_schedule_in(
-        program,
-        &reversed,
-        matrix,
-        config,
-        &ctx_rev,
-        &mut SchedScratch::default(),
-    )
-}
-
-/// As [`backward_insertion_schedule`], with the *reversed* dependence
-/// graph, its context, and scratch provided by the caller so the mirror is
-/// built once per run instead of once per restart.
-pub fn backward_insertion_schedule_in(
-    program: &Program,
-    reversed_deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    config: &ListConfig,
-    ctx_rev: &ScheduleContext,
-    scratch: &mut SchedScratch,
-) -> Result<Schedule, SchedError> {
-    backward_attempt(program, reversed_deps, matrix, config, ctx_rev, scratch)?;
-    Ok(scratch.schedule())
-}
-
-/// One backward insertion attempt: an insertion attempt on the mirror,
-/// its issue cycles flipped in place (`t ← L−1−t`, the length `L` kept).
+/// One backward insertion attempt: an insertion attempt on the
+/// time-mirrored dependence graph (built once per run by the caller),
+/// its issue cycles flipped in place (`t ← L−1−t`, the length `L` kept),
+/// so every RT lands at its *latest* feasible cycle. Complements forward
+/// insertion on programs whose sinks (output writes, stores) crowd the
+/// end of the time-loop.
 fn backward_attempt(
     program: &Program,
     reversed_deps: &DependenceGraph,
@@ -882,6 +724,7 @@ pub fn resource_lower_bound(program: &Program) -> u32 {
 mod tests {
     use super::*;
     use dspcc_ir::{Rt, Usage};
+    use proptest::prelude::*;
 
     /// Two independent chains const→mult→add sharing one ALU/MULT/ROM.
     fn two_chain_program() -> Program {
@@ -909,11 +752,65 @@ mod tests {
         p
     }
 
+    /// One attempt of `pass` with fresh context and scratch.
+    fn run(
+        pass: Attempt,
+        p: &Program,
+        deps: &DependenceGraph,
+        config: &ListConfig,
+    ) -> Result<Schedule, SchedError> {
+        let matrix = ConflictMatrix::build(p);
+        let ctx = ScheduleContext::build(&matrix, deps, config.budget);
+        let mut scratch = SchedScratch::default();
+        pass(p, deps, &matrix, config, &ctx, &mut scratch)?;
+        Ok(scratch.schedule())
+    }
+
     fn schedule_ok(p: &Program, config: &ListConfig) -> Schedule {
         let deps = DependenceGraph::build(p).unwrap();
-        let s = list_schedule(p, &deps, config).unwrap();
+        let s = run(list_attempt, p, &deps, config).unwrap();
         s.verify(p, &deps).unwrap();
         s
+    }
+
+    /// A random program: per RT a unit, a usage mode, an optional private
+    /// bus usage and a latency, plus value edges from lower to higher ids.
+    fn random_program(shapes: &[(usize, usize, bool, u32)], edges: &[(usize, usize)]) -> Program {
+        let mut p = Program::new();
+        let values: Vec<_> = (0..shapes.len())
+            .map(|i| p.add_value(format!("v{i}")))
+            .collect();
+        let mut edges: Vec<_> = edges
+            .iter()
+            .filter(|&&(a, b)| a < b && b < shapes.len())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        for (i, &(unit, mode, bus, latency)) in shapes.iter().enumerate() {
+            let mut rt = Rt::new(format!("rt{i}"));
+            rt.add_def(values[i]);
+            rt.set_latency(latency);
+            let unit = ["alu", "mult", "ram", "rom"][unit];
+            rt.add_usage(unit, Usage::token(["a", "b", "c"][mode]));
+            if bus {
+                rt.add_usage("bus", Usage::apply("xfer", [format!("v{i}")]));
+            }
+            for &&(a, _) in edges.iter().filter(|e| e.1 == i) {
+                rt.add_use(values[a]);
+            }
+            p.add_rt(rt);
+        }
+        p
+    }
+
+    /// Runs the restart engine with unlimited fuel.
+    fn best_effort(p: &Program, deps: &DependenceGraph, restarts: u32) -> Schedule {
+        let matrix = ConflictMatrix::build(p);
+        let bound = crate::bounds::length_lower_bound(p, deps, &matrix);
+        let mut fuel = Fuel::unlimited();
+        best_effort_bounded(p, deps, &matrix, None, restarts, bound, &mut fuel, None)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -929,7 +826,11 @@ mod tests {
     #[test]
     fn budget_met_exactly() {
         let p = two_chain_program();
-        let s = schedule_ok(&p, &ListConfig::with_budget(4));
+        let config = ListConfig {
+            budget: Some(4),
+            ..ListConfig::default()
+        };
+        let s = schedule_ok(&p, &config);
         assert!(s.length() <= 4);
     }
 
@@ -937,7 +838,11 @@ mod tests {
     fn budget_too_tight_reported() {
         let p = two_chain_program();
         let deps = DependenceGraph::build(&p).unwrap();
-        let err = list_schedule(&p, &deps, &ListConfig::with_budget(3)).unwrap_err();
+        let config = ListConfig {
+            budget: Some(3),
+            ..ListConfig::default()
+        };
+        let err = run(list_attempt, &p, &deps, &config).unwrap_err();
         match err {
             SchedError::BudgetExceeded {
                 budget: 3,
@@ -971,7 +876,7 @@ mod tests {
     fn empty_program_schedules_to_zero() {
         let p = Program::new();
         let deps = DependenceGraph::build(&p).unwrap();
-        let s = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
+        let s = run(list_attempt, &p, &deps, &ListConfig::default()).unwrap();
         assert_eq!(s.length(), 0);
     }
 
@@ -1040,27 +945,49 @@ mod tests {
         let ctx = ScheduleContext::build(&matrix, &deps, None);
         let mut scratch = SchedScratch::default();
         let config = ListConfig::default();
-        let first = list_schedule_in(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
+        list_attempt(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
+        let first = scratch.schedule();
         // Dirty the scratch with a different attempt, then repeat.
         let other = ListConfig {
             budget: None,
             priority: Priority::CriticalPath,
             jitter_seed: 3,
         };
-        let _ = insertion_schedule_in(&p, &deps, &matrix, &other, &ctx, &mut scratch);
-        let second = list_schedule_in(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
-        assert_eq!(first, second);
-        let fresh = list_schedule(&p, &deps, &config).unwrap();
+        let _ = insertion_attempt(&p, &deps, &matrix, &other, &ctx, &mut scratch);
+        list_attempt(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
+        assert_eq!(first, scratch.schedule());
+        let fresh = run(list_attempt, &p, &deps, &config).unwrap();
         assert_eq!(first, fresh);
+    }
+
+    proptest! {
+        /// Forward and backward insertion scheduling give verified
+        /// schedules no shorter than the provable lower bound.
+        #[test]
+        fn insertion_schedules_respect_the_lower_bound(
+            shapes in proptest::collection::vec((0..4usize, 0..3usize, any::<bool>(), 1u32..4), 2..=24),
+            edges in proptest::collection::vec((0..24usize, 0..24usize), 0..48),
+        ) {
+            let p = random_program(&shapes, &edges);
+            let deps = DependenceGraph::build(&p).unwrap();
+            let bound = crate::bounds::length_lower_bound(&p, &deps, &ConflictMatrix::build(&p));
+            let config = ListConfig::default();
+            let forward = run(insertion_attempt, &p, &deps, &config).unwrap();
+            let backward = run(backward_attempt, &p, &deps.reversed(), &config).unwrap();
+            for (pass, s) in [("insertion", forward), ("backward", backward)] {
+                s.verify(&p, &deps).unwrap();
+                prop_assert!(bound <= s.length(), "bound {bound} > {pass} {}", s.length());
+            }
+        }
     }
 
     #[test]
     fn best_effort_beats_or_matches_single_pass() {
         let p = two_chain_program();
         let deps = DependenceGraph::build(&p).unwrap();
-        let best = best_effort_schedule(&p, &deps, None, 2).unwrap();
+        let best = best_effort(&p, &deps, 2);
         best.verify(&p, &deps).unwrap();
-        let single = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
+        let single = run(list_attempt, &p, &deps, &ListConfig::default()).unwrap();
         assert!(best.length() <= single.length());
     }
 
@@ -1089,7 +1016,7 @@ mod tests {
         let matrix = ConflictMatrix::build(&p);
         let bound = crate::bounds::length_lower_bound(&p, &deps, &matrix);
         assert_eq!(bound, 3);
-        let best = best_effort_schedule(&p, &deps, None, 4).unwrap();
+        let best = best_effort(&p, &deps, 4);
         assert_eq!(best.length(), bound);
     }
 }

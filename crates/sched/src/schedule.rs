@@ -278,6 +278,9 @@ pub enum SchedError {
         /// The cycle budget that went unmet.
         budget: u32,
     },
+    /// [`crate::Scheduler::Exact`] was given no cycle budget: its search
+    /// decides whether a schedule fits one, so it needs one.
+    NoBudget,
 }
 
 impl fmt::Display for SchedError {
@@ -295,6 +298,7 @@ impl fmt::Display for SchedError {
                 "compute fuel exhausted after {spent} unit(s) with no schedule within \
                  {budget} cycles; raise the fuel limit or relax the budget"
             ),
+            SchedError::NoBudget => write!(f, "the exact scheduler needs a cycle budget"),
         }
     }
 }

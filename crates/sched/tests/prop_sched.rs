@@ -4,17 +4,17 @@
 //!   exceeds the length of *any* verified schedule — soundness is what
 //!   lets the restart loops stop at the bound.
 //! * The compacted production schedule stays verified on random
-//!   programs.
+//!   programs, also with separation-0 sequence edges, whose RTs may
+//!   share a cycle.
 //! * What the dependence graph and the conflict matrix store at build
 //!   equals a from-scratch derivation.
 
 use dspcc_graph::dag::Dag;
 use dspcc_ir::{Program, Rt, RtId, Usage};
 use dspcc_sched::bounds::{distinct_usage_bound, length_lower_bound};
-use dspcc_sched::compact::schedule_and_compact;
 use dspcc_sched::deps::DependenceGraph;
-use dspcc_sched::list::{insertion_schedule, list_schedule, ListConfig};
-use dspcc_sched::ConflictMatrix;
+use dspcc_sched::list::Priority;
+use dspcc_sched::{schedule, ConflictMatrix, Fuel, SchedError, Scheduled, Scheduler};
 use proptest::prelude::*;
 
 /// Per-RT shape: (unit id, usage id, carries a private bus usage, latency).
@@ -74,6 +74,16 @@ fn arb_sequenced(max_n: usize) -> impl Strategy<Value = (Program, Vec<(RtId, RtI
         (Just(p), proptest::collection::vec(edge, 0..n as usize * 2))
     })
 }
+
+/// Runs `scheduler` without a budget on unlimited fuel.
+fn run(p: &Program, deps: &DependenceGraph, scheduler: Scheduler) -> Result<Scheduled, SchedError> {
+    let (matrix, mut fuel) = (ConflictMatrix::build(p), Fuel::unlimited());
+    schedule(p, deps, &matrix, scheduler, None, &mut fuel, None)
+}
+
+const LIST: Scheduler = Scheduler::List {
+    priority: Priority::Slack,
+};
 
 /// Every edge of `deps` as `(from, to, weight)`, sorted.
 fn edges(deps: &DependenceGraph) -> Vec<(u32, u32, u32)> {
@@ -157,15 +167,14 @@ proptest! {
         let deps = DependenceGraph::build(&p).unwrap();
         let matrix = ConflictMatrix::build(&p);
         let bound = length_lower_bound(&p, &deps, &matrix);
-        let list = list_schedule(&p, &deps, &ListConfig::default()).unwrap();
-        list.verify(&p, &deps).unwrap();
-        prop_assert!(bound <= list.length(), "bound {bound} > list {}", list.length());
-        let ins = insertion_schedule(&p, &deps, &matrix, &ListConfig::default()).unwrap();
-        ins.verify(&p, &deps).unwrap();
-        prop_assert!(bound <= ins.length(), "bound {bound} > insertion {}", ins.length());
-        let best = schedule_and_compact(&p, &deps, None, 2).unwrap();
-        best.verify(&p, &deps).unwrap();
-        prop_assert!(bound <= best.length(), "bound {bound} > compacted {}", best.length());
+        let list = run(&p, &deps, LIST).unwrap();
+        list.schedule.verify(&p, &deps).unwrap();
+        prop_assert_eq!(list.bound, bound);
+        prop_assert!(bound <= list.schedule.length(), "bound {bound} > list {}", list.schedule.length());
+        let best = run(&p, &deps, Scheduler::Compacting { restarts: 2 }).unwrap();
+        best.schedule.verify(&p, &deps).unwrap();
+        prop_assert_eq!(best.bound, bound);
+        prop_assert!(bound <= best.schedule.length(), "bound {bound} > compacted {}", best.schedule.length());
     }
 
     /// The compacted production schedule stays verified on random
@@ -173,7 +182,38 @@ proptest! {
     #[test]
     fn compacted_schedules_verify(p in arb_program(20)) {
         let deps = DependenceGraph::build(&p).unwrap();
-        let s = schedule_and_compact(&p, &deps, None, 1).unwrap();
-        s.verify(&p, &deps).unwrap();
+        let s = run(&p, &deps, Scheduler::Compacting { restarts: 1 }).unwrap();
+        s.schedule.verify(&p, &deps).unwrap();
+    }
+
+    /// Every scheduler verifies its result on programs with sequence
+    /// edges of separation 0, which let a predecessor and its successor
+    /// share a cycle: the compacting one under full and starved fuel,
+    /// the list pass, and the exact one within the compacted length.
+    #[test]
+    fn schedules_verify_with_separation_zero_edges((p, seq) in arb_sequenced(17)) {
+        let deps = DependenceGraph::build_with_edges(&p, &seq).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        let compacted = run(&p, &deps, Scheduler::Compacting { restarts: 2 }).unwrap();
+        let budget = compacted.schedule.length();
+        let mut results = vec![compacted, run(&p, &deps, LIST).unwrap()];
+        for (scheduler, fuel) in [
+            (Scheduler::Compacting { restarts: 2 }, 3),
+            (Scheduler::Exact { max_nodes: 2_000 }, u64::MAX),
+            (Scheduler::Exact { max_nodes: 2_000 }, 5),
+        ] {
+            let mut fuel = Fuel::limited(fuel);
+            match schedule(&p, &deps, &matrix, scheduler, Some(budget), &mut fuel, None) {
+                Ok(s) => results.push(s),
+                // A capped exact search or a starved one may miss the
+                // budget; that is a typed outcome, not a wrong schedule.
+                Err(SchedError::BudgetExceeded { .. } | SchedError::FuelExhausted { .. }) => {}
+                Err(e) => prop_assert!(false, "{scheduler:?}: {e}"),
+            }
+        }
+        for s in &results {
+            s.schedule.verify(&p, &deps).unwrap();
+            prop_assert!(s.bound <= s.schedule.length());
+        }
     }
 }

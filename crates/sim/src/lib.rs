@@ -660,7 +660,7 @@ mod tests {
     use dspcc_num::WordFormat;
     use dspcc_rtgen::{lower, LowerOptions};
     use dspcc_sched::deps::DependenceGraph;
-    use dspcc_sched::list::{list_schedule, ListConfig};
+    use dspcc_sched::{list::Priority, schedule, ConflictMatrix, Fuel, Scheduler};
 
     /// The same small audio-style core as rtgen's tests.
     fn test_core() -> Datapath {
@@ -733,7 +733,22 @@ mod tests {
         let lowering = lower(&dfg, &dp, &LowerOptions::default()).unwrap();
         let deps =
             DependenceGraph::build_with_edges(&lowering.program, &lowering.sequence_edges).unwrap();
-        let schedule = list_schedule(&lowering.program, &deps, &ListConfig::default()).unwrap();
+        let matrix = ConflictMatrix::build(&lowering.program);
+        let list = Scheduler::List {
+            priority: Priority::Slack,
+        };
+        let mut fuel = Fuel::unlimited();
+        let schedule = schedule(
+            &lowering.program,
+            &deps,
+            &matrix,
+            list,
+            None,
+            &mut fuel,
+            None,
+        )
+        .unwrap()
+        .schedule;
         schedule.verify(&lowering.program, &deps).unwrap();
         let format = WordFormat::q15();
         let pinned = vec![lowering.fp_reg.clone()];

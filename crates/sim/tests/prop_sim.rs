@@ -10,7 +10,7 @@ use dspcc_encode::{allocate_registers, encode, FieldLayout, Microcode};
 use dspcc_num::WordFormat;
 use dspcc_rtgen::{lower, LowerOptions};
 use dspcc_sched::deps::DependenceGraph;
-use dspcc_sched::list::{list_schedule, ListConfig};
+use dspcc_sched::{list::Priority, schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc_sim::{reference::ReferenceSim, CoreSim};
 use proptest::prelude::*;
 
@@ -85,7 +85,22 @@ fn compile(src: &str) -> (Datapath, Microcode) {
     let lowering = lower(&dfg, &dp, &LowerOptions::default()).unwrap();
     let deps =
         DependenceGraph::build_with_edges(&lowering.program, &lowering.sequence_edges).unwrap();
-    let schedule = list_schedule(&lowering.program, &deps, &ListConfig::default()).unwrap();
+    let matrix = ConflictMatrix::build(&lowering.program);
+    let list = Scheduler::List {
+        priority: Priority::Slack,
+    };
+    let mut fuel = Fuel::unlimited();
+    let schedule = schedule(
+        &lowering.program,
+        &deps,
+        &matrix,
+        list,
+        None,
+        &mut fuel,
+        None,
+    )
+    .unwrap()
+    .schedule;
     let format = WordFormat::q15();
     let pinned = vec![lowering.fp_reg.clone()];
     let assignment = allocate_registers(&lowering.program, &schedule, &dp, &pinned).unwrap();

@@ -8,10 +8,20 @@
 
 use dspcc::arch::merge::MergePlan;
 use dspcc::dfg::{parse, Dfg, Interpreter};
-use dspcc::rtgen::{apply_merge_plan, lower, LowerOptions};
-use dspcc::sched::compact::schedule_and_compact;
+use dspcc::rtgen::{apply_merge_plan, lower, LowerOptions, Lowering};
 use dspcc::sched::deps::DependenceGraph;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Schedule, Scheduler};
 use dspcc::{apps, cores, Compiler};
+
+/// Schedules `lowering` with the compacting scheduler, without a budget.
+fn compacted(lowering: &Lowering) -> Result<Schedule, Box<dyn std::error::Error>> {
+    let program = &lowering.program;
+    let deps = DependenceGraph::build_with_edges(program, &lowering.sequence_edges)?;
+    let matrix = ConflictMatrix::build(program);
+    let scheduler = Scheduler::Compacting { restarts: 4 };
+    let mut fuel = Fuel::unlimited();
+    Ok(schedule(program, &deps, &matrix, scheduler, None, &mut fuel, None)?.schedule)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = apps::sum_of_products(8);
@@ -58,15 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tree = apps::add_tree(10);
     let dfg = Dfg::build(&parse(&tree)?)?;
     let unmerged = lower(&dfg, &intermediate.datapath, &LowerOptions::default())?;
-    let deps = DependenceGraph::build_with_edges(&unmerged.program, &unmerged.sequence_edges)?;
-    let fast = schedule_and_compact(&unmerged.program, &deps, None, 4)?;
+    let fast = compacted(&unmerged)?;
 
     let mut merged = lower(&dfg, &intermediate.datapath, &LowerOptions::default())?;
     let mut plan = MergePlan::new();
     plan.merge_buses(&["bus_alu_1", "bus_alu_2"], "bus_alu");
     apply_merge_plan(&mut merged, &intermediate.datapath, &plan)?;
-    let deps2 = DependenceGraph::build_with_edges(&merged.program, &merged.sequence_edges)?;
-    let slow = schedule_and_compact(&merged.program, &deps2, None, 4)?;
+    let slow = compacted(&merged)?;
 
     println!("architecture modification on the 2-ALU intermediate core (add tree):");
     println!("  dedicated buses : {:>3} cycles", fast.length());

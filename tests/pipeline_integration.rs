@@ -136,14 +136,31 @@ fn rt_generation_is_pinned_bit_for_bit() {
     assert_eq!(digest, 0x0d23_582b_3458_2ecc, "digest {digest:#018x}");
 }
 
+/// Renders a scheduling outcome: every row of the schedule in order, the
+/// bound and the degradation, or the error.
+fn render(result: &Result<dspcc::stages::ScheduleArtifact, dspcc::CompileError>) -> String {
+    let mut out = String::new();
+    match result {
+        Ok(s) => {
+            for row in s.schedule.cycles() {
+                writeln!(out, "{row:?}").unwrap();
+            }
+            writeln!(out, "bound {} {:?}", s.bound, s.degradation).unwrap();
+        }
+        Err(e) => writeln!(out, "error {e}").unwrap(),
+    }
+    out
+}
+
 /// The scheduling stage is pinned bit for bit on every (core, app,
 /// options) cell: the three hand-built cores and 8 generated ones against
 /// the audio application and four parametric kernel families, each
 /// analysed once and scheduled under the defaults, a budget ladder from
 /// the default length down to the bound, two restart counts, list
-/// scheduling under every priority, two fuel limits and (on small
-/// programs) the exact scheduler. Every row of the schedule is digested
-/// in order, so the order of RTs within a cycle is pinned too.
+/// scheduling under every priority, two fuel limits, (on small programs)
+/// the exact scheduler, and the exact scheduler under fuel 0, 5 and 50
+/// with two restart counts. Every row of the schedule is digested in
+/// order, so the order of RTs within a cycle is pinned too.
 #[test]
 fn schedules_are_pinned_bit_for_bit() {
     use dspcc::sched::list::Priority;
@@ -197,15 +214,7 @@ fn schedules_are_pinned_bit_for_bit() {
                         options.exact
                     )
                     .unwrap();
-                    match result {
-                        Ok(s) => {
-                            for row in s.schedule.cycles() {
-                                writeln!(h, "{row:?}").unwrap();
-                            }
-                            writeln!(h, "bound {} {:?}", s.bound, s.degradation).unwrap();
-                        }
-                        Err(e) => writeln!(h, "error {e}").unwrap(),
-                    }
+                    h.write_str(&render(result)).unwrap();
                 };
             let first = schedule(&defaults);
             digest_cell(&defaults, &first);
@@ -260,11 +269,33 @@ fn schedules_are_pinned_bit_for_bit() {
             for options in &variants {
                 digest_cell(options, &schedule(options));
             }
+            // The exact scheduler under fuel. A fuel-capped search spends
+            // all the remaining fuel, so the heuristic it falls back to
+            // runs only its mandatory round: the restart count must not
+            // show in the outcome.
+            for fuel in [0, 5, 50] {
+                let [few, many] = [0, 12].map(|restarts| {
+                    let options = CompileOptions {
+                        exact: true,
+                        fuel: Some(fuel),
+                        restarts,
+                        ..defaults.clone()
+                    };
+                    let result = schedule(&options);
+                    digest_cell(&options, &result);
+                    render(&result)
+                });
+                assert_eq!(
+                    few, many,
+                    "pair {} {app}: exact under fuel {fuel}",
+                    core.name
+                );
+            }
         }
     }
     let digest = h.finish();
-    assert_eq!(cells, 3286);
-    assert_eq!(digest, 0x35f2_00bc_143d_0625, "digest {digest:#018x}");
+    assert_eq!(cells, 4792);
+    assert_eq!(digest, 0x08df_77b7_5254_dd5c, "digest {digest:#018x}");
 }
 
 /// The audio instruction set and every derived one of generated seeds

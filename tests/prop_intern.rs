@@ -7,8 +7,7 @@
 
 use dspcc::encode::reference::{allocate_registers_reference, encode_reference};
 use dspcc::encode::{allocate_registers, encode, FieldLayout};
-use dspcc::sched::compact::schedule_and_compact_in;
-use dspcc::sched::ConflictMatrix;
+use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc::{cores, Compiler};
 use proptest::prelude::*;
 
@@ -76,14 +75,16 @@ proptest! {
 
         // Scheduling from either matrix is the same deterministic engine;
         // identical matrices must yield identical schedules.
-        let budget = core.controller.program_depth();
-        let (s_fast, b_fast) =
-            schedule_and_compact_in(program, &compiled.deps, &fast, Some(budget), 1).unwrap();
-        let (s_ref, b_ref) =
-            schedule_and_compact_in(program, &compiled.deps, &reference, Some(budget), 1)
-                .unwrap();
+        let budget = Some(core.controller.program_depth());
+        let run = |matrix: &ConflictMatrix| {
+            let scheduler = Scheduler::Compacting { restarts: 1 };
+            schedule(program, &compiled.deps, matrix, scheduler, budget, &mut Fuel::unlimited(), None)
+                .unwrap()
+        };
+        let (fast_run, ref_run) = (run(&fast), run(&reference));
+        let (s_fast, s_ref) = (fast_run.schedule, ref_run.schedule);
         prop_assert_eq!(&s_fast, &s_ref, "schedules diverge for:\n{}", src);
-        prop_assert_eq!(b_fast, b_ref);
+        prop_assert_eq!(fast_run.bound, ref_run.bound);
 
         // Register allocation: dense id-keyed tables vs string-keyed maps.
         let pinned = vec![compiled.lowering.fp_reg.clone()];

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Ratchet lint on panic sites in the user-input-reachable compile path.
 #
-# Counts `.unwrap()` / `panic!(` occurrences per source file in the
-# audited crates (rtgen, sched, encode, isa, sim, arch, ir, core, dfg,
-# graph, num) and fails when any file exceeds its recorded budget in
-# tools/panic_budget.txt. Tests and examples are exempt by
-# construction: only `crates/*/src` is scanned, and in-file
-# `#[cfg(test)]` modules are excluded by stripping everything from the
-# test-module marker onward (repo convention keeps unit tests in a
-# trailing `mod tests`).
+# Counts lines holding `.unwrap()`, `.expect(`, `panic!(` or
+# `unreachable!(` per source file in the audited crates (rtgen, sched,
+# encode, isa, sim, arch, ir, core, dfg, graph, num) and fails when any
+# file exceeds its recorded budget in tools/panic_budget.txt. Tests and
+# examples are exempt by construction: only `crates/*/src` is scanned,
+# and in-file `#[cfg(test)]` modules are excluded by stripping
+# everything from the test-module marker onward (repo convention keeps
+# unit tests in a trailing `mod tests`).
 #
 # Lowering a count is welcome — regenerate the budget with:
 #   tools/panic_lint.sh --regen
@@ -23,7 +23,7 @@ count_file() {
     # panic sites.
     awk '/^#\[cfg\(test\)\]$/ { exit } { print }' "$1" |
         grep -v -E '^[[:space:]]*//' |
-        grep -c -E '\.unwrap\(\)|panic!\(' || true
+        grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true
 }
 
 if [[ "${1:-}" == "--regen" ]]; then
@@ -57,9 +57,9 @@ done < <(find "${scan_dirs[@]}" -name '*.rs' | sort)
 
 if (( fail )); then
     echo >&2
-    echo "New .unwrap()/panic! in user-input-reachable code. Convert the" >&2
-    echo "site to the typed error taxonomy (see DESIGN.md), or — for a" >&2
-    echo "genuine invariant — use .expect(\"why this cannot fail\")." >&2
+    echo "New .unwrap()/.expect()/panic!/unreachable! in user-input-reachable" >&2
+    echo "code. Convert the site to the typed error taxonomy (see DESIGN.md)," >&2
+    echo "or restructure so the invariant needs no panicking call." >&2
     exit 1
 fi
 echo "panic lint: all $(find "${scan_dirs[@]}" -name '*.rs' | wc -l) files within budget"
