@@ -260,12 +260,6 @@ impl Codesign {
         self
     }
 
-    /// Adds one explicit cross-core union candidate.
-    pub fn union_pair(mut self, a: u64, b: u64) -> Self {
-        self.union_pairs.push((a, b));
-        self
-    }
-
     /// Adds a union candidate for every non-overlapping adjacent seed
     /// pair currently declared (`s0∪s1`, `s2∪s3`, …) — the cheap default
     /// way to put the cross-core move in play.

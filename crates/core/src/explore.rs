@@ -269,7 +269,7 @@ impl DesignSpace {
             };
             VariantMetrics {
                 cycles: compiled.cycles(),
-                bound: compiled.schedule_lower_bound(),
+                bound: compiled.schedule_bound,
                 occupancy,
                 cache_hits: compiled.stats.cache_hits,
             }

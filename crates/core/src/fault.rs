@@ -15,7 +15,9 @@
 //!   behaviour, with the proof stated as a *witness* (the flipped bit
 //!   decodes to the identical instruction; the corrupted ROM address is
 //!   never read; the swapped schedule is dependence- and resource-clean
-//!   and therefore a valid alternative compilation).
+//!   and therefore a valid alternative compilation). The differential
+//!   run cross-checks every witness too: a witness it refutes is unsound,
+//!   and the mutant counts as survived.
 //!
 //! A mutant that is neither — [`FaultOutcome::Survived`] — is a hole in
 //! the fleet's detection power: a class of real compiler bug the fleet
@@ -182,7 +184,6 @@ pub struct FaultAudit {
     frames: u32,
     threads: usize,
     options: CompileOptions,
-    paranoid: bool,
 }
 
 impl Default for FaultAudit {
@@ -199,7 +200,6 @@ impl Default for FaultAudit {
             frames: 12,
             threads: 0,
             options: CompileOptions::sweep_cell(),
-            paranoid: false,
         }
     }
 }
@@ -257,16 +257,6 @@ impl FaultAudit {
     /// Overrides the compile options of the audited artifacts.
     pub fn options(mut self, options: CompileOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Cross-checks every static benign witness against the
-    /// differential hunt (default off). A witness the hunt refutes is a
-    /// bug in the witness analysis itself and surfaces as
-    /// [`FaultOutcome::Survived`], so `survived().count() == 0` then
-    /// also proves the witness layer sound on this grid.
-    pub fn paranoid(mut self, paranoid: bool) -> Self {
-        self.paranoid = paranoid;
         self
     }
 
@@ -662,8 +652,8 @@ impl FaultAudit {
         )
     }
 
-    /// Wraps a static benign witness. In paranoid mode the differential
-    /// hunt still runs: a witness the hunt refutes is unsound and is
+    /// Wraps a static benign witness after cross-checking it against the
+    /// differential hunt: a witness the hunt refutes is unsound and is
     /// surfaced as [`FaultOutcome::Survived`] — a bug in the witness
     /// analysis, not in the fleet.
     fn benign(
@@ -675,17 +665,15 @@ impl FaultAudit {
         mutation: &str,
         witness: String,
     ) -> FaultOutcome {
-        if self.paranoid {
-            if let FaultOutcome::Detected { how, detail } =
-                self.hunt(compiled, mutated, seed, app, mutation)
-            {
-                return FaultOutcome::Survived {
-                    detail: format!(
-                        "witness refuted: claimed benign ({witness}) but the \
-                         differential detected it ({how}: {detail})"
-                    ),
-                };
-            }
+        if let FaultOutcome::Detected { how, detail } =
+            self.hunt(compiled, mutated, seed, app, mutation)
+        {
+            return FaultOutcome::Survived {
+                detail: format!(
+                    "witness refuted: claimed benign ({witness}) but the \
+                     differential detected it ({how}: {detail})"
+                ),
+            };
         }
         FaultOutcome::Benign { witness }
     }

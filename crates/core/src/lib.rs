@@ -21,8 +21,10 @@
 //!   revolves around;
 //! * [`CompileSession`] / [`stages`] — the pipeline as individually
 //!   invokable stages whose `Arc`-shared artifacts are memoized by
-//!   content fingerprint, so the paper's design-iteration cycle (figure
-//!   1) reuses everything a changed option does not invalidate;
+//!   content fingerprint, so the paper's design-iteration cycle
+//!   (figure 1) reuses everything a changed option does not invalidate;
+//!   the session runs every stage through one lookup (memo, then the
+//!   optional disk tier, then the stage);
 //! * [`explore`] — parallel design-space exploration: a [`DesignSpace`]
 //!   grid of cores × budgets × covers × priorities × CSE swept through
 //!   one shared session into a deterministic feasibility table;

@@ -14,11 +14,12 @@
 //! deliberately rich.
 //!
 //! The pipeline itself lives in [`crate::stages`] as explicit,
-//! individually-invokable stage functions; [`Compiler`] is a thin builder
-//! that runs them through a fresh [`crate::CompileSession`] per call. Use
-//! a long-lived session (or the [`crate::explore`] driver) when compiling
-//! many variants of the same application — stage artifacts are then
-//! reused across compiles.
+//! individually-invokable stage functions, and [`crate::CompileSession`]
+//! is their one driver. [`Compiler`] is a thin options builder whose
+//! `compile` runs a fresh session per call. Compile its
+//! [`Compiler::options`] through one long-lived session (or use the
+//! [`crate::explore`] driver) when compiling many variants of the same
+//! application — stage artifacts are then reused across compiles.
 
 use std::fmt;
 use std::sync::Arc;
@@ -218,8 +219,9 @@ impl fmt::Display for CompileStats {
 ///
 /// Non-consuming builder — set options, then call [`Compiler::compile`]
 /// repeatedly (the design-iteration loop of figure 1). Every `compile`
-/// runs through a fresh [`CompileSession`]; pass a shared session via
-/// [`Compiler::compile_in`] to reuse stage artifacts across compiles.
+/// runs through a fresh [`CompileSession`]; compile [`Compiler::options`]
+/// through one long-lived session to reuse stage artifacts across
+/// compiles.
 #[derive(Debug, Clone)]
 pub struct Compiler<'c> {
     core: &'c Core,
@@ -321,37 +323,7 @@ impl<'c> Compiler<'c> {
     /// Returns the first stage failure as [`CompileError`] — the
     /// designer-facing feasibility feedback.
     pub fn compile(&self, source: &str) -> Result<Compiled, CompileError> {
-        self.compile_in(&CompileSession::new(), source)
-    }
-
-    /// As [`Compiler::compile`], reusing `session`'s cached stage
-    /// artifacts (and contributing this compile's artifacts to it).
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiler::compile`].
-    pub fn compile_in(
-        &self,
-        session: &CompileSession,
-        source: &str,
-    ) -> Result<Compiled, CompileError> {
-        session.compile(self.core_arc(), source, &self.options)
-    }
-
-    /// As [`Compiler::compile`], from an already-built signal-flow graph.
-    ///
-    /// Runs through a fresh throwaway session like [`Compiler::compile`];
-    /// when compiling the same graph repeatedly, use
-    /// [`CompileSession::compile_dfg`] with a shared session so the stage
-    /// work past the frontend amortizes across calls (the graph content
-    /// fingerprint itself is recomputed per call — it is what the cache
-    /// is keyed on).
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiler::compile`].
-    pub fn compile_dfg(&self, dfg: &Dfg) -> Result<Compiled, CompileError> {
-        CompileSession::new().compile_dfg(self.core_arc(), &Arc::new(dfg.clone()), &self.options)
+        CompileSession::new().compile(self.core_arc(), source, &self.options)
     }
 }
 
@@ -375,7 +347,8 @@ pub struct Compiled {
     /// The schedule (one instruction per cycle).
     pub schedule: Arc<Schedule>,
     /// Provable lower bound on the schedule length
-    /// (`dspcc_sched::bounds`), computed during compilation.
+    /// (`dspcc_sched::bounds`), computed during compilation:
+    /// `cycles() == schedule_bound` proves the schedule optimal.
     pub schedule_bound: u32,
     /// Physical register assignment.
     pub assignment: Arc<RegAssignment>,
@@ -404,19 +377,12 @@ impl Compiled {
             .collect()
     }
 
-    /// The provable lower bound on the time-loop's cycle count
-    /// (`dspcc_sched::bounds`), captured at compile time:
-    /// `cycles() == schedule_lower_bound()` proves the schedule optimal.
-    pub fn schedule_lower_bound(&self) -> u32 {
-        self.schedule_bound
-    }
-
     /// The figure-9 occupation report for the audio-core resource rows,
     /// annotated with the schedule-length lower bound — the occupation
     /// percentages *suggest* quality, the bound *proves* it.
     pub fn occupation(&self, rows: &[(&str, &str)]) -> OccupationReport {
         OccupationReport::compute(&self.lowering.program, &self.schedule, rows)
-            .with_lower_bound(self.schedule_lower_bound())
+            .with_lower_bound(self.schedule_bound)
     }
 
     /// Folds the time-loop by modulo scheduling (the paper's future work):

@@ -13,6 +13,13 @@
 //! variant is nearly free. [`crate::CompileStats::cache_hits`] reports how
 //! many stages were served from cache on each compile.
 //!
+//! Every stage runs through one lookup: poll the caller's cancel token,
+//! check the memo, then, for the schedule and encode stages of a session
+//! [with a disk cache](CompileSession::with_disk_cache), the disk tier,
+//! and compute on a miss. A stage a cache served reports zero time in
+//! the stats. Deterministic stage failures are memoized like artifacts;
+//! [`CompileError::Cancelled`] and [`CompileError::CacheIo`] never are.
+//!
 //! Sessions are `Sync`: the memo sits behind a mutex that is **never held
 //! while a stage computes**, so the design-space exploration driver
 //! ([`crate::explore`]) can drive one shared session from many worker
@@ -45,10 +52,10 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use dspcc_dfg::Dfg;
 use dspcc_sched::list::Priority;
-use dspcc_sched::Scheduler;
+use dspcc_sched::{CancelToken, Scheduler};
 
 use crate::cache::{self, DiskCache, Load, TransientPolicy};
 use crate::pipeline::{CompileError, CompileStats, Compiled, Core};
@@ -164,9 +171,19 @@ impl SessionMemo {
     }
 }
 
+/// How the disk tier stores one stage's artifact: the stage's directory
+/// under the cache root and its payload codec.
+struct Persisted<'a, A> {
+    stage: &'static str,
+    encode: fn(&A) -> Vec<u8>,
+    decode: &'a dyn Fn(&[u8]) -> Result<A, String>,
+}
+
 /// A staged compilation session: memoizes stage artifacts by content
-/// fingerprint across [`CompileSession::compile`] calls. See the
-/// [module docs](self).
+/// fingerprint across [`CompileSession::compile`] calls. Every stage runs
+/// through one lookup: the memo, then, for the schedule and encode
+/// stages of a session [with a disk cache](CompileSession::with_disk_cache),
+/// the disk tier, then the stage itself.
 #[derive(Default)]
 pub struct CompileSession {
     memo: Mutex<SessionMemo>,
@@ -193,11 +210,6 @@ impl CompileSession {
         }
     }
 
-    /// The persistent cache this session is backed by, if any.
-    pub fn disk_cache(&self) -> Option<&Arc<DiskCache>> {
-        self.disk.as_ref()
-    }
-
     /// Locks the memo. A poisoned lock is recovered, not propagated: every
     /// write under it is a single `entry().or_insert_with` or a
     /// replacement of the whole memo, so a panic on another thread cannot
@@ -217,91 +229,76 @@ impl CompileSession {
         *self.memo() = SessionMemo::default();
     }
 
-    /// Looks up `key` in the stage table selected by `table`, computing
-    /// and caching on miss. The lock is released while `compute` runs.
+    /// The one stage lookup: polls `cancel`, then looks `key` up in the
+    /// memo table `table` selects and, for a `persisted` stage of a
+    /// session with a disk cache, in the disk tier; computes on a miss,
+    /// with the lock released. Returns the artifact and whether a cache
+    /// served it, which also counts into `stats`.
+    ///
+    /// Disk recovery: an entry that fails validation was quarantined by
+    /// [`DiskCache::load`], and one that passes its checksum but fails to
+    /// decode is quarantined here; both are recomputed and stored back. A
+    /// transient error recomputes under [`TransientPolicy::Recompute`]
+    /// and returns [`CompileError::CacheIo`] under
+    /// [`TransientPolicy::Fail`], so the compile service can retry with
+    /// backoff instead of stampeding recomputes onto a sick disk.
+    ///
+    /// Everything is memoized, deterministic failures included, except
+    /// `Cancelled` and `CacheIo`: a raised token and a sick disk belong
+    /// to this call, not to the stage inputs.
     fn memoize<A>(
         &self,
+        cancel: Option<&CancelToken>,
+        stats: &mut CompileStats,
         table: impl Fn(&mut SessionMemo) -> &mut Memo<A>,
         key: u64,
-        hits: &mut u32,
+        persisted: Option<Persisted<'_, A>>,
         compute: impl FnOnce() -> Result<A, CompileError>,
-    ) -> Result<Arc<A>, CompileError> {
+    ) -> Result<(Arc<A>, bool), CompileError> {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(CompileError::Cancelled);
+        }
         if let Some(cached) = table(&mut self.memo()).get(&key) {
-            *hits += 1;
-            return cached.clone();
+            stats.cache_hits += 1;
+            return cached.clone().map(|artifact| (artifact, true));
         }
-        let result = compute().map(Arc::new);
-        // Cancellation is a property of *this caller's* token, not of the
-        // stage inputs: caching it would poison the key for every later
-        // compile. Deterministic failures stay cached.
-        if !matches!(result, Err(CompileError::Cancelled)) {
-            table(&mut self.memo())
-                .entry(key)
-                .or_insert_with(|| result.clone());
-        }
-        result
-    }
-
-    /// As [`CompileSession::memoize`], with a disk tier between the memo
-    /// and the compute: a memo miss consults the persistent cache (when
-    /// configured), and a computed artifact is serialized back to it.
-    ///
-    /// Recovery ladder on the disk path: a validation failure was already
-    /// quarantined by [`DiskCache::load`]; a checksum-*passing* payload
-    /// that fails `decode` (format drift within one entry version) is
-    /// quarantined here; both fall through to recompute. A *transient*
-    /// backend error recomputes under [`TransientPolicy::Recompute`] or
-    /// surfaces as [`CompileError::CacheIo`] (never memo-cached) under
-    /// [`TransientPolicy::Fail`] so the compile service can retry with
-    /// backoff instead of stampeding recomputes onto a sick disk.
-    #[allow(clippy::too_many_arguments)]
-    fn memoize_persistent<A>(
-        &self,
-        table: impl Fn(&mut SessionMemo) -> &mut Memo<A>,
-        stage: &'static str,
-        key: u64,
-        hits: &mut u32,
-        disk_hits: &mut u32,
-        decode: impl Fn(&[u8]) -> Result<A, String>,
-        encode: impl Fn(&A) -> Vec<u8>,
-        compute: impl FnOnce() -> Result<A, CompileError>,
-    ) -> Result<Arc<A>, CompileError> {
-        if let Some(cached) = table(&mut self.memo()).get(&key) {
-            *hits += 1;
-            return cached.clone();
-        }
-        if let Some(disk) = &self.disk {
-            match disk.load(stage, key) {
-                Load::Hit(payload) => match decode(&payload) {
-                    Ok(artifact) => {
-                        let artifact = Arc::new(artifact);
-                        *hits += 1;
-                        *disk_hits += 1;
-                        table(&mut self.memo())
-                            .entry(key)
-                            .or_insert_with(|| Ok(Arc::clone(&artifact)));
-                        return Ok(artifact);
+        let disk = self.disk.as_deref().zip(persisted);
+        let loaded = match &disk {
+            None => None,
+            Some((disk, p)) => match disk.load(p.stage, key) {
+                Load::Hit(payload) => match (p.decode)(&payload) {
+                    Ok(artifact) => Some(Arc::new(artifact)),
+                    Err(reason) => {
+                        disk.quarantine(p.stage, key, &payload, &reason);
+                        None
                     }
-                    Err(reason) => disk.quarantine(stage, key, &payload, &reason),
                 },
-                Load::Miss | Load::Corrupt => {}
-                Load::Transient(e) => {
-                    if disk.policy() == TransientPolicy::Fail {
-                        return Err(CompileError::CacheIo(e));
-                    }
+                Load::Transient(e) if disk.policy() == TransientPolicy::Fail => {
+                    return Err(CompileError::CacheIo(e));
                 }
-            }
-        }
-        let result = compute().map(Arc::new);
-        if let (Some(disk), Ok(artifact)) = (&self.disk, &result) {
-            disk.store(stage, key, &encode(artifact));
-        }
-        if !matches!(result, Err(CompileError::Cancelled)) {
+                Load::Miss | Load::Corrupt | Load::Transient(_) => None,
+            },
+        };
+        let hit = loaded.is_some();
+        stats.cache_hits += u32::from(hit);
+        stats.disk_hits += u32::from(hit);
+        let result = match loaded {
+            Some(artifact) => Ok(artifact),
+            None => compute().map(Arc::new).inspect(|artifact| {
+                if let Some((disk, p)) = &disk {
+                    disk.store(p.stage, key, &(p.encode)(artifact));
+                }
+            }),
+        };
+        if !matches!(
+            result,
+            Err(CompileError::Cancelled | CompileError::CacheIo(_))
+        ) {
             table(&mut self.memo())
                 .entry(key)
                 .or_insert_with(|| result.clone());
         }
-        result
+        result.map(|artifact| (artifact, hit))
     }
 
     /// Runs the full pipeline on `source` for `core`, reusing every cached
@@ -317,12 +314,12 @@ impl CompileSession {
         source: &str,
         options: &CompileOptions,
     ) -> Result<Compiled, CompileError> {
-        self.compile_inner(core, source, options, None)
+        self.run(core, source, options, None)
     }
 
     /// As [`CompileSession::compile`], under a cooperative cancellation
-    /// token. The token is polled at every stage boundary and inside the
-    /// scheduling search (round barriers, branch-and-bound nodes); a
+    /// token. The token is polled before every stage lookup and inside
+    /// the scheduling search (round barriers, branch-and-bound nodes); a
     /// raised token aborts with [`CompileError::Cancelled`], whose result
     /// is **never cached** — the session stays healthy for later
     /// compiles of the same variant.
@@ -339,156 +336,102 @@ impl CompileSession {
         core: &Arc<Core>,
         source: &str,
         options: &CompileOptions,
-        cancel: &dspcc_sched::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<Compiled, CompileError> {
-        self.compile_inner(core, source, options, Some(cancel))
+        self.run(core, source, options, Some(cancel))
     }
 
-    fn compile_inner(
+    /// The pipeline driver: one [`CompileSession::memoize`] per stage, in
+    /// stage order. Stage timings in the stats reflect *this* compile: a
+    /// stage a cache served is charged nothing and counts into
+    /// `cache_hits` instead.
+    fn run(
         &self,
         core: &Arc<Core>,
         source: &str,
         options: &CompileOptions,
-        cancel: Option<&dspcc_sched::CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Compiled, CompileError> {
-        let mut hits = 0u32;
-        let frontend = self.memoize(
+        let charged = |hit: bool, time| if hit { Duration::ZERO } else { time };
+        let mut stats = CompileStats::default();
+        let (frontend, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.frontend,
             stages::source_fingerprint(source),
-            &mut hits,
+            None,
             || stages::run_frontend(source),
         )?;
-        let frontend_hit = hits > 0;
-        self.compile_stages(core, &frontend, options, hits, frontend_hit, cancel)
-    }
-
-    /// As [`CompileSession::compile`], from an already-built signal-flow
-    /// graph (keyed by graph content — no source text involved).
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileSession::compile`].
-    pub fn compile_dfg(
-        &self,
-        core: &Arc<Core>,
-        dfg: &Arc<Dfg>,
-        options: &CompileOptions,
-    ) -> Result<Compiled, CompileError> {
-        let frontend = Arc::new(stages::frontend_from_dfg(Arc::clone(dfg)));
-        self.compile_stages(core, &frontend, options, 0, false, None)
-    }
-
-    fn compile_stages(
-        &self,
-        core: &Arc<Core>,
-        frontend: &Arc<FrontendArtifact>,
-        options: &CompileOptions,
-        mut hits: u32,
-        frontend_hit: bool,
-        cancel: Option<&dspcc_sched::CancelToken>,
-    ) -> Result<Compiled, CompileError> {
-        // Stage-boundary cancellation check: one closure, called before
-        // each stage dispatch below.
-        let check_cancel = || match cancel {
-            Some(c) if c.is_cancelled() => Err(CompileError::Cancelled),
-            _ => Ok(()),
-        };
-        // Stage timings in the stats reflect *this* compile: a stage
-        // served from cache cost nothing here, so it reports zero and
-        // bumps `cache_hits` instead. `charged` zeroes an artifact's
-        // recorded time when the memo lookup that produced it hit.
-        use std::time::Duration;
-        let charged = |hits_before: u32, hits_after: u32, time: Duration| {
-            if hits_after > hits_before {
-                Duration::ZERO
-            } else {
-                time
-            }
-        };
+        stats.parse = charged(hit, frontend.parse_time);
+        stats.sema = charged(hit, frontend.sema_time);
         let lkey = stages::lower_key(frontend.dfg_fp, core, options);
-        let h = hits;
-        check_cancel()?;
-        let lowered = self.memoize(
+        let (lowered, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.lower,
             lkey,
-            &mut hits,
+            None,
             || stages::run_lower(&frontend.dfg, core, options),
         )?;
-        let lower_time = charged(h, hits, lowered.time);
+        stats.lower = charged(hit, lowered.time);
         let mkey = stages::modify_key(lkey, core);
-        let h = hits;
-        check_cancel()?;
-        let modified = self.memoize(
+        let (modified, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.modify,
             mkey,
-            &mut hits,
+            None,
             || Ok(stages::run_modify(&lowered, core)),
         )?;
-        let modify_time = charged(h, hits, modified.time);
+        stats.modify = charged(hit, modified.time);
         let akey = stages::analysis_key(mkey);
-        let h = hits;
-        check_cancel()?;
-        let analysis = self.memoize(
+        let (analysis, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.analysis,
             akey,
-            &mut hits,
+            None,
             || stages::run_analysis(&modified),
         )?;
-        let deps_time = charged(h, hits, analysis.deps_time);
-        let matrix_time = charged(h, hits, analysis.matrix_time);
-        let mut disk_hits = 0u32;
+        stats.deps = charged(hit, analysis.deps_time);
+        stats.matrix = charged(hit, analysis.matrix_time);
         let skey = stages::schedule_key(akey, core, options);
-        let h = hits;
-        check_cancel()?;
-        let scheduled = self.memoize_persistent(
+        let (scheduled, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.schedule,
-            "schedule",
             skey,
-            &mut hits,
-            &mut disk_hits,
-            cache::decode_schedule_artifact,
-            cache::encode_schedule_artifact,
+            Some(Persisted {
+                stage: "schedule",
+                encode: cache::encode_schedule_artifact,
+                decode: &cache::decode_schedule_artifact,
+            }),
             || stages::run_schedule(&modified, &analysis, core, options, cancel),
         )?;
-        let schedule_time = charged(h, hits, scheduled.time);
-        let rkey = stages::regalloc_key(skey);
-        let h = hits;
-        check_cancel()?;
-        let allocated = self.memoize(
+        stats.schedule = charged(hit, scheduled.time);
+        stats.degradation = scheduled.degradation;
+        let (allocated, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.regalloc,
-            rkey,
-            &mut hits,
+            stages::regalloc_key(skey),
+            None,
             || stages::run_regalloc(&modified, &scheduled, core),
         )?;
-        let regalloc_time = charged(h, hits, allocated.time);
-        let ekey = stages::encode_key(skey, core);
-        let h = hits;
-        check_cancel()?;
-        let encoded = self.memoize_persistent(
+        stats.regalloc = charged(hit, allocated.time);
+        let (encoded, hit) = self.memoize(
+            cancel,
+            &mut stats,
             |m| &mut m.encode,
-            "encode",
-            ekey,
-            &mut hits,
-            &mut disk_hits,
-            |bytes| cache::decode_encode_artifact(bytes, core),
-            cache::encode_encode_artifact,
+            stages::encode_key(skey, core),
+            Some(Persisted {
+                stage: "encode",
+                encode: cache::encode_encode_artifact,
+                decode: &|bytes| cache::decode_encode_artifact(bytes, core),
+            }),
             || stages::run_encode(&modified, &scheduled, &allocated, core),
         )?;
-        let encode_time = charged(h, hits, encoded.time);
-        let stats = CompileStats {
-            parse: charged(0, frontend_hit as u32, frontend.parse_time),
-            sema: charged(0, frontend_hit as u32, frontend.sema_time),
-            lower: lower_time,
-            modify: modify_time,
-            deps: deps_time,
-            matrix: matrix_time,
-            schedule: schedule_time,
-            regalloc: regalloc_time,
-            encode: encode_time,
-            cache_hits: hits,
-            disk_hits,
-            degradation: scheduled.degradation,
-        };
+        stats.encode = charged(hit, encoded.time);
         Ok(Compiled {
             core: Arc::clone(core),
             dfg: Arc::clone(&frontend.dfg),
@@ -516,7 +459,100 @@ impl std::fmt::Debug for CompileSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{ChaosBackend, IoFaultKind, StdFs};
     use crate::cores;
+    use std::time::Duration;
+
+    const SRC: &str = "input u; coeff k = 0.5; output y; y = add_clip(mlt(k, u), u);";
+
+    /// A private cache directory, removed when dropped.
+    struct CacheDir(std::path::PathBuf);
+
+    impl CacheDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("dspcc-session-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            CacheDir(dir)
+        }
+    }
+
+    impl Drop for CacheDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn warm_disk_cache_serves_the_persisted_stages_and_charges_the_rest() {
+        let dir = CacheDir::new("warm");
+        let cache = Arc::new(DiskCache::new(&dir.0));
+        let core = Arc::new(cores::audio_core());
+        let options = CompileOptions::default();
+        let cold = CompileSession::with_disk_cache(Arc::clone(&cache))
+            .compile(&core, SRC, &options)
+            .unwrap();
+        assert_eq!((cold.stats.cache_hits, cold.stats.disk_hits), (0, 0));
+        // A fresh session finds only the schedule and encode stages on
+        // disk: two hits, both from the disk tier, charged nothing.
+        let session = CompileSession::with_disk_cache(cache);
+        let warm = session.compile(&core, SRC, &options).unwrap();
+        let stats = warm.stats;
+        assert_eq!((stats.cache_hits, stats.disk_hits), (2, 2));
+        assert_eq!(stats.schedule, Duration::ZERO);
+        assert_eq!(stats.encode, Duration::ZERO);
+        for (stage, time) in [
+            ("parse", stats.parse),
+            ("sema", stats.sema),
+            ("lower", stats.lower),
+            ("modify", stats.modify),
+            ("deps", stats.deps),
+            ("matrix", stats.matrix),
+            ("regalloc", stats.regalloc),
+        ] {
+            assert!(
+                time > Duration::ZERO,
+                "{stage} was computed but not charged"
+            );
+        }
+        // The disk hits were memoized: a repeat is served from memory.
+        let repeat = session.compile(&core, SRC, &options).unwrap();
+        assert_eq!((repeat.stats.cache_hits, repeat.stats.disk_hits), (7, 0));
+        assert_eq!(repeat.stats.total(), Duration::ZERO);
+    }
+
+    #[test]
+    fn transient_cache_error_fails_the_compile_once_and_is_not_memoized() {
+        let dir = CacheDir::new("transient");
+        let chaos =
+            ChaosBackend::new(Arc::new(StdFs), IoFaultKind::ReadError, 1).with_read_error_budget(1);
+        let cache = DiskCache::with_backend(&dir.0, Arc::new(chaos))
+            .transient_policy(TransientPolicy::Fail);
+        let session = CompileSession::with_disk_cache(Arc::new(cache));
+        let core = Arc::new(cores::audio_core());
+        let options = CompileOptions::default();
+        let err = session.compile(&core, SRC, &options).unwrap_err();
+        assert!(matches!(err, CompileError::CacheIo(_)), "{err}");
+        // The disk has recovered; a memoized `CacheIo` would fail again.
+        let served = session.compile(&core, SRC, &options).unwrap();
+        assert_eq!(served.stats.cache_hits, 4);
+    }
+
+    #[test]
+    fn raised_token_runs_no_stage_past_the_frontend() {
+        let session = CompileSession::new();
+        let core = Arc::new(cores::audio_core());
+        let token = dspcc_sched::CancelToken::new();
+        token.cancel();
+        let err = session
+            .compile_cancellable(&core, SRC, &CompileOptions::default(), &token)
+            .unwrap_err();
+        assert!(matches!(err, CompileError::Cancelled), "{err}");
+        assert!(
+            session.cached_artifacts() <= 1,
+            "a stage past the frontend ran"
+        );
+    }
 
     #[test]
     fn poisoned_memo_lock_keeps_the_session_compiling() {

@@ -295,18 +295,6 @@ pub fn run_frontend(source: &str) -> Result<FrontendArtifact, CompileError> {
     })
 }
 
-/// Wraps an already-built graph as a frontend artifact (zero frontend
-/// cost — the caller did that work).
-pub fn frontend_from_dfg(dfg: Arc<Dfg>) -> FrontendArtifact {
-    let dfg_fp = dfg_fingerprint(&dfg);
-    FrontendArtifact {
-        dfg,
-        dfg_fp,
-        parse_time: Duration::ZERO,
-        sema_time: Duration::ZERO,
-    }
-}
-
 /// RT generation (compiler step 1).
 ///
 /// # Errors
@@ -329,7 +317,8 @@ pub fn run_lower(
 }
 
 /// RT modification (compiler step 2): imposes the core's instruction set
-/// as artificial resource conflicts.
+/// as artificial resource conflicts, under the core's classification or,
+/// when it has none, [`Classification::identify`]'s.
 ///
 /// Cores without an instruction set share the lower artifact's `Lowering`
 /// untouched; with one, the lowering is cloned once and modified (the
@@ -337,36 +326,26 @@ pub fn run_lower(
 /// strategies and instruction-set variants).
 pub fn run_modify(lowered: &LowerArtifact, core: &Core) -> ModifyArtifact {
     let t = Instant::now();
-    match (&core.classification, &core.instruction_set) {
-        (Some(c), Some(iset)) => {
-            let ars = artificial_resources(iset, c, core.cover);
-            let mut lowering = (*lowered.lowering).clone();
-            let artificial_names = apply_instruction_set(&mut lowering.program, c, &ars);
-            ModifyArtifact {
-                lowering: Arc::new(lowering),
-                classification: Some(c.clone()),
-                artificial_names,
-                time: t.elapsed(),
-            }
-        }
-        (None, Some(iset)) => {
-            let c = Classification::identify(&core.datapath);
-            let ars = artificial_resources(iset, &c, core.cover);
-            let mut lowering = (*lowered.lowering).clone();
-            let artificial_names = apply_instruction_set(&mut lowering.program, &c, &ars);
-            ModifyArtifact {
-                lowering: Arc::new(lowering),
-                classification: Some(c),
-                artificial_names,
-                time: t.elapsed(),
-            }
-        }
-        _ => ModifyArtifact {
+    let Some(iset) = &core.instruction_set else {
+        return ModifyArtifact {
             lowering: Arc::clone(&lowered.lowering),
             classification: core.classification.clone(),
             artificial_names: Vec::new(),
             time: t.elapsed(),
-        },
+        };
+    };
+    let c = core
+        .classification
+        .clone()
+        .unwrap_or_else(|| Classification::identify(&core.datapath));
+    let ars = artificial_resources(iset, &c, core.cover);
+    let mut lowering = (*lowered.lowering).clone();
+    let artificial_names = apply_instruction_set(&mut lowering.program, &c, &ars);
+    ModifyArtifact {
+        lowering: Arc::new(lowering),
+        classification: Some(c),
+        artificial_names,
+        time: t.elapsed(),
     }
 }
 

@@ -216,15 +216,6 @@ impl SymbolTable {
             .res_names
             .len()
     }
-
-    /// Number of distinct usage values interned so far.
-    pub fn usage_count(&self) -> usize {
-        self.inner
-            .read()
-            .expect("symbol table poisoned")
-            .usages
-            .len()
-    }
 }
 
 #[cfg(test)]

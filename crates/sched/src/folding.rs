@@ -16,6 +16,7 @@ use std::fmt;
 use dspcc_ir::{Program, RtId};
 
 use crate::deps::DependenceGraph;
+use crate::list::jitter;
 use crate::schedule::ConflictMatrix;
 
 /// A loop-carried dependence: `to` of iteration `i + distance` must issue
@@ -195,7 +196,7 @@ pub fn fold_schedule_with_restarts(
                 let j = if seed == 0 {
                     i as i64
                 } else {
-                    (splitmix(i as u64, seed) & 0xFF) as i64
+                    (jitter(i, seed) & 0xFF) as i64
                 };
                 if seed % 2 == 0 {
                     (alap[i] as i64, j)
@@ -257,7 +258,7 @@ fn ims_schedule(
             if seed == 0 {
                 i as i64
             } else {
-                (splitmix(i as u64, seed) & 0xFF) as i64
+                (jitter(i, seed) & 0xFF) as i64
             },
         )
     });
@@ -375,13 +376,6 @@ fn priority_topo_order(deps: &DependenceGraph, key: &dyn Fn(usize) -> (i64, i64)
         }
     }
     order
-}
-
-fn splitmix(x: u64, seed: u64) -> u64 {
-    let mut z = x.wrapping_add(seed.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Lower bound on II: resource pressure (distinct usages of the busiest

@@ -6,15 +6,14 @@
 //! demands that every mutant is either *detected* by the differential
 //! oracle or *proven benign* by a static witness. A silent survivor is
 //! a hole in the fleet and exits non-zero with a reproduction command.
-//!
-//! `--paranoid` additionally re-runs the differential on every benign
-//! verdict, so a refuted witness also fails the audit.
+//! The differential also re-runs on every benign verdict, so a refuted
+//! witness fails the audit too.
 //!
 //! ```text
 //! cargo run --release --example fault -- [--seeds N] [--start S]
 //!     [--apps fir8,biquad3,sop6,addtree8,audio]
 //!     [--kinds bitflip,romcorrupt,cycleswap,regredirect]
-//!     [--frames F] [--threads T] [--paranoid]
+//!     [--frames F] [--threads T]
 //! ```
 
 use dspcc::conform::standard_corpus;
@@ -25,7 +24,6 @@ fn main() {
     let mut start = 0u64;
     let mut frames = 12u32;
     let mut threads = 0usize;
-    let mut paranoid = false;
     let mut apps: Option<Vec<String>> = None;
     let mut kinds: Option<Vec<String>> = None;
     let mut args = std::env::args().skip(1);
@@ -39,7 +37,6 @@ fn main() {
             "--start" => start = value("--start").parse().expect("--start: integer"),
             "--frames" => frames = value("--frames").parse().expect("--frames: integer"),
             "--threads" => threads = value("--threads").parse().expect("--threads: integer"),
-            "--paranoid" => paranoid = true,
             "--apps" => {
                 apps = Some(value("--apps").split(',').map(str::to_owned).collect());
             }
@@ -53,8 +50,7 @@ fn main() {
     let mut audit = FaultAudit::new()
         .seed_range(start..start + seeds)
         .frames(frames)
-        .threads(threads)
-        .paranoid(paranoid);
+        .threads(threads);
     let corpus = standard_corpus();
     match &apps {
         None => audit = audit.standard_corpus(),
@@ -90,11 +86,10 @@ fn main() {
         for cell in &survivors {
             eprintln!(
                 "  cargo run --release --example fault -- --start {} --seeds 1 --apps {} \
-                 --kinds {} --frames {frames}{}",
+                 --kinds {} --frames {frames}",
                 cell.seed,
                 cell.app,
                 cell.kind.name(),
-                if paranoid { " --paranoid" } else { "" }
             );
         }
         std::process::exit(1);

@@ -13,6 +13,14 @@
 //! outstanding ticket before resubmitting; admitted work is never
 //! dropped.
 //!
+//! Halfway through each seed the service restarts on a fresh session over
+//! the same cache, so the second half reads back the entries the chaos
+//! backend let the first half write. `read-error` seeds surface transient
+//! errors as `CacheIo` (`TransientPolicy::Fail`) on a disk that recovers
+//! within the service's retry budget. The soak also fails when a recovery
+//! path it should drive never ran: a `read-error` seed with no retry, or
+//! a `torn-write` / `flip-byte` seed with no quarantined entry.
+//!
 //! ```text
 //! cargo run --release --example service_soak -- [--requests N]
 //!     [--chaos-start S] [--chaos-seeds K] [--workers W] [--queue Q]
@@ -29,6 +37,7 @@ use dspcc::conform::standard_corpus;
 use dspcc::{
     cores, ArtifactDivergence, ChaosBackend, CompileOptions, CompileService, CompileSession,
     Compiled, DiskCache, IoFaultKind, Rejected, ServiceConfig, ServiceOutcome, StdFs, Ticket,
+    TransientPolicy,
 };
 
 fn main() {
@@ -81,6 +90,11 @@ fn main() {
         .collect();
 
     let per_seed = requests.div_ceil(chaos_seeds.max(1) as usize);
+    let config = ServiceConfig {
+        workers,
+        queue_depth: queue,
+        ..ServiceConfig::default()
+    };
     let mut total_submitted = 0usize;
     let mut total_served = 0u64;
     let mut total_saturated = 0u64;
@@ -90,27 +104,30 @@ fn main() {
     let mut total_quarantined = 0u64;
     let mut wrong: Vec<String> = Vec::new();
     let mut failed: Vec<String> = Vec::new();
+    let mut unexercised: Vec<String> = Vec::new();
 
     for seed in chaos_start..chaos_start + chaos_seeds {
-        // Each seed gets a fresh service over a private chaos-backed
-        // cache; the fault kind cycles through the full taxonomy.
+        // Each seed gets a private chaos-backed cache; the fault kind
+        // cycles through the full taxonomy. A read-error seed surfaces
+        // transient errors as `CacheIo` and its disk recovers within the
+        // service's retry budget, so the retry path runs and serves.
         let kind = IoFaultKind::ALL[(seed % IoFaultKind::ALL.len() as u64) as usize];
-        let chaos = Arc::new(ChaosBackend::new(Arc::new(StdFs), kind, seed));
+        let mut chaos = ChaosBackend::new(Arc::new(StdFs), kind, seed);
+        let mut policy = TransientPolicy::Recompute;
+        if kind == IoFaultKind::ReadError {
+            chaos = chaos.with_read_error_budget(u64::from(config.retries));
+            policy = TransientPolicy::Fail;
+        }
+        let chaos = Arc::new(chaos);
         let dir = std::env::temp_dir().join(format!(
             "dspcc-service-soak-{}-{seed:x}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(DiskCache::with_backend(&dir, Arc::clone(&chaos) as _));
-        let session = Arc::new(CompileSession::with_disk_cache(Arc::clone(&cache)));
-        let mut service = CompileService::new(
-            session,
-            ServiceConfig {
-                workers,
-                queue_depth: queue,
-                ..ServiceConfig::default()
-            },
+        let cache = Arc::new(
+            DiskCache::with_backend(&dir, Arc::clone(&chaos) as _).transient_policy(policy),
         );
+        let mut seed_retries = 0u64;
 
         // Interleave the corpus round-robin; on saturation, drain the
         // oldest outstanding ticket and resubmit — backpressure, not
@@ -153,47 +170,66 @@ fn main() {
                 )),
             }
         };
-        for i in 0..per_seed {
-            let app = i % corpus.len();
-            loop {
-                match service.submit(&core, &corpus[app].1, options.clone()) {
-                    Ok(ticket) => {
-                        total_submitted += 1;
-                        outstanding.push_back((app, ticket));
-                        break;
-                    }
-                    Err(Rejected::Saturated { .. }) => {
-                        total_saturated += 1;
-                        if let Some(front) = outstanding.pop_front() {
-                            settle(
-                                front,
-                                &mut total_served,
-                                &mut total_retries,
-                                &mut total_disk_hits,
-                            );
+        // Each half of the seed's requests runs on a fresh service and
+        // session over the same cache: the second half is served from
+        // what the chaos backend let the first half write.
+        for half in [0..per_seed / 2, per_seed / 2..per_seed] {
+            let session = Arc::new(CompileSession::with_disk_cache(Arc::clone(&cache)));
+            let mut service = CompileService::new(session, config.clone());
+            for i in half {
+                let app = i % corpus.len();
+                loop {
+                    match service.submit(&core, &corpus[app].1, options.clone()) {
+                        Ok(ticket) => {
+                            total_submitted += 1;
+                            outstanding.push_back((app, ticket));
+                            break;
                         }
+                        Err(Rejected::Saturated { .. }) => {
+                            total_saturated += 1;
+                            if let Some(front) = outstanding.pop_front() {
+                                settle(
+                                    front,
+                                    &mut total_served,
+                                    &mut seed_retries,
+                                    &mut total_disk_hits,
+                                );
+                            }
+                        }
+                        Err(Rejected::ShutDown) => unreachable!("service not shut down"),
                     }
-                    Err(Rejected::ShutDown) => unreachable!("service not shut down"),
                 }
             }
-        }
-        for t in outstanding.drain(..) {
-            settle(
-                t,
-                &mut total_served,
-                &mut total_retries,
-                &mut total_disk_hits,
+            for t in outstanding.drain(..) {
+                settle(
+                    t,
+                    &mut total_served,
+                    &mut seed_retries,
+                    &mut total_disk_hits,
+                );
+            }
+            let stats = service.stats();
+            assert!(
+                stats.peak_queue <= queue as u64,
+                "queue bound violated: peak {} > {queue}",
+                stats.peak_queue
             );
+            service.shutdown();
         }
-        let stats = service.stats();
-        assert!(
-            stats.peak_queue <= queue as u64,
-            "queue bound violated: peak {} > {queue}",
-            stats.peak_queue
-        );
-        service.shutdown();
+        let quarantined = cache.stats().quarantined;
+        let silent = match kind {
+            IoFaultKind::ReadError if seed_retries == 0 => Some("no transient retry"),
+            IoFaultKind::TornWrite | IoFaultKind::FlipByte if quarantined == 0 => {
+                Some("no entry quarantined")
+            }
+            _ => None,
+        };
+        if let Some(what) = silent {
+            unexercised.push(format!("seed {seed:#x} kind {kind}: {what}"));
+        }
+        total_retries += seed_retries;
         total_injected += chaos.injected();
-        total_quarantined += cache.stats().quarantined;
+        total_quarantined += quarantined;
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -216,13 +252,16 @@ fn main() {
         eprintln!("\nsoak FAILED — the chaos backend never fired; the run proved nothing");
         std::process::exit(1);
     }
-    if !wrong.is_empty() || !failed.is_empty() {
+    if !wrong.is_empty() || !failed.is_empty() || !unexercised.is_empty() {
         eprintln!("\nsoak FAILED:");
         for w in &wrong {
             eprintln!("  WRONG ARTIFACT {w}");
         }
         for e in &failed {
             eprintln!("  FAILURE {e}");
+        }
+        for u in &unexercised {
+            eprintln!("  RECOVERY NOT EXERCISED {u}");
         }
         std::process::exit(1);
     }

@@ -12,7 +12,7 @@ use dspcc::apps;
 use dspcc::fault::{FaultAudit, FaultOutcome, MutationKind};
 
 /// The pinned CI block: 32 seeds × 3 corpus apps × all mutation kinds,
-/// zero silent survivors, zero refuted witnesses (paranoid mode).
+/// zero silent survivors, zero refuted witnesses.
 #[test]
 fn fixed_seed_block_has_zero_survivors() {
     let report = FaultAudit::new()
@@ -21,7 +21,6 @@ fn fixed_seed_block_has_zero_survivors() {
         .app("biquad3", apps::biquad_cascade(3))
         .app("sop6", apps::sum_of_products(6))
         .frames(12)
-        .paranoid(true)
         .run();
     assert_eq!(report.cells.len(), 32 * 3 * MutationKind::ALL.len());
     let survivors: Vec<String> = report

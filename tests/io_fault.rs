@@ -16,8 +16,9 @@
 //! or stale cache entry was served as if it were the real compile.
 //!
 //! The seed window here (0..7) is deliberately disjoint from the CI
-//! `service-smoke` chaos window (32..40, see `.github/workflows/ci.yml`)
-//! so the two layers of defense never degenerate into one.
+//! `service-smoke` chaos windows (32..40 and 40..44, see
+//! `.github/workflows/ci.yml`) so the two layers of defense never
+//! degenerate into one.
 
 use dspcc::{IoFaultAudit, IoFaultKind};
 
