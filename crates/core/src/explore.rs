@@ -56,8 +56,6 @@ pub struct DesignSpace {
     covers: Vec<Option<CoverStrategy>>,
     priorities: Vec<Priority>,
     cse: Vec<bool>,
-    restarts: u32,
-    compaction: Option<bool>,
     threads: usize,
 }
 
@@ -71,8 +69,6 @@ impl DesignSpace {
             covers: vec![None],
             priorities: vec![Priority::default()],
             cse: vec![false],
-            restarts: 1,
-            compaction: None,
             threads: 0,
         }
     }
@@ -80,12 +76,6 @@ impl DesignSpace {
     /// Adds a core to sweep.
     pub fn core(mut self, core: Core) -> Self {
         self.cores.push(Arc::new(core));
-        self
-    }
-
-    /// Adds an already-shared core to sweep (no clone).
-    pub fn core_arc(mut self, core: Arc<Core>) -> Self {
-        self.cores.push(core);
         self
     }
 
@@ -109,11 +99,11 @@ impl DesignSpace {
     /// Sets the scheduling priorities to sweep.
     ///
     /// The priority function is read **only by the plain list scheduler**:
-    /// unless [`DesignSpace::compaction`] was set explicitly, declaring
-    /// more than one priority makes [`DesignSpace::run`] use
-    /// `compaction = false` — otherwise every priority "variant" would be
-    /// the same compilation (the compacting restart engine never reads
-    /// it, and the session would serve full cache hits).
+    /// declaring more than one priority makes [`DesignSpace::run`]
+    /// schedule without justification compaction — otherwise every
+    /// priority "variant" would be the same compilation (the compacting
+    /// restart engine never reads it, and the session would serve full
+    /// cache hits).
     pub fn priorities(mut self, priorities: impl IntoIterator<Item = Priority>) -> Self {
         self.priorities = priorities.into_iter().collect();
         assert!(
@@ -128,30 +118,6 @@ impl DesignSpace {
         self.cse = cse.into_iter().collect();
         assert!(!self.cse.is_empty(), "cse dimension must be non-empty");
         self
-    }
-
-    /// Restart count for every variant's scheduling search (default 1 —
-    /// exploration favours breadth over per-variant polish).
-    pub fn restarts(mut self, n: u32) -> Self {
-        self.restarts = n;
-        self
-    }
-
-    /// Justification compaction on/off for every variant, overriding the
-    /// default ([`DesignSpace::run`] derives it: on, unless a
-    /// multi-priority sweep needs the list scheduler that actually reads
-    /// the priority — see [`DesignSpace::priorities`]). Setting `true`
-    /// together with a multi-priority sweep makes the priority dimension
-    /// inert (identical rows).
-    pub fn compaction(mut self, on: bool) -> Self {
-        self.compaction = Some(on);
-        self
-    }
-
-    /// The effective compaction setting (explicit override, or derived
-    /// from the priority dimension — order-independent).
-    fn effective_compaction(&self) -> bool {
-        self.compaction.unwrap_or(self.priorities.len() <= 1)
     }
 
     /// Worker threads: `0` (default) uses one per available core, `1`
@@ -237,8 +203,11 @@ impl DesignSpace {
             budget: variant.budget,
             priority: variant.priority,
             cse_constants: variant.cse,
-            restarts: self.restarts,
-            compaction: self.effective_compaction(),
+            // One restart: exploration favours breadth over per-variant
+            // polish. Compaction only when the priority dimension is
+            // inert (see `DesignSpace::priorities`).
+            restarts: 1,
+            compaction: self.priorities.len() <= 1,
             ..CompileOptions::default()
         };
         // Contain panics at the grid-point boundary: one poisoned design

@@ -30,16 +30,17 @@
 //! the fleet's own [`crate::conform`] stream, so every cell reproduces
 //! from `(seed, app, kind)` alone.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use dspcc_arch::{Fnv64, OpuKind, OpuSpec, SplitMix64};
-use dspcc_encode::{allocate_registers, decode, encode, DecodedInstruction, Microcode, OpuAction};
+use dspcc_arch::{Fnv64, SplitMix64};
+use dspcc_encode::{allocate_registers, decode, encode, Microcode};
 use dspcc_sched::Schedule;
+use dspcc_sim::{Action, CoreSim, Op};
 
 use crate::conform::{run_differential, Divergence};
-use crate::pipeline::{Compiled, Core};
+use crate::pipeline::Compiled;
 use crate::session::{CompileOptions, CompileSession};
 use crate::sweep;
 
@@ -164,7 +165,7 @@ pub struct FaultCell {
     pub outcome: FaultOutcome,
 }
 
-/// A seeded fault-injection audit over one core: seeds × apps ×
+/// A seeded fault-injection audit of the audio core: seeds × apps ×
 /// mutation kinds, run in parallel with per-cell panic containment.
 ///
 /// # Example
@@ -177,43 +178,29 @@ pub struct FaultCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultAudit {
-    core: Arc<Core>,
     seeds: Vec<u64>,
     apps: Vec<(String, String)>,
     kinds: Vec<MutationKind>,
     frames: u32,
     threads: usize,
-    options: CompileOptions,
 }
 
 impl Default for FaultAudit {
     fn default() -> Self {
         FaultAudit {
-            // A fixed, fully-featured core: every (seed, app) compiles,
-            // so every cell is armed and the seed axis is pure mutation/
-            // stimulus diversity (unlike the conformance fleet, where
-            // seeds generate architectures and cells may be infeasible).
-            core: Arc::new(crate::cores::audio_core()),
             seeds: Vec::new(),
             apps: Vec::new(),
             kinds: MutationKind::ALL.to_vec(),
             frames: 12,
             threads: 0,
-            options: CompileOptions::sweep_cell(),
         }
     }
 }
 
 impl FaultAudit {
-    /// An empty audit on the default (audio) core.
+    /// An empty audit.
     pub fn new() -> Self {
         FaultAudit::default()
-    }
-
-    /// Replaces the audited core.
-    pub fn core(mut self, core: Core) -> Self {
-        self.core = Arc::new(core);
-        self
     }
 
     /// Adds a contiguous seed block.
@@ -254,12 +241,6 @@ impl FaultAudit {
         self
     }
 
-    /// Overrides the compile options of the audited artifacts.
-    pub fn options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Runs the audit: every `(seed, app, kind)` cell, in deterministic
     /// (seed, app, kind) order.
     ///
@@ -269,15 +250,20 @@ impl FaultAudit {
     pub fn run(&self) -> FaultReport {
         assert!(!self.seeds.is_empty(), "audit needs at least one seed");
         assert!(!self.apps.is_empty(), "audit needs at least one app");
-        // Compile each app once (serially — the session caches by
-        // content, and the seeds all mutate the same artifact).
+        // A fixed, fully-featured core: every (seed, app) compiles, so
+        // every cell is armed and the seed axis is pure mutation/stimulus
+        // diversity (unlike the conformance fleet, where seeds generate
+        // architectures and cells may be infeasible). Each app compiles
+        // once, serially: the seeds all mutate the same artifact.
+        let core = Arc::new(crate::cores::audio_core());
         let session = CompileSession::new();
+        let options = CompileOptions::sweep_cell();
         let compiled: Vec<Result<Compiled, String>> = self
             .apps
             .iter()
             .map(|(_, source)| {
                 session
-                    .compile(&self.core, source, &self.options)
+                    .compile(&core, source, &options)
                     .map_err(|e| e.to_string())
             })
             .collect();
@@ -328,391 +314,38 @@ impl FaultAudit {
             h.write_text(kind.name());
         });
         let mut rng = SplitMix64::substream(seed, tag);
-        match kind {
-            MutationKind::BitFlip => self.inject_bitflip(compiled, seed, app, &mut rng),
-            MutationKind::RomCorrupt => self.inject_rom(compiled, seed, app, &mut rng),
-            MutationKind::CycleSwap => self.inject_cycle_swap(compiled, seed, app, &mut rng),
-            MutationKind::RegRedirect => self.inject_reg_redirect(compiled, seed, app, &mut rng),
-        }
-    }
-
-    /// Flip one bit of one instruction word. Witness: the mutated word
-    /// decodes to the identical instruction (the bit is padding the
-    /// field layout never reads).
-    fn inject_bitflip(
-        &self,
-        compiled: &Compiled,
-        seed: u64,
-        app: &str,
-        rng: &mut SplitMix64,
-    ) -> (String, FaultOutcome) {
-        let microcode = &compiled.microcode;
-        if microcode.words.is_empty() {
-            return (
-                "bitflip".to_owned(),
-                FaultOutcome::Skipped {
-                    reason: "empty microcode".to_owned(),
-                },
-            );
-        }
-        let w = (rng.next_u64() % microcode.words.len() as u64) as usize;
-        let bit = (rng.next_u64() % u64::from(microcode.layout.width())) as u32;
-        let mut mutated = (**microcode).clone();
-        let old = mutated.words[w].bits(bit, 1);
-        mutated.words[w].set_bits(bit, 1, old ^ 1);
-        let mutation = format!("flip bit {bit} of word {w}");
-        let format = microcode.word_format;
-        // Witness check: decode both words and compare their *semantic*
-        // views — the parts of the instruction the executor actually
-        // reads. A flip in padding, in an operand port past the op's
-        // read arity, or toggling a destination-less pure function unit
-        // is provably dead.
-        let original = decode(&microcode.words[w], &microcode.layout, format);
-        let flipped = decode(&mutated.words[w], &microcode.layout, format);
-        if let (Ok(a), Ok(b)) = (&original, &flipped) {
-            if semantic_view(a) == semantic_view(b) {
-                let witness = if a == b {
-                    format!(
-                        "bit {bit} of word {w} is outside every field: the mutated word \
-                         decodes to the identical instruction"
-                    )
-                } else {
-                    format!(
-                        "bit {bit} of word {w} only affects dead state: the decoded \
-                         instructions are identical after dropping destination-less \
-                         pure-OPU actions and unread operand ports"
-                    )
-                };
-                let outcome = self.benign(compiled, &mutated, seed, app, &mutation, witness);
-                return (mutation, outcome);
-            }
-        }
-        // Second witness tier: cyclic dead-store / reaching-constant
-        // analysis over the whole decoded program (the flip may corrupt
-        // a write nobody ever observes).
-        if let Some(witness) = microcode_witness(compiled, &mutated) {
-            let outcome = self.benign(compiled, &mutated, seed, app, &mutation, witness);
-            return (mutation, outcome);
-        }
-        (
-            mutation.clone(),
-            self.hunt(compiled, &mutated, seed, app, &mutation),
-        )
-    }
-
-    /// Replace one ROM constant with the maximally-distant in-range
-    /// value. Witness: the corrupted address is never read — it appears
-    /// in no decoded ROM-access immediate of the program.
-    fn inject_rom(
-        &self,
-        compiled: &Compiled,
-        seed: u64,
-        app: &str,
-        rng: &mut SplitMix64,
-    ) -> (String, FaultOutcome) {
-        let microcode = &compiled.microcode;
-        if microcode.rom_image.is_empty() {
-            return (
-                "romcorrupt".to_owned(),
-                FaultOutcome::Skipped {
-                    reason: "app has no ROM image".to_owned(),
-                },
-            );
-        }
-        let addr = (rng.next_u64() % microcode.rom_image.len() as u64) as usize;
-        let format = microcode.word_format;
-        let old = microcode.rom_image[addr];
-        // Maximally distant and always representable (and never equal to
-        // the original, since min != max for any width).
-        let new = if old == format.max_value() {
-            format.min_value()
-        } else {
-            format.max_value()
+        let injected = match kind {
+            MutationKind::BitFlip => inject_bitflip(compiled, &mut rng),
+            MutationKind::RomCorrupt => inject_rom(compiled, &mut rng),
+            MutationKind::CycleSwap => inject_cycle_swap(compiled, &mut rng),
+            MutationKind::RegRedirect => inject_reg_redirect(compiled, &mut rng),
         };
-        let mut mutated = (**microcode).clone();
-        mutated.rom_image[addr] = new;
-        let mutation = format!("ROM[{addr}]: {old} -> {new}");
-        // Witness check: the set of ROM addresses the program actually
-        // reads, collected statically from the decoded instructions.
-        let rom_opus: Vec<&str> = compiled
-            .core
-            .datapath
-            .opus()
-            .iter()
-            .filter(|o| o.kind() == OpuKind::Rom)
-            .map(|o| o.name())
-            .collect();
-        let mut read = false;
-        for word in &microcode.words {
-            if let Ok(d) = decode(word, &microcode.layout, format) {
-                for action in &d.actions {
-                    if rom_opus.contains(&action.opu.as_str()) && action.imm == Some(addr as i64) {
-                        read = true;
-                    }
-                }
+        match injected {
+            Err(reason) => (kind.name().to_owned(), FaultOutcome::Skipped { reason }),
+            Ok((mutation, Injection::Decided(outcome))) => (mutation, outcome),
+            Ok((mutation, Injection::Mutant(mutant, claim))) => {
+                let outcome = self.verdict(compiled, &mutant, claim, seed, app, &mutation);
+                (mutation, outcome)
             }
         }
-        if !read {
-            let witness = format!(
-                "ROM address {addr} appears in no decoded ROM-access immediate: \
-                 the program never reads it"
-            );
-            let outcome = self.benign(compiled, &mutated, seed, app, &mutation, witness);
-            return (mutation, outcome);
-        }
-        (
-            mutation.clone(),
-            self.hunt(compiled, &mutated, seed, app, &mutation),
-        )
     }
 
-    /// Swap two instruction rows of the schedule, then push the mutated
-    /// schedule back through register allocation and encoding. The
-    /// schedule verifier is the first oracle layer: a clean verify means
-    /// the swap produced a *valid alternative compilation* (witnessed,
-    /// then differentially confirmed); a dirty verify means the mutant
-    /// must die in re-encoding or in the differential run.
-    fn inject_cycle_swap(
+    /// The one verdict path: loads the mutant into the simulator, races
+    /// it against the golden model over the fleet's stimulus, and checks
+    /// the result against what the injector claimed. A witness the run
+    /// refutes is unsound and surfaces as [`FaultOutcome::Survived`] — a
+    /// bug in the witness analysis, not in the fleet.
+    fn verdict(
         &self,
         compiled: &Compiled,
-        seed: u64,
-        app: &str,
-        rng: &mut SplitMix64,
-    ) -> (String, FaultOutcome) {
-        let schedule = &compiled.schedule;
-        let len = schedule.length();
-        if len < 2 {
-            return (
-                "cycleswap".to_owned(),
-                FaultOutcome::Skipped {
-                    reason: format!("schedule has {len} cycle(s), nothing to swap"),
-                },
-            );
-        }
-        let c1 = (rng.next_u64() % u64::from(len)) as u32;
-        let mut c2 = (rng.next_u64() % u64::from(len - 1)) as u32;
-        if c2 >= c1 {
-            c2 += 1;
-        }
-        let mut cycles: Vec<Vec<_>> = (0..len).map(|c| schedule.instruction(c).to_vec()).collect();
-        cycles.swap(c1 as usize, c2 as usize);
-        let mutated = Schedule::from_cycles(cycles);
-        let mutation = format!("swap schedule rows {c1} and {c2}");
-        let program = &compiled.lowering.program;
-        let verified = mutated.verify(program, &compiled.deps);
-        // Re-encode under the mutated schedule (regalloc reads the
-        // schedule's live ranges, so it must rerun too).
-        let reencoded = self.reencode(compiled, &mutated);
-        match (verified, reencoded) {
-            (Err(e), Err(enc)) => (
-                mutation,
-                FaultOutcome::Detected {
-                    how: Detection::PipelineError,
-                    detail: format!("schedule verifier: {e}; re-encode also failed: {enc}"),
-                },
-            ),
-            (Err(e), Ok(m)) => {
-                // Invalid schedule that still encodes: the differential
-                // run must kill it; the verifier verdict alone is not an
-                // end-to-end detection (the fleet never runs `verify` on
-                // artifacts it merely executes).
-                match self.hunt(compiled, &m, seed, app, &mutation) {
-                    FaultOutcome::Survived { detail } => (
-                        mutation,
-                        FaultOutcome::Survived {
-                            detail: format!(
-                                "{detail}; verifier flagged it ({e}) but the \
-                                             differential run did not"
-                            ),
-                        },
-                    ),
-                    caught => (mutation, caught),
-                }
-            }
-            (Ok(()), Err(enc)) => (
-                mutation,
-                FaultOutcome::Detected {
-                    how: Detection::PipelineError,
-                    detail: format!("verify-clean swap failed to re-encode: {enc}"),
-                },
-            ),
-            (Ok(()), Ok(m)) => match self.hunt(compiled, &m, seed, app, &mutation) {
-                FaultOutcome::Survived { .. } => (
-                    mutation.clone(),
-                    FaultOutcome::Benign {
-                        witness: format!(
-                            "rows {c1} and {c2} are independent: the swapped schedule is \
-                             dependence- and resource-clean (Schedule::verify) and the \
-                             re-encoded microcode ran differentially equal"
-                        ),
-                    },
-                ),
-                FaultOutcome::Detected { how, detail } => (
-                    mutation,
-                    // A verify-clean schedule whose re-encoding diverges
-                    // would mean the verifier is too weak — surface it
-                    // as a detection with the contradiction spelled out.
-                    FaultOutcome::Detected {
-                        how,
-                        detail: format!(
-                            "verify-clean swap still diverged ({detail}) — schedule \
-                             verifier gap?"
-                        ),
-                    },
-                ),
-                other => (mutation, other),
-            },
-        }
-    }
-
-    /// Redirect one RT operand to a different register of the same file
-    /// and re-encode under the unchanged schedule. Always armed; the
-    /// redirect is benign only when the consuming unit's result feeds a
-    /// provably dead store ([`microcode_witness`]) — otherwise the
-    /// differential run must kill it.
-    fn inject_reg_redirect(
-        &self,
-        compiled: &Compiled,
-        seed: u64,
-        app: &str,
-        rng: &mut SplitMix64,
-    ) -> (String, FaultOutcome) {
-        let program = &compiled.assignment.program;
-        let dp = &compiled.core.datapath;
-        // Candidate operand slots: any operand of any RT whose register
-        // file has at least two registers.
-        let mut candidates: Vec<(dspcc_ir::RtId, usize, u32, u32)> = Vec::new();
-        for id in program.rt_ids() {
-            let rt = program.rt(id);
-            for (slot, reg) in rt.operands().iter().enumerate() {
-                let size = dp
-                    .register_files()
-                    .iter()
-                    .find(|r| r.name() == reg.rf().name())
-                    .map(|r| r.size())
-                    .unwrap_or(0);
-                if size >= 2 {
-                    candidates.push((id, slot, reg.index(), size));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return (
-                "regredirect".to_owned(),
-                FaultOutcome::Skipped {
-                    reason: "no operand reads a register file with ≥ 2 registers".to_owned(),
-                },
-            );
-        }
-        let (rt_id, slot, p, size) =
-            candidates[(rng.next_u64() % candidates.len() as u64) as usize];
-        let q = (p + 1 + (rng.next_u64() % u64::from(size - 1)) as u32) % size;
-        let mut mutated_program = program.clone();
-        let rt = mutated_program.rt_mut(rt_id);
-        let dests = rt.dests().len();
-        let target = dests + slot; // remap_registers visits dests, then operands
-        let mut visit = 0usize;
-        rt.remap_registers(|r| {
-            let mapped = if visit == target { r.with_index(q) } else { *r };
-            visit += 1;
-            mapped
-        });
-        let mutation = format!("{rt_id}: operand {slot} register {p} -> {q}");
-        // Re-encode the mutated program under the original schedule.
-        let microcode = &compiled.microcode;
-        let words = match encode(
-            &mutated_program,
-            &compiled.schedule,
-            &microcode.layout,
-            &compiled.lowering.immediates,
-            microcode.word_format,
-        ) {
-            Ok(w) => w,
-            Err(e) => {
-                return (
-                    mutation,
-                    FaultOutcome::Detected {
-                        how: Detection::PipelineError,
-                        detail: format!("encoder rejected the redirect: {e}"),
-                    },
-                )
-            }
-        };
-        let mutated = Microcode {
-            words,
-            ..(**microcode).clone()
-        };
-        if let Some(witness) = microcode_witness(compiled, &mutated) {
-            let outcome = self.benign(compiled, &mutated, seed, app, &mutation, witness);
-            return (mutation, outcome);
-        }
-        (
-            mutation.clone(),
-            self.hunt(compiled, &mutated, seed, app, &mutation),
-        )
-    }
-
-    /// Wraps a static benign witness after cross-checking it against the
-    /// differential hunt: a witness the hunt refutes is unsound and is
-    /// surfaced as [`FaultOutcome::Survived`] — a bug in the witness
-    /// analysis, not in the fleet.
-    fn benign(
-        &self,
-        compiled: &Compiled,
-        mutated: &Microcode,
-        seed: u64,
-        app: &str,
-        mutation: &str,
-        witness: String,
-    ) -> FaultOutcome {
-        if let FaultOutcome::Detected { how, detail } =
-            self.hunt(compiled, mutated, seed, app, mutation)
-        {
-            return FaultOutcome::Survived {
-                detail: format!(
-                    "witness refuted: claimed benign ({witness}) but the \
-                     differential detected it ({how}: {detail})"
-                ),
-            };
-        }
-        FaultOutcome::Benign { witness }
-    }
-
-    /// Re-runs register allocation and encoding for a mutated schedule,
-    /// mirroring the pipeline's own stage calls.
-    fn reencode(&self, compiled: &Compiled, schedule: &Schedule) -> Result<Microcode, String> {
-        let lowering = &compiled.lowering;
-        let dp = &compiled.core.datapath;
-        let pinned = vec![lowering.fp_reg.clone()];
-        let assignment = allocate_registers(&lowering.program, schedule, dp, &pinned)
-            .map_err(|e| e.to_string())?;
-        let microcode = &compiled.microcode;
-        let words = encode(
-            &assignment.program,
-            schedule,
-            &microcode.layout,
-            &lowering.immediates,
-            microcode.word_format,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(Microcode {
-            words,
-            ..(**microcode).clone()
-        })
-    }
-
-    /// The detection run: load the mutated artifact into the simulator
-    /// and race it against the golden model over the fleet's stimulus.
-    fn hunt(
-        &self,
-        compiled: &Compiled,
-        mutated: &Microcode,
+        mutant: &Microcode,
+        claim: Claim,
         seed: u64,
         app: &str,
         mutation: &str,
     ) -> FaultOutcome {
         let detected = |how, detail| FaultOutcome::Detected { how, detail };
-        match run_differential(compiled, mutated, seed, app, self.frames) {
+        let outcome = match run_differential(compiled, mutant, seed, app, self.frames) {
             Ok(()) => FaultOutcome::Survived {
                 detail: format!(
                     "{mutation}: {} frame(s) ran bit-identical to the golden model",
@@ -735,59 +368,305 @@ impl FaultAudit {
                 Detection::SimError,
                 format!("frame {frame}: execution failed: {error}"),
             ),
+        };
+        match (claim, outcome) {
+            (Claim::Witness(witness), FaultOutcome::Detected { how, detail }) => {
+                FaultOutcome::Survived {
+                    detail: format!(
+                        "witness refuted: claimed benign ({witness}) but the \
+                         differential detected it ({how}: {detail})"
+                    ),
+                }
+            }
+            (Claim::Witness(witness), _) => FaultOutcome::Benign { witness },
+            (Claim::VerifierFlagged(e), FaultOutcome::Survived { detail }) => {
+                FaultOutcome::Survived {
+                    detail: format!(
+                        "{detail}; verifier flagged it ({e}) but the differential run did not"
+                    ),
+                }
+            }
+            (Claim::VerifyClean(witness), FaultOutcome::Survived { .. }) => {
+                FaultOutcome::Benign { witness }
+            }
+            // A verify-clean schedule whose re-encoding diverges would
+            // mean the verifier is too weak — surface it as a detection
+            // with the contradiction spelled out.
+            (Claim::VerifyClean(_), FaultOutcome::Detected { how, detail }) => detected(
+                how,
+                format!("verify-clean swap still diverged ({detail}) — schedule verifier gap?"),
+            ),
+            (_, outcome) => outcome,
         }
     }
 }
 
-/// The executor-visible view of a decoded instruction, for the bit-flip
-/// benignity witness. Mirrors the simulator's execution rules exactly:
-/// a destination-less ALU/MULT/ACU activation computes a value nobody
-/// reads through a total function (no error path), and operand ports
-/// past the op's read arity are never resolved. Everything else —
-/// including destination-less RAM/ROM/input activations, whose address
-/// and FIFO side effects *are* observable — stays in the view.
-type SemanticAction = (String, String, Vec<u32>, Vec<(String, u32)>, Option<i64>);
+/// What one mutation kind produced: `Err` says why the cell could not
+/// be armed, `Ok` carries the mutation's description and the injection.
+type Injected = Result<(String, Injection), String>;
 
-fn semantic_view(d: &DecodedInstruction) -> Vec<SemanticAction> {
-    d.actions
-        .iter()
-        .filter_map(|a| {
-            let dead_pure =
-                a.dests.is_empty() && matches!(a.kind, OpuKind::Alu | OpuKind::Mult | OpuKind::Acu);
-            if dead_pure {
-                return None;
-            }
-            let arity = read_arity(a).min(a.operand_regs.len());
-            let regs = a.operand_regs.iter().take(arity).copied().collect();
-            Some((a.opu.clone(), a.op.clone(), regs, a.dests.clone(), a.imm))
+/// An armed mutation.
+enum Injection {
+    /// A pipeline re-check rejected the mutant before it could run.
+    Decided(FaultOutcome),
+    /// A mutant for [`FaultAudit::verdict`], with what the injector
+    /// claims about it.
+    Mutant(Microcode, Claim),
+}
+
+/// What the injector claims about a mutant before the differential run.
+enum Claim {
+    /// Nothing: the run must detect the mutant.
+    Live,
+    /// A static witness proves the mutant benign; the run cross-checks it.
+    Witness(String),
+    /// The schedule verifier rejected the swap (its error): the run must
+    /// still detect the mutant, because the fleet never runs `verify` on
+    /// artifacts it merely executes.
+    VerifierFlagged(String),
+    /// The schedule verifier passed the swap: a valid alternative
+    /// compilation, benign once the run confirms it.
+    VerifyClean(String),
+}
+
+impl Claim {
+    fn of(witness: Option<String>) -> Claim {
+        witness.map_or(Claim::Live, Claim::Witness)
+    }
+}
+
+/// Flip one bit of one instruction word. Witness: the mutated word runs
+/// identically (the bit is padding, an unread operand port, or a
+/// destination-less pure unit), or the whole-program analysis of
+/// [`microcode_witness`] proves the change dead.
+fn inject_bitflip(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
+    let microcode = &compiled.microcode;
+    if microcode.words.is_empty() {
+        return Err("empty microcode".to_owned());
+    }
+    let w = (rng.next_u64() % microcode.words.len() as u64) as usize;
+    let bit = (rng.next_u64() % u64::from(microcode.layout.width())) as u32;
+    let mut mutated = (**microcode).clone();
+    let old = mutated.words[w].bits(bit, 1);
+    mutated.words[w].set_bits(bit, 1, old ^ 1);
+    let witness = loaded(compiled, &mutated).and_then(|(a, b)| {
+        // A destination-less ALU/MULT/ACU action computes a value nobody
+        // reads through a total function, so it drops out of the view;
+        // destination-less RAM/ROM/input actions stay (their address and
+        // FIFO side effects are observable).
+        let live = |x: &Action| !(x.writes().is_empty() && computes(x.op()));
+        if !a.actions(w).filter(live).eq(b.actions(w).filter(live)) {
+            return microcode_witness(microcode, &a, &mutated, &b);
+        }
+        let format = microcode.word_format;
+        let decoded = |m: &Microcode| decode(&m.words[w], &m.layout, format);
+        Some(if decoded(microcode) == decoded(&mutated) {
+            format!(
+                "bit {bit} of word {w} is outside every field: the mutated word \
+                 decodes to the identical instruction"
+            )
+        } else {
+            format!(
+                "bit {bit} of word {w} only affects dead state: the decoded \
+                 instructions are identical after dropping destination-less \
+                 pure-OPU actions and unread operand ports"
+            )
         })
-        .collect()
+    });
+    let mutation = format!("flip bit {bit} of word {w}");
+    Ok((mutation, Injection::Mutant(mutated, Claim::of(witness))))
 }
 
-/// How many operand ports the executor actually resolves for this
-/// action — mirrors the simulator's per-kind execution rules.
-fn read_arity(a: &OpuAction) -> usize {
-    match a.kind {
-        OpuKind::Input | OpuKind::ProgConst | OpuKind::Rom => 0,
-        OpuKind::Output => 1,
-        OpuKind::Acu | OpuKind::Mult => 2,
-        OpuKind::Ram => {
-            if a.op == "write" {
-                2
-            } else {
-                1
-            }
-        }
-        OpuKind::Alu => {
-            if a.op == "pass" || a.op == "pass_clip" {
-                1
-            } else {
-                2
-            }
-        }
-        _ => a.operand_regs.len(),
+/// Replace one ROM constant with the maximally-distant in-range value.
+/// Witness: the corrupted address is never read — it is the immediate of
+/// no ROM read of the program.
+fn inject_rom(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
+    let microcode = &compiled.microcode;
+    if microcode.rom_image.is_empty() {
+        return Err("app has no ROM image".to_owned());
     }
+    let addr = (rng.next_u64() % microcode.rom_image.len() as u64) as usize;
+    let format = microcode.word_format;
+    let old = microcode.rom_image[addr];
+    // Maximally distant and always representable (and never equal to
+    // the original, since min != max for any width).
+    let new = if old == format.max_value() {
+        format.min_value()
+    } else {
+        format.max_value()
+    };
+    let mut mutated = (**microcode).clone();
+    mutated.rom_image[addr] = new;
+    let read = compiled.simulator().map_or(true, |sim| {
+        (0..sim.words()).any(|w| {
+            sim.actions(w)
+                .any(|a| a.op() == Op::RomConst && a.imm() == addr as i64)
+        })
+    });
+    let witness = (!read).then(|| {
+        format!(
+            "ROM address {addr} appears in no decoded ROM-access immediate: \
+             the program never reads it"
+        )
+    });
+    let mutation = format!("ROM[{addr}]: {old} -> {new}");
+    Ok((mutation, Injection::Mutant(mutated, Claim::of(witness))))
 }
+
+/// Swap two instruction rows of the schedule, then push the mutated
+/// schedule back through register allocation and encoding. The schedule
+/// verifier is the first oracle layer: a clean verify means the swap
+/// produced a *valid alternative compilation* (differentially
+/// confirmed); a dirty verify means the mutant must die in re-encoding
+/// or in the differential run.
+fn inject_cycle_swap(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
+    let schedule = &compiled.schedule;
+    let len = schedule.length();
+    if len < 2 {
+        return Err(format!("schedule has {len} cycle(s), nothing to swap"));
+    }
+    let c1 = (rng.next_u64() % u64::from(len)) as u32;
+    let mut c2 = (rng.next_u64() % u64::from(len - 1)) as u32;
+    if c2 >= c1 {
+        c2 += 1;
+    }
+    let mut cycles: Vec<Vec<_>> = (0..len).map(|c| schedule.instruction(c).to_vec()).collect();
+    cycles.swap(c1 as usize, c2 as usize);
+    let mutated = Schedule::from_cycles(cycles);
+    let mutation = format!("swap schedule rows {c1} and {c2}");
+    let verified = mutated.verify(&compiled.lowering.program, &compiled.deps);
+    // Re-encode under the mutated schedule (regalloc reads the
+    // schedule's live ranges, so it must rerun too).
+    let injection = match (verified, reencode(compiled, &mutated)) {
+        (Err(e), Err(enc)) => Injection::Decided(FaultOutcome::Detected {
+            how: Detection::PipelineError,
+            detail: format!("schedule verifier: {e}; re-encode also failed: {enc}"),
+        }),
+        (Ok(()), Err(enc)) => Injection::Decided(FaultOutcome::Detected {
+            how: Detection::PipelineError,
+            detail: format!("verify-clean swap failed to re-encode: {enc}"),
+        }),
+        (Err(e), Ok(m)) => Injection::Mutant(m, Claim::VerifierFlagged(e.to_string())),
+        (Ok(()), Ok(m)) => Injection::Mutant(
+            m,
+            Claim::VerifyClean(format!(
+                "rows {c1} and {c2} are independent: the swapped schedule is \
+                 dependence- and resource-clean (Schedule::verify) and the \
+                 re-encoded microcode ran differentially equal"
+            )),
+        ),
+    };
+    Ok((mutation, injection))
+}
+
+/// Redirect one RT operand to a different register of the same file and
+/// re-encode under the unchanged schedule. Always armed; the redirect is
+/// benign only when [`microcode_witness`] proves it — otherwise the
+/// differential run must kill it.
+fn inject_reg_redirect(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
+    let program = &compiled.assignment.program;
+    let dp = &compiled.core.datapath;
+    // Candidate operand slots: any operand of any RT whose register
+    // file has at least two registers.
+    let mut candidates: Vec<(dspcc_ir::RtId, usize, u32, u32)> = Vec::new();
+    for id in program.rt_ids() {
+        let rt = program.rt(id);
+        for (slot, reg) in rt.operands().iter().enumerate() {
+            let size = dp
+                .register_files()
+                .iter()
+                .find(|r| r.name() == reg.rf().name())
+                .map(|r| r.size())
+                .unwrap_or(0);
+            if size >= 2 {
+                candidates.push((id, slot, reg.index(), size));
+            }
+        }
+    }
+    if candidates.is_empty() {
+        return Err("no operand reads a register file with ≥ 2 registers".to_owned());
+    }
+    let (rt_id, slot, p, size) = candidates[(rng.next_u64() % candidates.len() as u64) as usize];
+    let q = (p + 1 + (rng.next_u64() % u64::from(size - 1)) as u32) % size;
+    let mut mutated_program = program.clone();
+    let rt = mutated_program.rt_mut(rt_id);
+    let target = rt.dests().len() + slot; // remap_registers visits dests, then operands
+    let mut visit = 0usize;
+    rt.remap_registers(|r| {
+        let mapped = if visit == target { r.with_index(q) } else { *r };
+        visit += 1;
+        mapped
+    });
+    let mutation = format!("{rt_id}: operand {slot} register {p} -> {q}");
+    // Re-encode the mutated program under the original schedule.
+    let microcode = &compiled.microcode;
+    let words = match encode(
+        &mutated_program,
+        &compiled.schedule,
+        &microcode.layout,
+        &compiled.lowering.immediates,
+        microcode.word_format,
+    ) {
+        Ok(w) => w,
+        Err(e) => {
+            let outcome = FaultOutcome::Detected {
+                how: Detection::PipelineError,
+                detail: format!("encoder rejected the redirect: {e}"),
+            };
+            return Ok((mutation, Injection::Decided(outcome)));
+        }
+    };
+    let mutated = Microcode {
+        words,
+        ..(**microcode).clone()
+    };
+    let witness = loaded(compiled, &mutated)
+        .and_then(|(a, b)| microcode_witness(microcode, &a, &mutated, &b));
+    Ok((mutation, Injection::Mutant(mutated, Claim::of(witness))))
+}
+
+/// Re-runs register allocation and encoding for a mutated schedule,
+/// mirroring the pipeline's own stage calls.
+fn reencode(compiled: &Compiled, schedule: &Schedule) -> Result<Microcode, String> {
+    let lowering = &compiled.lowering;
+    let dp = &compiled.core.datapath;
+    let pinned = vec![lowering.fp_reg.clone()];
+    let assignment =
+        allocate_registers(&lowering.program, schedule, dp, &pinned).map_err(|e| e.to_string())?;
+    let microcode = &compiled.microcode;
+    let words = encode(
+        &assignment.program,
+        schedule,
+        &microcode.layout,
+        &lowering.immediates,
+        microcode.word_format,
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(Microcode {
+        words,
+        ..(**microcode).clone()
+    })
+}
+
+/// The original and the mutant loaded into the simulator, whose decoded
+/// programs every witness reads; `None` when the mutant does not load
+/// (the differential run then detects it).
+fn loaded(compiled: &Compiled, mutated: &Microcode) -> Option<(CoreSim, CoreSim)> {
+    let mutant = CoreSim::new(&compiled.core.datapath, mutated).ok()?;
+    Some((compiled.simulator().ok()?, mutant))
+}
+
+/// ALU, MULT and ACU operations: total functions of the operands they
+/// read, with no side effect and no error path.
+fn computes(op: Op) -> bool {
+    matches!(
+        op,
+        Op::AcuAddMod | Op::Mult | Op::Add | Op::AddClip | Op::Sub | Op::Pass | Op::PassClip
+    )
+}
+
+/// A decoded program: the simulator's actions, word by word.
+type Program<'a> = [Vec<Action<'a>>];
 
 /// One statically-known register write: its landing position on the
 /// cyclic steady-state timeline (issue cycle + writeback latency, mod
@@ -800,51 +679,43 @@ struct StaticWrite {
 }
 
 /// Register traffic of a decoded program on the executor's timeline:
-/// which cycles read each `(rf, register)` and where each write to it
+/// which cycles read each flat register and where each write to it
 /// lands. The executor pops pending writebacks due at cycle `c` before
 /// executing cycle `c`, so a read at cycle `c` observes every write
 /// with landing position ≤ `c`.
 struct StaticTraffic {
-    reads: BTreeMap<(String, u32), Vec<u32>>,
-    writes: BTreeMap<(String, u32), Vec<StaticWrite>>,
+    reads: BTreeMap<u32, Vec<u32>>,
+    writes: BTreeMap<u32, Vec<StaticWrite>>,
 }
 
 /// Builds the traffic table, or `None` when the static story breaks
-/// down: an unknown OPU, an out-of-range ROM access (a runtime fault,
-/// not a silent write), or two writes to one register landing on the
-/// same cycle (overwrite order too subtle to reason about statically).
-/// Callers fall back to the differential hunt.
-fn static_traffic(
-    core: &Core,
-    mc: &Microcode,
-    decoded: &[DecodedInstruction],
-) -> Option<StaticTraffic> {
-    let dp = &core.datapath;
-    let n = u32::try_from(decoded.len()).ok()?;
+/// down: an action that faults when executed (an unsupported unit or an
+/// out-of-range ROM access — a runtime fault, not a silent write), or
+/// two writes to one register landing on the same cycle (overwrite order
+/// too subtle to reason about statically). Callers fall back to the
+/// differential hunt.
+fn static_traffic(dec: &Program) -> Option<StaticTraffic> {
+    let n = u32::try_from(dec.len()).ok()?;
     if n == 0 {
         return None;
     }
-    let mut reads: BTreeMap<(String, u32), Vec<u32>> = BTreeMap::new();
-    let mut writes: BTreeMap<(String, u32), Vec<StaticWrite>> = BTreeMap::new();
-    for (t, d) in decoded.iter().enumerate() {
-        let t = t as u32;
-        for a in &d.actions {
-            let opu = dp.opus().iter().find(|o| o.name() == a.opu)?;
-            let arity = read_arity(a).min(a.operand_regs.len());
-            for (port, &reg) in a.operand_regs.iter().take(arity).enumerate() {
-                let rf = opu.inputs().get(port)?.clone();
-                reads.entry((rf, reg)).or_default().push(t);
+    let mut reads: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    let mut writes: BTreeMap<u32, Vec<StaticWrite>> = BTreeMap::new();
+    for (t, word) in (0..n).zip(dec) {
+        for a in word {
+            if a.op() == Op::Unsupported || (a.op() == Op::RomConst && a.constant().is_none()) {
+                return None;
             }
-            let value = written_value(opu, a, mc)?;
-            let lat = opu.latency_of(&a.op).unwrap_or(1).max(1);
-            for (rf, reg) in &a.dests {
+            for &reg in a.reads() {
+                reads.entry(reg).or_default().push(t);
+            }
+            for &reg in a.writes() {
+                let land = (t + a.latency()) % n;
+                let value = a.constant();
                 writes
-                    .entry((rf.clone(), *reg))
+                    .entry(reg)
                     .or_default()
-                    .push(StaticWrite {
-                        land: (t + lat) % n,
-                        value,
-                    });
+                    .push(StaticWrite { land, value });
             }
         }
     }
@@ -857,24 +728,6 @@ fn static_traffic(
     Some(StaticTraffic { reads, writes })
 }
 
-/// The compile-time-known value an action writes: `Some(Some(v))` for
-/// constants, `Some(None)` for dynamic values, `None` when the action
-/// could fault at runtime (out-of-range ROM access) — which voids the
-/// whole static analysis.
-fn written_value(opu: &OpuSpec, a: &OpuAction, mc: &Microcode) -> Option<Option<i64>> {
-    match a.kind {
-        OpuKind::ProgConst => Some(Some(a.imm?)),
-        OpuKind::Rom => {
-            let addr = a.imm?;
-            if addr < 0 || addr >= i64::from(opu.memory_size()) {
-                return None;
-            }
-            Some(Some(mc.rom_image.get(addr as usize).copied().unwrap_or(0)))
-        }
-        _ => Some(None),
-    }
-}
-
 /// `r ∈ [start, end)` on the cyclic timeline (`start != end`).
 fn in_cyclic_interval(r: u32, start: u32, end: u32) -> bool {
     if start < end {
@@ -884,6 +737,16 @@ fn in_cyclic_interval(r: u32, start: u32, end: u32) -> bool {
     }
 }
 
+/// The landing of the next write after `land` on the cyclic timeline,
+/// `None` when `land` is the register's only write.
+fn next_landing(timeline: &[StaticWrite], land: u32, n: u32) -> Option<u32> {
+    timeline
+        .iter()
+        .map(|w| w.land)
+        .filter(|&l| l != land)
+        .min_by_key(|&l| (l + n - land) % n)
+}
+
 /// Whether the write landing at `land` is dead: no read of the register
 /// falls between its landing and the landing of the next write to the
 /// same register (cyclically — a write at the end of the frame is live
@@ -891,12 +754,7 @@ fn in_cyclic_interval(r: u32, start: u32, end: u32) -> bool {
 /// at `land` itself; a register with a single write holds its value for
 /// the whole loop, so any read at all makes it live.
 fn write_is_dead(reads: &[u32], timeline: &[StaticWrite], land: u32, n: u32) -> bool {
-    let next = timeline
-        .iter()
-        .map(|w| w.land)
-        .filter(|&l| l != land)
-        .min_by_key(|&l| (l + n - land) % n);
-    match next {
+    match next_landing(timeline, land, n) {
         Some(next) => !reads.iter().any(|&r| in_cyclic_interval(r, land, next)),
         None => reads.is_empty(),
     }
@@ -912,13 +770,13 @@ enum WriteImpact {
     Added { value: Option<i64> },
 }
 
-/// The value a read of `key` at cycle `r` observes, when statically
+/// The value a read of `reg` at cycle `r` observes, when statically
 /// known: `(first frame, steady state)`. Registers start at zero; the
 /// observed write is the most recent landing ≤ `r`, wrapping to the
 /// frame's last landing in steady state. `None` when the reaching
 /// write's value is dynamic.
-fn read_value(traffic: &StaticTraffic, key: &(String, u32), r: u32) -> Option<(i64, i64)> {
-    let Some(timeline) = traffic.writes.get(key) else {
+fn read_value(traffic: &StaticTraffic, reg: u32, r: u32) -> Option<(i64, i64)> {
+    let Some(timeline) = traffic.writes.get(&reg) else {
         return Some((0, 0)); // never written: holds its initial zero
     };
     let before = timeline.iter().rev().find(|w| w.land <= r);
@@ -945,63 +803,39 @@ fn read_value(traffic: &StaticTraffic, key: &(String, u32), r: u32) -> Option<(i
 /// destinations). Returns the number of sites the delta was absorbed
 /// at, or `None` if any read escapes the ACU.
 fn congruence_absorbed(
-    core: &Core,
-    dec_a: &[DecodedInstruction],
-    dec_b: &[DecodedInstruction],
+    dec_a: &Program,
+    dec_b: &Program,
     traffic_a: &StaticTraffic,
     n: u32,
-    start: ((String, u32), u32),
+    start: (u32, u32),
 ) -> Option<usize> {
-    let dp = &core.datapath;
-    let mut seen: std::collections::BTreeSet<((String, u32), u32)> =
-        std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     let mut work = vec![start];
     let mut absorbed = 0usize;
-    while let Some((key, land)) = work.pop() {
-        if !seen.insert((key.clone(), land)) {
+    while let Some((reg, land)) = work.pop() {
+        if !seen.insert((reg, land)) {
             continue;
         }
-        let timeline = traffic_a.writes.get(&key)?;
-        let next = timeline
-            .iter()
-            .map(|w| w.land)
-            .filter(|&l| l != land)
-            .min_by_key(|&l| (l + n - land) % n);
+        let next = next_landing(traffic_a.writes.get(&reg)?, land, n);
         for t in 0..n {
-            let live = match next {
-                Some(end) => in_cyclic_interval(t, land, end),
-                None => true,
-            };
-            if !live {
+            if next.is_some_and(|end| !in_cyclic_interval(t, land, end)) {
                 continue;
             }
             // Readers must agree between the variants (the mutation may
             // touch only the write we started from), and every reader
             // of the tainted interval must be an ACU port.
             for (da, db) in [(dec_a, dec_b), (dec_b, dec_a)] {
-                for a in &da[t as usize].actions {
-                    let opu = dp.opus().iter().find(|o| o.name() == a.opu)?;
-                    let arity = read_arity(a).min(a.operand_regs.len());
-                    for (port, &reg) in a.operand_regs.iter().take(arity).enumerate() {
-                        let rf = opu.inputs().get(port)?;
-                        if rf != &key.0 || reg != key.1 {
-                            continue;
-                        }
-                        if !db[t as usize].actions.contains(a) {
-                            return None;
-                        }
-                        if a.kind != OpuKind::Acu {
+                for a in &da[t as usize] {
+                    for (port, _) in a.reads().iter().enumerate().filter(|&(_, &r)| r == reg) {
+                        if !db[t as usize].contains(a) || a.op() != Op::AcuAddMod {
                             return None;
                         }
                         match port {
                             0 => absorbed += 1,
-                            1 => {
-                                let lat = opu.latency_of(&a.op).unwrap_or(1).max(1);
-                                for (rf2, reg2) in &a.dests {
-                                    work.push(((rf2.clone(), *reg2), (t + lat) % n));
-                                }
+                            _ => {
+                                let land = (t + a.latency()) % n;
+                                work.extend(a.writes().iter().map(|&w| (w, land)));
                             }
-                            _ => return None,
                         }
                     }
                 }
@@ -1018,34 +852,25 @@ fn congruence_absorbed(
 /// (so it always holds the initial zero, which addresses a non-empty
 /// memory in range) and it drives no register write-back.
 fn ram_write_unobservable(
-    core: &Core,
-    dec_a: &[DecodedInstruction],
-    dec_b: &[DecodedInstruction],
+    dec_a: &Program,
+    dec_b: &Program,
     traffic_b: &StaticTraffic,
     added: bool,
-    x: &OpuAction,
+    x: &Action,
 ) -> bool {
-    let reads_ram = |dec: &[DecodedInstruction]| {
+    let reads_ram = |dec: &Program| {
         dec.iter()
-            .flat_map(|d| d.actions.iter())
-            .any(|a| a.opu == x.opu && a.op == "read")
+            .flatten()
+            .any(|a| a.opu() == x.opu() && a.op() == Op::RamRead)
     };
-    if reads_ram(dec_a) || reads_ram(dec_b) || !x.dests.is_empty() {
+    if reads_ram(dec_a) || reads_ram(dec_b) || !x.writes().is_empty() {
         return false;
     }
-    if added {
-        let Some(opu) = core.datapath.opus().iter().find(|o| o.name() == x.opu) else {
-            return false;
-        };
-        let Some(rf) = opu.inputs().first() else {
-            return false;
-        };
-        let addr_key = (rf.clone(), *x.operand_regs.first().unwrap_or(&0));
-        if opu.memory_size() == 0 || traffic_b.writes.contains_key(&addr_key) {
-            return false;
-        }
-    }
-    true
+    !added
+        || (x.memory_size() > 0
+            && x.reads()
+                .first()
+                .is_some_and(|addr| !traffic_b.writes.contains_key(addr)))
 }
 
 /// Bounded symbolic back-substitution over the cyclic program: proves
@@ -1064,8 +889,8 @@ fn ram_write_unobservable(
 ///   initial zero on both sides;
 /// * two *constants* (program or ROM) are equal when their values are,
 ///   at matching frame depth;
-/// * two *pure ops* (ALU/MULT/ACU) are equal when op and immediate
-///   match and every operand pair proves equal;
+/// * two *pure ops* (ALU/MULT/ACU) are equal when the op matches and
+///   every operand pair proves equal;
 /// * two *RAM loads* are equal when their address values prove equal
 ///   and no write to that RAM issues between the two load instants.
 ///
@@ -1073,50 +898,35 @@ fn ram_write_unobservable(
 /// touches (`forbidden`) — the proof is evaluated on the original
 /// program and transfers to the mutant only if the mutant agrees on
 /// every step.
-/// Write sites per register: (landing position in `0..n`, word, action
-/// index) for every action that writes it.
-type WriteSites = BTreeMap<(String, u32), Vec<(i64, usize, usize)>>;
-
 struct ValueProver<'a> {
-    core: &'a Core,
-    dec: &'a [DecodedInstruction],
-    mc: &'a Microcode,
+    dec: &'a Program<'a>,
     n: i64,
-    /// Per register: (landing position in `0..n`, word, action index).
-    writes: WriteSites,
+    /// Per flat register: (landing position in `0..n`, word, action
+    /// index) of every action that writes it.
+    writes: BTreeMap<u32, Vec<(i64, usize, usize)>>,
     /// Issue cycles of RAM writes, per RAM OPU.
-    ram_writes: BTreeMap<String, Vec<i64>>,
+    ram_writes: BTreeMap<u32, Vec<i64>>,
     budget: std::cell::Cell<u32>,
 }
 
 impl<'a> ValueProver<'a> {
-    fn new(core: &'a Core, dec: &'a [DecodedInstruction], mc: &'a Microcode) -> Self {
-        let dp = &core.datapath;
+    fn new(dec: &'a Program<'a>) -> Self {
         let n = dec.len() as i64;
-        let mut writes: WriteSites = BTreeMap::new();
-        let mut ram_writes: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-        for (t, d) in dec.iter().enumerate() {
-            for (i, a) in d.actions.iter().enumerate() {
-                let Some(opu) = dp.opus().iter().find(|o| o.name() == a.opu) else {
-                    continue;
-                };
-                if a.kind == OpuKind::Ram && a.op == "write" {
-                    ram_writes.entry(a.opu.clone()).or_default().push(t as i64);
+        let mut writes: BTreeMap<u32, Vec<(i64, usize, usize)>> = BTreeMap::new();
+        let mut ram_writes: BTreeMap<u32, Vec<i64>> = BTreeMap::new();
+        for (t, word) in dec.iter().enumerate() {
+            for (i, a) in word.iter().enumerate() {
+                if a.op() == Op::RamWrite {
+                    ram_writes.entry(a.opu()).or_default().push(t as i64);
                 }
-                let lat = i64::from(opu.latency_of(&a.op).unwrap_or(1).max(1));
-                for (rf, reg) in &a.dests {
-                    writes.entry((rf.clone(), *reg)).or_default().push((
-                        (t as i64 + lat) % n,
-                        t,
-                        i,
-                    ));
+                let land = (t as i64 + i64::from(a.latency())) % n;
+                for &reg in a.writes() {
+                    writes.entry(reg).or_default().push((land, t, i));
                 }
             }
         }
         ValueProver {
-            core,
             dec,
-            mc,
             n,
             writes,
             ram_writes,
@@ -1135,45 +945,30 @@ impl<'a> ValueProver<'a> {
 
     /// Issue time of the action instance `(w, i)` whose write lands at
     /// absolute time `abs`.
-    fn issue_of(&self, w: usize, i: usize, abs: i64) -> Option<i64> {
-        let a = &self.dec[w].actions[i];
-        let opu = self
-            .core
-            .datapath
-            .opus()
-            .iter()
-            .find(|o| o.name() == a.opu)?;
-        Some(abs - i64::from(opu.latency_of(&a.op).unwrap_or(1).max(1)))
+    fn issue_of(&self, w: usize, i: usize, abs: i64) -> i64 {
+        abs - i64::from(self.dec[w][i].latency())
     }
 
-    /// Proves that the writes to `key` landing at cycles `land_a` and
+    /// Proves that the writes to `reg` landing at cycles `land_a` and
     /// `land_b` (both within the current frame) store equal values in
     /// every frame.
-    fn same_write(
-        &self,
-        key: &(String, u32),
-        land_a: i64,
-        land_b: i64,
-        forbidden: &std::collections::BTreeSet<(String, u32)>,
-    ) -> bool {
-        let Some(sites) = self.writes.get(key) else {
+    fn same_write(&self, reg: u32, land_a: i64, land_b: i64, forbidden: &BTreeSet<u32>) -> bool {
+        let Some(sites) = self.writes.get(&reg) else {
             return false;
         };
         let find = |l: i64| sites.iter().find(|&&(l0, _, _)| l0 == l).copied();
         let (Some((l1, w1, i1)), Some((l2, w2, i2))) = (find(land_a), find(land_b)) else {
             return false;
         };
-        let (Some(t1), Some(t2)) = (self.issue_of(w1, i1, l1), self.issue_of(w2, i2, l2)) else {
-            return false;
-        };
+        let (t1, t2) = (self.issue_of(w1, i1, l1), self.issue_of(w2, i2, l2));
         self.same_output((w1, i1), t1, (w2, i2), t2, forbidden, 12)
     }
 
-    /// The most recent write instance of `key` landing at or before
+    /// The most recent write instance of `reg` landing at or before
     /// absolute time `t`: `(absolute landing, word, action index)`.
-    fn reach(&self, key: &(String, u32), t: i64) -> Option<(i64, usize, usize)> {
+    fn reach(&self, reg: u32, t: i64) -> Option<(i64, usize, usize)> {
         self.writes
-            .get(key)?
+            .get(&reg)?
             .iter()
             .map(|&(l0, w, i)| {
                 let q = (t - l0).div_euclid(self.n);
@@ -1182,25 +977,23 @@ impl<'a> ValueProver<'a> {
             .max_by_key(|&(abs, _, _)| abs)
     }
 
-    /// Proves the value observed in `k1` at time `t1` equals `k2` at
+    /// Proves the value observed in `r1` at time `t1` equals `r2` at
     /// `t2`, in every frame.
     fn same_observed(
         &self,
-        k1: &(String, u32),
-        t1: i64,
-        k2: &(String, u32),
-        t2: i64,
-        forbidden: &std::collections::BTreeSet<(String, u32)>,
+        (r1, t1): (u32, i64),
+        (r2, t2): (u32, i64),
+        forbidden: &BTreeSet<u32>,
         depth: u32,
     ) -> bool {
-        if depth == 0 || !self.spend() || forbidden.contains(k1) || forbidden.contains(k2) {
+        if depth == 0 || !self.spend() || forbidden.contains(&r1) || forbidden.contains(&r2) {
             return false;
         }
-        match (self.reach(k1, t1), self.reach(k2, t2)) {
+        match (self.reach(r1, t1), self.reach(r2, t2)) {
             // Never-written registers hold their initial zero forever.
             (None, None) => true,
             (Some((abs1, w1, i1)), Some((abs2, w2, i2))) => {
-                if k1 == k2 && abs1 == abs2 {
+                if r1 == r2 && abs1 == abs2 {
                     return true; // the same write instance (or the same pre-history zero)
                 }
                 // Both observations must sit at the same frame depth,
@@ -1208,11 +1001,7 @@ impl<'a> ValueProver<'a> {
                 if abs1.div_euclid(self.n) != abs2.div_euclid(self.n) {
                     return false;
                 }
-                let (Some(s1), Some(s2)) =
-                    (self.issue_of(w1, i1, abs1), self.issue_of(w2, i2, abs2))
-                else {
-                    return false;
-                };
+                let (s1, s2) = (self.issue_of(w1, i1, abs1), self.issue_of(w2, i2, abs2));
                 self.same_output((w1, i1), s1, (w2, i2), s2, forbidden, depth - 1)
             }
             _ => false, // one side written, the other always zero — unprovable
@@ -1227,7 +1016,7 @@ impl<'a> ValueProver<'a> {
         t1: i64,
         (w2, i2): (usize, usize),
         t2: i64,
-        forbidden: &std::collections::BTreeSet<(String, u32)>,
+        forbidden: &BTreeSet<u32>,
         depth: u32,
     ) -> bool {
         if depth == 0 || !self.spend() {
@@ -1236,59 +1025,30 @@ impl<'a> ValueProver<'a> {
         if (w1, i1) == (w2, i2) && t1 == t2 {
             return true;
         }
-        let (x, y) = (&self.dec[w1].actions[i1], &self.dec[w2].actions[i2]);
-        if x.opu != y.opu || x.op != y.op {
+        let (x, y) = (&self.dec[w1][i1], &self.dec[w2][i2]);
+        if x.opu() != y.opu() || x.op() != y.op() {
             return false;
         }
-        let Some(opu) = self.core.datapath.opus().iter().find(|o| o.name() == x.opu) else {
-            return false;
+        let operands_equal = |ports: usize| {
+            (0..ports).all(|p| {
+                let (rx, ry) = (x.reads()[p], y.reads()[p]);
+                self.same_observed((rx, t1), (ry, t2), forbidden, depth - 1)
+            })
         };
-        match x.kind {
-            OpuKind::ProgConst | OpuKind::Rom => {
-                let (vx, vy) = (
-                    written_value(opu, x, self.mc),
-                    written_value(opu, y, self.mc),
-                );
-                matches!((vx, vy), (Some(Some(a)), Some(Some(b))) if a == b)
+        match x.op() {
+            Op::ProgConst | Op::RomConst => {
+                matches!((x.constant(), y.constant()), (Some(a), Some(b)) if a == b)
             }
-            OpuKind::Alu | OpuKind::Mult | OpuKind::Acu => {
-                let arity = read_arity(x).min(x.operand_regs.len());
-                if arity != read_arity(y).min(y.operand_regs.len()) || x.imm != y.imm {
-                    return false;
-                }
-                (0..arity).all(|p| {
-                    let Some(rf) = opu.inputs().get(p) else {
-                        return false;
-                    };
-                    self.same_observed(
-                        &(rf.clone(), x.operand_regs[p]),
-                        t1,
-                        &(rf.clone(), y.operand_regs[p]),
-                        t2,
-                        forbidden,
-                        depth - 1,
-                    )
-                })
-            }
-            OpuKind::Ram if x.op == "read" => {
-                let Some(rf) = opu.inputs().first() else {
-                    return false;
-                };
-                if !self.same_observed(
-                    &(rf.clone(), *x.operand_regs.first().unwrap_or(&0)),
-                    t1,
-                    &(rf.clone(), *y.operand_regs.first().unwrap_or(&0)),
-                    t2,
-                    forbidden,
-                    depth - 1,
-                ) {
+            op if computes(op) => operands_equal(op.reads()),
+            Op::RamRead => {
+                if !operands_equal(1) {
                     return false;
                 }
                 // No write to this RAM may issue between the two loads.
                 let (lo, hi) = (t1.min(t2), t1.max(t2));
                 let sites = self
                     .ram_writes
-                    .get(&x.opu)
+                    .get(&x.opu())
                     .map(Vec::as_slice)
                     .unwrap_or(&[]);
                 if hi - lo >= self.n {
@@ -1312,128 +1072,86 @@ impl<'a> ValueProver<'a> {
 /// data, making it a no-op in every frame (including the first, since
 /// `c` precedes `t` within the frame).
 fn ram_write_replay(
-    core: &Core,
-    dec_a: &[DecodedInstruction],
-    dec_b: &[DecodedInstruction],
-    traffic_a: &StaticTraffic,
-    traffic_b: &StaticTraffic,
+    dec_a: &Program,
+    dec_b: &Program,
+    traffic: [&StaticTraffic; 2],
     t: u32,
-    x: &OpuAction,
+    x: &Action,
 ) -> Option<u32> {
-    let dp = &core.datapath;
-    let opu = dp.opus().iter().find(|o| o.name() == x.opu)?;
-    let c = (0..t).rev().find(|&c| {
-        dec_a[c as usize].actions.contains(x) && dec_b[c as usize].actions.contains(x)
-    })?;
-    for cycle in c + 1..t {
-        for dec in [dec_a, dec_b] {
-            for action in &dec[cycle as usize].actions {
-                if action.opu == x.opu && action.op == "write" {
-                    return None;
-                }
-            }
-        }
+    let c = (0..t)
+        .rev()
+        .find(|&c| dec_a[c as usize].contains(x) && dec_b[c as usize].contains(x))?;
+    let writes_ram = |a: &Action| a.opu() == x.opu() && a.op() == Op::RamWrite;
+    if (c + 1..t).any(|cycle| {
+        [dec_a, dec_b]
+            .iter()
+            .any(|dec| dec[cycle as usize].iter().any(writes_ram))
+    }) {
+        return None;
     }
-    let arity = read_arity(x).min(x.operand_regs.len());
-    for (port, &reg) in x.operand_regs.iter().take(arity).enumerate() {
-        let key = (opu.inputs().get(port)?.clone(), reg);
-        for traffic in [traffic_a, traffic_b] {
-            if let Some(timeline) = traffic.writes.get(&key) {
-                if timeline.iter().any(|w| w.land > c && w.land <= t) {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(c)
+    let lands_between = |reg: &u32| {
+        traffic.iter().any(|tr| {
+            tr.writes
+                .get(reg)
+                .is_some_and(|tl| tl.iter().any(|w| w.land > c && w.land <= t))
+        })
+    };
+    (!x.reads().iter().any(lands_between)).then_some(c)
 }
 
 /// Tries to *prove* a mutated microcode behaviourally equal to the
 /// original, by cyclic dead-store and reaching-constant analysis over
-/// the decoded programs. Returns the witness on success, `None` when no
-/// proof is found (the caller must then hunt the mutant differentially).
+/// the programs the simulator decoded for both (`sim_a`, `sim_b`).
+/// Returns the witness on success, `None` when no proof is found (the
+/// caller must then hunt the mutant differentially).
 ///
 /// The proof reduces every per-word difference to a set of register
 /// [`WriteImpact`]s — only pure function units (ALU/MULT/ACU/constants/
-/// ROM) qualify; any change to RAM, I/O, or an unknown unit voids the
-/// proof. Each impact is then discharged by one of:
+/// ROM) qualify; any change to RAM, I/O, or an unsupported unit voids
+/// the proof. Each impact is then discharged by one of:
 ///
 /// * **dead store** — no instruction reads the register between this
 ///   write's landing and the next overwrite (cyclically); or
 /// * **redundant constant** — the added/removed write stores exactly
 ///   the constant the preceding write (earlier in the same frame, so
 ///   the first frame behaves identically too) already put there.
-fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String> {
-    let core = &compiled.core;
-    let original: &Microcode = &compiled.microcode;
+fn microcode_witness<'a>(
+    original: &Microcode,
+    sim_a: &'a CoreSim,
+    mutated: &Microcode,
+    sim_b: &'a CoreSim,
+) -> Option<String> {
     if original.words.len() != mutated.words.len() || original.rom_image != mutated.rom_image {
         return None;
     }
     let n = u32::try_from(original.words.len()).ok()?;
-    let dec_a: Vec<DecodedInstruction> = original
-        .words
-        .iter()
-        .map(|w| decode(w, &original.layout, original.word_format))
-        .collect::<Result<_, _>>()
-        .ok()?;
-    let dec_b: Vec<DecodedInstruction> = mutated
-        .words
-        .iter()
-        .map(|w| decode(w, &mutated.layout, mutated.word_format))
-        .collect::<Result<_, _>>()
-        .ok()?;
-    let traffic_a = static_traffic(core, original, &dec_a)?;
-    let traffic_b = static_traffic(core, mutated, &dec_b)?;
+    let program = |sim: &'a CoreSim| -> Vec<Vec<Action<'a>>> {
+        (0..sim.words()).map(|w| sim.actions(w).collect()).collect()
+    };
+    let (dec_a, dec_b) = (program(sim_a), program(sim_b));
+    let traffic_a = static_traffic(&dec_a)?;
+    let traffic_b = static_traffic(&dec_b)?;
     // Liveness is judged against the union of both variants' read sets:
     // sound for whichever variant an impact concerns.
     let mut reads = traffic_a.reads.clone();
-    for (key, cycles) in &traffic_b.reads {
-        reads
-            .entry(key.clone())
-            .or_default()
-            .extend(cycles.iter().copied());
+    for (&reg, cycles) in &traffic_b.reads {
+        reads.entry(reg).or_default().extend(cycles.iter().copied());
     }
-    let dp = &core.datapath;
-    let pure = |kind: OpuKind| {
-        matches!(
-            kind,
-            OpuKind::Alu | OpuKind::Mult | OpuKind::Acu | OpuKind::ProgConst | OpuKind::Rom
-        )
-    };
-    let mut impacts: Vec<((String, u32), u32, WriteImpact)> = Vec::new();
+    let pure = |x: &Action| computes(x.op()) || matches!(x.op(), Op::ProgConst | Op::RomConst);
+    let mut impacts: Vec<(u32, u32, WriteImpact)> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
-    for t in 0..n as usize {
-        let index = |d: &'_ DecodedInstruction| -> BTreeMap<String, OpuAction> {
-            d.actions
-                .iter()
-                .map(|a| (a.opu.clone(), a.clone()))
-                .collect()
-        };
-        let map_a = index(&dec_a[t]);
-        let map_b = index(&dec_b[t]);
-        if map_a.len() != dec_a[t].actions.len() || map_b.len() != dec_b[t].actions.len() {
-            return None; // duplicate OPU in one word — malformed
+    for t in 0..n {
+        // Each OPU's action in both variants, in OPU-name order.
+        let mut pairs: BTreeMap<&str, (Option<&Action>, Option<&Action>)> = BTreeMap::new();
+        for a in &dec_a[t as usize] {
+            pairs.entry(a.opu_name()).or_default().0 = Some(a);
         }
-        let names: std::collections::BTreeSet<&String> = map_a.keys().chain(map_b.keys()).collect();
-        for name in names {
-            let (a, b) = (map_a.get(name), map_b.get(name));
+        for b in &dec_b[t as usize] {
+            pairs.entry(b.opu_name()).or_default().1 = Some(b);
+        }
+        for (name, (a, b)) in pairs {
             if a == b {
-                continue;
-            }
-            let opu = dp.opus().iter().find(|o| o.name() == *name)?;
-            let normal = |x: &OpuAction| {
-                let arity = read_arity(x).min(x.operand_regs.len());
-                (
-                    x.op.clone(),
-                    x.operand_regs[..arity].to_vec(),
-                    x.dests.clone(),
-                    x.imm,
-                )
-            };
-            if let (Some(a), Some(b)) = (a, b) {
-                if normal(a) == normal(b) {
-                    continue; // differs only in unread operand ports
-                }
+                continue; // identical, or different only in unread operand ports
             }
             // An added or dropped RAM write can be an idempotent replay
             // of an identical write earlier in the same frame: with the
@@ -1441,13 +1159,11 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
             // other write to the same RAM in between, the second write
             // stores exactly what the first already stored, so RAM
             // state is identical at every cycle of every frame.
-            if a.is_none() != b.is_none() {
-                let x = a.or(b).expect("one side present");
-                if x.kind == OpuKind::Ram && x.op == "write" {
+            if let (Some(x), None) | (None, Some(x)) = (a, b) {
+                if x.op() == Op::RamWrite {
                     let side = if a.is_none() { "added" } else { "dropped" };
-                    if let Some(c) =
-                        ram_write_replay(core, &dec_a, &dec_b, &traffic_a, &traffic_b, t as u32, x)
-                    {
+                    let traffic = [&traffic_a, &traffic_b];
+                    if let Some(c) = ram_write_replay(&dec_a, &dec_b, traffic, t, x) {
                         notes.push(format!(
                             "{side} RAM write on {name} at cycle {t} is an idempotent \
                              replay of the identical write at cycle {c} (address and \
@@ -1455,7 +1171,7 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
                         ));
                         continue;
                     }
-                    if ram_write_unobservable(core, &dec_a, &dec_b, &traffic_b, a.is_none(), x) {
+                    if ram_write_unobservable(&dec_a, &dec_b, &traffic_b, a.is_none(), x) {
                         notes.push(format!(
                             "{side} RAM write on {name} at cycle {t} targets a memory \
                              no action in either variant ever reads (dead state, \
@@ -1473,36 +1189,24 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
             // frame and in steady state.
             let same_value = match (a, b) {
                 (Some(a), Some(b)) => {
-                    let arity_a = read_arity(a).min(a.operand_regs.len());
-                    let arity_b = read_arity(b).min(b.operand_regs.len());
-                    a.op == b.op
-                        && a.imm == b.imm
-                        && arity_a == arity_b
-                        && (0..arity_a).all(|port| {
-                            if a.operand_regs[port] == b.operand_regs[port] {
+                    a.op() == b.op()
+                        && a.imm() == b.imm()
+                        && (0..a.reads().len()).all(|port| {
+                            let (ra, rb) = (a.reads()[port], b.reads()[port]);
+                            if ra == rb {
                                 return true;
                             }
-                            let Some(rf) = opu.inputs().get(port) else {
-                                return false;
-                            };
-                            let va = read_value(
-                                &traffic_a,
-                                &(rf.clone(), a.operand_regs[port]),
-                                t as u32,
-                            );
-                            let vb = read_value(
-                                &traffic_b,
-                                &(rf.clone(), b.operand_regs[port]),
-                                t as u32,
-                            );
-                            match (va, vb) {
+                            let va = read_value(&traffic_a, ra, t);
+                            match (va, read_value(&traffic_b, rb, t)) {
                                 (Some(x), Some(y)) if x == y => {
+                                    let ((rf, i), (_, j)) =
+                                        (sim_a.register_name(ra), sim_b.register_name(rb));
                                     notes.push(format!(
                                         "{name} port {port} at cycle {t} redirected from \
-                                         {rf}[{}] to {rf}[{}], but both provably hold the \
+                                         {rf}[{i}] to {rf}[{j}], but both provably hold the \
                                          same known value at every read (first frame {}, \
                                          steady state {})",
-                                        a.operand_regs[port], b.operand_regs[port], x.0, x.1
+                                        x.0, x.1
                                     ));
                                     true
                                 }
@@ -1517,71 +1221,60 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
             // register write set differs) is safe for ANY unit: the
             // FIFO pop, RAM access, or error path is the same on both
             // sides. Every other difference needs a pure function unit.
-            if !same_value && !a.map_or(b.is_some_and(|x| pure(x.kind)), |x| pure(x.kind)) {
-                return None; // RAM / I/O / unknown unit changed — no proof
+            if !same_value && !a.or(b).is_some_and(pure) {
+                return None; // RAM / I/O / unsupported unit changed — no proof
             }
-            let dests = |x: Option<&OpuAction>| -> BTreeMap<(String, u32), (u32, Option<i64>)> {
+            let dests = |x: Option<&Action>| -> BTreeMap<u32, (u32, Option<i64>)> {
                 x.map(|x| {
-                    let lat = opu.latency_of(&x.op).unwrap_or(1).max(1);
-                    let value = written_value(opu, x, original).unwrap_or(None);
-                    x.dests
+                    let land = (t + x.latency()) % n;
+                    x.writes()
                         .iter()
-                        .map(|(rf, reg)| ((rf.clone(), *reg), ((t as u32 + lat) % n, value)))
+                        .map(|&r| (r, (land, x.constant())))
                         .collect()
                 })
                 .unwrap_or_default()
             };
             let (da, db) = (dests(a), dests(b));
-            let keys: std::collections::BTreeSet<&(String, u32)> =
-                da.keys().chain(db.keys()).collect();
-            for key in keys {
-                match (da.get(key), db.get(key)) {
-                    (Some(&(land_a, va)), Some(&(land_b, vb))) => {
-                        if land_a == land_b {
-                            match (va, vb) {
-                                _ if same_value => {}
-                                (Some(x), Some(y)) if x == y => {}
-                                _ => impacts.push((
-                                    key.clone(),
-                                    land_a,
-                                    WriteImpact::ValueChanged { old: va, new: vb },
-                                )),
-                            }
-                        } else {
-                            impacts.push((key.clone(), land_a, WriteImpact::Removed { value: va }));
-                            impacts.push((key.clone(), land_b, WriteImpact::Added { value: vb }));
+            // Registers in register-file-name order: the value-numbering
+            // budget is shared across impacts, so their order matters.
+            let mut regs: Vec<u32> = da.keys().chain(db.keys()).copied().collect();
+            regs.sort_by_key(|&r| sim_a.register_name(r));
+            regs.dedup();
+            for reg in regs {
+                match (da.get(&reg).copied(), db.get(&reg).copied()) {
+                    (Some((land, va)), Some((land_b, vb))) if land == land_b => {
+                        let constant = matches!((va, vb), (Some(x), Some(y)) if x == y);
+                        if !same_value && !constant {
+                            let impact = WriteImpact::ValueChanged { old: va, new: vb };
+                            impacts.push((reg, land, impact));
                         }
                     }
-                    (Some(&(land, value)), None) => {
-                        impacts.push((key.clone(), land, WriteImpact::Removed { value }));
+                    (old, new) => {
+                        if let Some((land, value)) = old {
+                            impacts.push((reg, land, WriteImpact::Removed { value }));
+                        }
+                        if let Some((land, value)) = new {
+                            impacts.push((reg, land, WriteImpact::Added { value }));
+                        }
                     }
-                    (None, Some(&(land, value))) => {
-                        impacts.push((key.clone(), land, WriteImpact::Added { value }));
-                    }
-                    (None, None) => unreachable!(),
                 }
             }
         }
     }
     let mut witness: Vec<String> = Vec::new();
-    let impacted: std::collections::BTreeSet<(String, u32)> =
-        impacts.iter().map(|(k, _, _)| k.clone()).collect();
-    let provers = (!impacts.is_empty()).then(|| {
-        (
-            ValueProver::new(core, &dec_a, original),
-            ValueProver::new(core, &dec_b, mutated),
-        )
-    });
-    for ((rf, reg), land, impact) in impacts {
-        let key = (rf.clone(), reg);
+    let impacted: BTreeSet<u32> = impacts.iter().map(|&(reg, _, _)| reg).collect();
+    let provers =
+        (!impacts.is_empty()).then(|| (ValueProver::new(&dec_a), ValueProver::new(&dec_b)));
+    for (reg, land, impact) in impacts {
+        let (rf, index) = sim_a.register_name(reg);
         let timeline = match impact {
-            WriteImpact::Added { .. } => traffic_b.writes.get(&key)?,
-            _ => traffic_a.writes.get(&key)?,
+            WriteImpact::Added { .. } => traffic_b.writes.get(&reg)?,
+            _ => traffic_a.writes.get(&reg)?,
         };
-        let read_cycles = reads.get(&key).map(Vec::as_slice).unwrap_or(&[]);
+        let read_cycles = reads.get(&reg).map(Vec::as_slice).unwrap_or(&[]);
         if write_is_dead(read_cycles, timeline, land, n) {
             witness.push(format!(
-                "write to {rf}[{reg}] landing at cycle {land} is a dead store \
+                "write to {rf}[{index}] landing at cycle {land} is a dead store \
                  (no read before the next overwrite)"
             ));
             continue;
@@ -1601,16 +1294,9 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
                     && delta != 0
                     && delta % region == 0
                 {
-                    let sites = congruence_absorbed(
-                        core,
-                        &dec_a,
-                        &dec_b,
-                        &traffic_a,
-                        n,
-                        ((rf.clone(), reg), land),
-                    )?;
+                    let sites = congruence_absorbed(&dec_a, &dec_b, &traffic_a, n, (reg, land))?;
                     witness.push(format!(
-                        "constant delta {delta} on {rf}[{reg}] landing at cycle {land} is \
+                        "constant delta {delta} on {rf}[{index}] landing at cycle {land} is \
                          a multiple of the ACU region size {region} and is provably \
                          absorbed by modulo addressing ({sites} base-port read(s) mask it)"
                     ));
@@ -1632,7 +1318,7 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
                     .max_by_key(|w| w.land)?;
                 if let (Some(v), true) = (value, prev.value == value) {
                     witness.push(format!(
-                        "write of constant {v} to {rf}[{reg}] at cycle {land} is redundant \
+                        "write of constant {v} to {rf}[{index}] at cycle {land} is redundant \
                          (the write landing at cycle {} stores the same constant)",
                         prev.land
                     ));
@@ -1643,9 +1329,9 @@ fn microcode_witness(compiled: &Compiled, mutated: &Microcode) -> Option<String>
                     WriteImpact::Added { .. } => prover_b,
                     _ => prover_a,
                 };
-                if prover.same_write(&key, i64::from(land), i64::from(prev.land), &impacted) {
+                if prover.same_write(reg, i64::from(land), i64::from(prev.land), &impacted) {
                     witness.push(format!(
-                        "write to {rf}[{reg}] landing at cycle {land} is a redundant \
+                        "write to {rf}[{index}] landing at cycle {land} is a redundant \
                          store (bounded value numbering proves the write landing at \
                          cycle {} stores an equal value in every frame)",
                         prev.land

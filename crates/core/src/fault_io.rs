@@ -44,7 +44,7 @@ use std::sync::Arc;
 use crate::cache::{
     CacheBackend, CacheStats, ChaosBackend, DiskCache, IoFaultKind, StdFs, TransientPolicy,
 };
-use crate::pipeline::{ArtifactDivergence, Compiled, Core};
+use crate::pipeline::{ArtifactDivergence, Compiled};
 use crate::session::{CompileOptions, CompileSession};
 use crate::sweep;
 
@@ -117,40 +117,27 @@ pub struct IoFaultCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IoFaultAudit {
-    core: Arc<Core>,
     seeds: Vec<u64>,
     apps: Vec<(String, String)>,
     kinds: Vec<IoFaultKind>,
     threads: usize,
-    options: CompileOptions,
 }
 
 impl Default for IoFaultAudit {
     fn default() -> Self {
         IoFaultAudit {
-            // Same posture as `FaultAudit`: a fixed, fully-featured core
-            // so every (seed, app) compiles and the seed axis is pure
-            // chaos diversity.
-            core: Arc::new(crate::cores::audio_core()),
             seeds: Vec::new(),
             apps: Vec::new(),
             kinds: IoFaultKind::ALL.to_vec(),
             threads: 0,
-            options: CompileOptions::sweep_cell(),
         }
     }
 }
 
 impl IoFaultAudit {
-    /// An empty audit on the default (audio) core.
+    /// An empty audit.
     pub fn new() -> Self {
         IoFaultAudit::default()
-    }
-
-    /// Replaces the audited core.
-    pub fn core(mut self, core: Core) -> Self {
-        self.core = Arc::new(core);
-        self
     }
 
     /// Adds a contiguous seed block.
@@ -185,12 +172,6 @@ impl IoFaultAudit {
         self
     }
 
-    /// Overrides the compile options of the audited compiles.
-    pub fn options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Runs the audit: every `(seed, app, kind)` cell, in deterministic
     /// (seed, app, kind) order.
     ///
@@ -200,15 +181,19 @@ impl IoFaultAudit {
     pub fn run(&self) -> IoFaultReport {
         assert!(!self.seeds.is_empty(), "audit needs at least one seed");
         assert!(!self.apps.is_empty(), "audit needs at least one app");
-        // Chaos-free reference compiles, once per app through a shared
-        // cache-less session: the bit-identity baseline for every cell.
+        // Same posture as `FaultAudit`: the fixed, fully-featured audio
+        // core, so every (seed, app) compiles and the seed axis is pure
+        // chaos diversity. Chaos-free reference compiles, once per app
+        // through a shared cache-less session, are the bit-identity
+        // baseline for every cell; the cells compile on their core.
+        let core = Arc::new(crate::cores::audio_core());
         let session = CompileSession::new();
         let reference: Vec<Result<Compiled, String>> = self
             .apps
             .iter()
             .map(|(_, source)| {
                 session
-                    .compile(&self.core, source, &self.options)
+                    .compile(&core, source, &CompileOptions::sweep_cell())
                     .map_err(|e| e.to_string())
             })
             .collect();
@@ -278,7 +263,7 @@ impl IoFaultAudit {
         // bit-identical.
         for pass in ["cold pass", "warm-from-disk pass"] {
             let session = CompileSession::with_disk_cache(Arc::clone(&cache));
-            match session.compile(&self.core, source, &self.options) {
+            match session.compile(&reference.core, source, &CompileOptions::sweep_cell()) {
                 Ok(compiled) => {
                     if let Some(part) = compiled.diverges_from(reference) {
                         let detail = match part {

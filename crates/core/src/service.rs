@@ -27,7 +27,9 @@
 //! * **Panic containment** — each attempt runs under the containment
 //!   every sweep uses: a compiler bug takes down one request as
 //!   [`CompileError::Panicked`] carrying the panic message, not the
-//!   worker thread.
+//!   worker thread. A thread that panics while holding the queue or a
+//!   ticket's lock does not take the service down either: the locks
+//!   recover from poisoning.
 //!
 //! Every request resolves to exactly one structured [`ServiceOutcome`];
 //! aggregate counters land in [`ServiceStats`].
@@ -52,7 +54,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -74,12 +76,6 @@ pub struct ServiceConfig {
     /// Retry attempts (beyond the first) for transient cache-I/O
     /// failures.
     pub retries: u32,
-    /// Seeds the per-job backoff jitter substreams.
-    pub backoff_seed: u64,
-    /// Base unit of the exponential backoff: attempt *n* sleeps
-    /// `base << n` plus jitter. Kept small — it bounds how long a
-    /// worker is parked on a sick disk.
-    pub backoff_base: Duration,
     /// Fuel ceiling imposed on every request ("the service-level
     /// deadline"); a request's own [`CompileOptions::fuel`] can only
     /// lower it. `None` = no service-level ceiling.
@@ -92,11 +88,25 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_depth: 16,
             retries: 2,
-            backoff_seed: 0xD5FC,
-            backoff_base: Duration::from_millis(1),
             deadline_fuel: None,
         }
     }
+}
+
+/// Seeds the per-job backoff jitter substreams.
+const BACKOFF_SEED: u64 = 0xD5FC;
+
+/// Base unit of the exponential backoff: attempt *n* sleeps `base << n`
+/// plus jitter. Kept small — it bounds how long a worker is parked on a
+/// sick disk.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+
+/// Locks one of the service's mutexes, recovering it when a holder
+/// panicked: every write under these locks is one push, pop, flag or
+/// slot store, so a panic cannot leave them half-written, and one
+/// panicking thread must not take down the service.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Why a submit was refused at the door.
@@ -192,7 +202,7 @@ struct Slot {
 
 impl Slot {
     fn fill(&self, outcome: ServiceOutcome) {
-        *self.outcome.lock().expect("slot lock") = Some(outcome);
+        *lock(&self.outcome) = Some(outcome);
         self.done.notify_all();
     }
 }
@@ -225,12 +235,16 @@ impl Ticket {
 
     /// Blocks until the request resolves.
     pub fn wait(self) -> ServiceOutcome {
-        let mut guard = self.slot.outcome.lock().expect("slot lock");
+        let mut guard = lock(&self.slot.outcome);
         loop {
             if let Some(outcome) = guard.take() {
                 return outcome;
             }
-            guard = self.slot.done.wait(guard).expect("slot lock");
+            guard = self
+                .slot
+                .done
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -298,7 +312,7 @@ impl CompileService {
 
     /// Releases the workers of a [`CompileService::new_paused`] service.
     pub fn start(&self) {
-        self.inner.queue.lock().expect("queue lock").paused = false;
+        lock(&self.inner.queue).paused = false;
         self.inner.work_ready.notify_all();
     }
 
@@ -311,7 +325,7 @@ impl CompileService {
         source: &str,
         options: CompileOptions,
     ) -> Result<Ticket, Rejected> {
-        let mut queue = self.inner.queue.lock().expect("queue lock");
+        let mut queue = lock(&self.inner.queue);
         if queue.shutdown {
             self.inner.stats.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(Rejected::ShutDown);
@@ -355,7 +369,7 @@ impl CompileService {
 
     /// Current queue depth (admitted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().expect("queue lock").jobs.len()
+        lock(&self.inner.queue).jobs.len()
     }
 
     /// Snapshot of the service counters.
@@ -382,7 +396,7 @@ impl CompileService {
     /// workers are joined. Called by `Drop`; explicit form for tests.
     pub fn shutdown(&mut self) {
         let drained: Vec<Job> = {
-            let mut queue = self.inner.queue.lock().expect("queue lock");
+            let mut queue = lock(&self.inner.queue);
             queue.shutdown = true;
             queue.jobs.drain(..).collect()
         };
@@ -416,7 +430,7 @@ impl fmt::Debug for CompileService {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut queue = inner.queue.lock().expect("queue lock");
+            let mut queue = lock(&inner.queue);
             loop {
                 if queue.shutdown {
                     return;
@@ -426,7 +440,10 @@ fn worker_loop(inner: &Inner) {
                         break job;
                     }
                 }
-                queue = inner.work_ready.wait(queue).expect("queue lock");
+                queue = inner
+                    .work_ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let outcome = run_job(inner, &job);
@@ -449,7 +466,7 @@ fn worker_loop(inner: &Inner) {
 /// Executes one job: compile under the sweep harness's containment,
 /// retrying transient cache-I/O failures with seeded exponential backoff.
 fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
-    let mut backoff = SplitMix64::substream(inner.config.backoff_seed, job.id);
+    let mut backoff = SplitMix64::substream(BACKOFF_SEED, job.id);
     let mut attempt = 0u32;
     loop {
         if job.slot.cancel.is_cancelled() {
@@ -484,13 +501,8 @@ fn run_job(inner: &Inner, job: &Job) -> ServiceOutcome {
         inner.stats.retries.fetch_add(1, Ordering::SeqCst);
         // Exponential backoff with seeded jitter: base << attempt, plus
         // 0..=base of noise so retriers against one sick disk spread out.
-        let base = inner.config.backoff_base;
-        let jitter_ns = if base.is_zero() {
-            0
-        } else {
-            u64::from(backoff.range(0, 1000)) * (base.as_nanos() as u64 / 1000)
-        };
-        std::thread::sleep(base * (1 << attempt.min(16)) + Duration::from_nanos(jitter_ns));
+        let jitter_ns = u64::from(backoff.range(0, 1000)) * (BACKOFF_BASE.as_nanos() as u64 / 1000);
+        std::thread::sleep(BACKOFF_BASE * (1 << attempt.min(16)) + Duration::from_nanos(jitter_ns));
         attempt += 1;
     }
 }
@@ -521,6 +533,25 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!((stats.admitted, stats.served, stats.rejected), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_does_not_take_down_the_service() {
+        let service =
+            CompileService::new(Arc::new(CompileSession::new()), ServiceConfig::default());
+        let inner = Arc::clone(&service.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _queue = inner.queue.lock();
+            panic!("poisoning the queue lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.inner.queue.is_poisoned());
+        let core = Arc::new(cores::tiny_core());
+        let ticket = service
+            .submit(&core, SRC, CompileOptions::default())
+            .expect("admitted");
+        assert!(matches!(ticket.wait(), ServiceOutcome::Served { .. }));
+        assert_eq!(service.stats().served, 1);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! artifact for the session's lifetime (that retention is what makes a
 //! sweep's variants share work). A session is meant to be scoped to one
 //! design loop; for very long-lived loops over ever-changing options,
-//! call [`CompileSession::clear`] between phases or start a fresh
-//! session.
+//! start a fresh session for each phase.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -222,11 +221,6 @@ impl CompileSession {
     /// Number of cached stage artifacts (all stages summed).
     pub fn cached_artifacts(&self) -> usize {
         self.memo().len()
-    }
-
-    /// Drops every cached artifact.
-    pub fn clear(&self) {
-        *self.memo() = SessionMemo::default();
     }
 
     /// The one stage lookup: polls `cancel`, then looks `key` up in the

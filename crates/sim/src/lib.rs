@@ -27,6 +27,19 @@
 //! interpret-every-cycle implementation is retained in [`reference`] as
 //! the differential oracle; a property test pins the two bit-identical,
 //! cycle for cycle.
+//!
+//! # The decoded program
+//!
+//! The pre-decoded table is the one model of what an instruction word
+//! does. [`CoreSim::actions`] exposes it word by word as [`Action`]s:
+//! the executor [`Op`], the flat registers the action reads (only the
+//! ports [`Op::reads`] says the executor reads — the same rule
+//! [`CoreSim::new`] resolves operands by) and writes, its latency,
+//! immediate and the size of the memory it accesses, and the constant a
+//! program-constant or ROM read loads. [`CoreSim::register_name`] and
+//! [`Action::opu_name`] name registers and units back. Static analyses
+//! of compiled microcode, such as the fault audit's benignity witnesses,
+//! read this view instead of copying the execution rules.
 
 pub mod reference;
 
@@ -119,27 +132,53 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Fully resolved operation selector: the string `op` of the decoded
-/// action mapped to a branch the executor can match on directly.
+/// What the executor does for one action: the decoded operation name
+/// resolved, per OPU kind, to the branch the executor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
+pub enum Op {
+    /// Pops the unit's input stream.
     InputRead,
+    /// Pushes operand 0 onto the unit's output stream.
     OutputWrite,
+    /// Loads the immediate.
     ProgConst,
+    /// Loads ROM word `imm`.
     RomConst,
+    /// Circular-buffer address arithmetic over base (operand 0) and
+    /// offset (operand 1).
     AcuAddMod,
+    /// Loads the RAM word operand 0 addresses.
     RamRead,
+    /// Stores operand 1 at the RAM word operand 0 addresses.
     RamWrite,
+    /// Fixed-point multiply.
     Mult,
+    /// Wrapping add.
     Add,
+    /// Saturating add.
     AddClip,
+    /// Wrapping subtract.
     Sub,
+    /// Copies operand 0.
     Pass,
+    /// Saturates operand 0.
     PassClip,
     /// ASUs, unknown OPUs, unknown ALU ops: reported as
     /// [`SimError::Unsupported`] when (and only when) executed, exactly
     /// like the decode-per-cycle path.
     Unsupported,
+}
+
+impl Op {
+    /// How many operand ports the executor reads, counted from port 0:
+    /// the one rule for which operands of an action are live.
+    pub fn reads(self) -> usize {
+        match self {
+            Op::InputRead | Op::ProgConst | Op::RomConst | Op::Unsupported => 0,
+            Op::OutputWrite | Op::RamRead | Op::Pass | Op::PassClip => 1,
+            Op::AcuAddMod | Op::RamWrite | Op::Mult | Op::Add | Op::AddClip | Op::Sub => 2,
+        }
+    }
 }
 
 /// One pre-decoded OPU action: every name resolved to a flat index at
@@ -162,6 +201,99 @@ struct MicroOp {
     latency: u32,
     /// Range of flat destination registers in the dest arena.
     dests: (u32, u32),
+}
+
+/// One action of the pre-decoded program, as the executor runs it:
+/// registers are flat indices into one register array (see
+/// [`CoreSim::register_name`]). Two actions are equal when the executor
+/// runs them identically, so actions of two simulators on the same
+/// datapath compare directly.
+#[derive(Clone, Copy)]
+pub struct Action<'a> {
+    micro: &'a MicroOp,
+    sim: &'a CoreSim,
+}
+
+impl<'a> Action<'a> {
+    /// The executor branch.
+    pub fn op(&self) -> Op {
+        self.micro.op
+    }
+
+    /// The OPU, as an index into the simulator's OPU table.
+    pub fn opu(&self) -> u32 {
+        self.micro.opu
+    }
+
+    /// The OPU's name.
+    pub fn opu_name(&self) -> &'a str {
+        &self.sim.opu_names[self.micro.opu as usize]
+    }
+
+    /// Flat registers of the operand ports the executor reads, by port.
+    pub fn reads(&self) -> &'a [u32] {
+        &self.micro.src[..self.micro.op.reads()]
+    }
+
+    /// Flat registers the result is written to.
+    pub fn writes(&self) -> &'a [u32] {
+        let (start, end) = self.micro.dests;
+        &self.sim.dest_regs[start as usize..end as usize]
+    }
+
+    /// Writeback delay in cycles (≥ 1).
+    pub fn latency(&self) -> u32 {
+        self.micro.latency
+    }
+
+    /// The immediate: the program constant or ROM address, 0 otherwise.
+    pub fn imm(&self) -> i64 {
+        self.micro.imm
+    }
+
+    /// Words of the RAM or ROM the action accesses, 0 for other units.
+    pub fn memory_size(&self) -> usize {
+        let memory = match self.micro.op {
+            Op::RamRead | Op::RamWrite => &self.sim.ram,
+            Op::RomConst => &self.sim.rom,
+            _ => return 0,
+        };
+        memory[self.micro.mem as usize].len()
+    }
+
+    /// The value a constant action loads: the program constant, or the
+    /// ROM word it reads. `None` for every other action and for a ROM
+    /// read past the memory, which faults when executed.
+    pub fn constant(&self) -> Option<i64> {
+        match self.micro.op {
+            Op::ProgConst => Some(self.micro.imm),
+            Op::RomConst => usize::try_from(self.micro.imm)
+                .ok()
+                .and_then(|addr| self.sim.rom[self.micro.mem as usize].get(addr).copied()),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Debug for Action<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Action")
+            .field("opu", &self.opu_name())
+            .field("op", &self.micro.op)
+            .field("reads", &self.reads())
+            .field("writes", &self.writes())
+            .field("imm", &self.micro.imm)
+            .finish()
+    }
+}
+
+impl PartialEq for Action<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.micro, other.micro);
+        (a.op, a.opu, a.mem, a.imm, a.latency) == (b.op, b.opu, b.mem, b.imm, b.latency)
+            && self.reads() == other.reads()
+            && self.writes() == other.writes()
+    }
 }
 
 /// The core simulator. One instance holds the pre-decoded program tables
@@ -327,23 +459,10 @@ impl CoreSim {
                         opu_names.len() as u32 - 1
                     }
                 };
-                let mut src = [0u32; 2];
-                let mut resolve_srcs = |ports: &[usize]| -> Result<(), SimError> {
-                    let spec = spec.expect("resolved op implies known opu");
-                    for &p in ports {
-                        src[p] = flat_reg(&spec.inputs()[p], action.operand_regs[p])?;
-                    }
-                    Ok(())
-                };
                 let (op, mem, imm) = match spec.map(|s| s.kind()) {
-                    Some(OpuKind::Input) => {
-                        let slot = slot_of(&mut in_slots, &action.opu);
-                        (Op::InputRead, slot, 0)
-                    }
+                    Some(OpuKind::Input) => (Op::InputRead, slot_of(&mut in_slots, &action.opu), 0),
                     Some(OpuKind::Output) => {
-                        resolve_srcs(&[0])?;
-                        let slot = slot_of(&mut out_slots, &action.opu);
-                        (Op::OutputWrite, slot, 0)
+                        (Op::OutputWrite, slot_of(&mut out_slots, &action.opu), 0)
                     }
                     Some(OpuKind::ProgConst) => {
                         (Op::ProgConst, 0, action.imm.expect("prgc imm decoded"))
@@ -356,51 +475,38 @@ impl CoreSim {
                             as u32;
                         (Op::RomConst, slot, action.imm.expect("rom imm decoded"))
                     }
-                    Some(OpuKind::Acu) => {
-                        resolve_srcs(&[0, 1])?;
-                        (Op::AcuAddMod, 0, 0)
-                    }
+                    Some(OpuKind::Acu) => (Op::AcuAddMod, 0, 0),
                     Some(OpuKind::Ram) => {
                         let slot = ram_names
                             .iter()
                             .position(|n| n == &action.opu)
                             .expect("ram opu has a memory")
                             as u32;
-                        if action.op == "write" {
-                            resolve_srcs(&[0, 1])?;
-                            (Op::RamWrite, slot, 0)
+                        let op = if action.op == "write" {
+                            Op::RamWrite
                         } else {
-                            resolve_srcs(&[0])?;
-                            (Op::RamRead, slot, 0)
-                        }
-                    }
-                    Some(OpuKind::Mult) => {
-                        resolve_srcs(&[0, 1])?;
-                        (Op::Mult, 0, 0)
-                    }
-                    Some(OpuKind::Alu) => {
-                        let alu_op = match action.op.as_str() {
-                            "add" => Some(Op::Add),
-                            "add_clip" => Some(Op::AddClip),
-                            "sub" => Some(Op::Sub),
-                            "pass" => Some(Op::Pass),
-                            "pass_clip" => Some(Op::PassClip),
-                            _ => None,
+                            Op::RamRead
                         };
-                        match alu_op {
-                            Some(op) => {
-                                resolve_srcs(if matches!(op, Op::Pass | Op::PassClip) {
-                                    &[0]
-                                } else {
-                                    &[0, 1]
-                                })?;
-                                (op, 0, 0)
-                            }
-                            None => (Op::Unsupported, 0, 0),
-                        }
+                        (op, slot, 0)
                     }
+                    Some(OpuKind::Mult) => (Op::Mult, 0, 0),
+                    Some(OpuKind::Alu) => match action.op.as_str() {
+                        "add" => (Op::Add, 0, 0),
+                        "add_clip" => (Op::AddClip, 0, 0),
+                        "sub" => (Op::Sub, 0, 0),
+                        "pass" => (Op::Pass, 0, 0),
+                        "pass_clip" => (Op::PassClip, 0, 0),
+                        _ => (Op::Unsupported, 0, 0),
+                    },
                     Some(OpuKind::Asu) | None => (Op::Unsupported, 0, 0),
                 };
+                // Only the ports the executor reads are resolved: an
+                // unread port may hold any index.
+                let inputs = spec.map_or(&[][..], |s| s.inputs());
+                let mut src = [0u32; 2];
+                for (port, flat) in src.iter_mut().enumerate().take(op.reads()) {
+                    *flat = flat_reg(&inputs[port], action.operand_regs[port])?;
+                }
                 let latency = spec
                     .and_then(|s| s.latency_of(&action.op))
                     .unwrap_or(1)
@@ -474,6 +580,38 @@ impl CoreSim {
     /// Total cycles executed so far.
     pub fn cycles_run(&self) -> u64 {
         self.cycle
+    }
+
+    /// Instruction words in the program.
+    pub fn words(&self) -> usize {
+        self.instr.len()
+    }
+
+    /// The actions of instruction word `word`, in field-layout order:
+    /// the program exactly as [`CoreSim::step_frame`] runs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is not below [`CoreSim::words`].
+    pub fn actions(&self, word: usize) -> impl ExactSizeIterator<Item = Action<'_>> {
+        let (start, end) = self.instr[word];
+        self.micro[start as usize..end as usize]
+            .iter()
+            .map(move |micro| Action { micro, sim: self })
+    }
+
+    /// The register file and index behind flat register `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` is not a register of the datapath.
+    pub fn register_name(&self, reg: u32) -> (&str, u32) {
+        let (name, base, _) = self
+            .rf_layout
+            .iter()
+            .find(|&&(_, base, size)| reg >= base && reg - base < size)
+            .expect("flat register of the datapath");
+        (name, reg - base)
     }
 
     /// Current value of a register, for debugging.
@@ -1114,6 +1252,67 @@ mod tests {
         sim.step_frame(&[2]).unwrap();
         assert_eq!(sim.frames_run(), 2);
         assert_eq!(sim.cycles_run(), 2 * len);
+    }
+
+    #[test]
+    fn decoded_view_matches_the_encoded_words() {
+        let (dp, _, microcode) = compile(
+            "input u; signal s; coeff a = 0.5; coeff b = 0.5; output y;
+             s = add(mlt(a, u), mlt(b, s@1));
+             y = pass_clip(s);",
+        );
+        let sim = CoreSim::new(&dp, &microcode).unwrap();
+        assert_eq!(sim.words(), microcode.words.len());
+        let mut ops = Vec::new();
+        for (w, word) in microcode.words.iter().enumerate() {
+            let decoded = decode(word, &microcode.layout, microcode.word_format).unwrap();
+            assert_eq!(sim.actions(w).len(), decoded.actions.len());
+            for (action, d) in sim.actions(w).zip(&decoded.actions) {
+                let spec = dp.opu(&d.opu).unwrap();
+                assert_eq!(action.opu_name(), d.opu);
+                let names = |regs: &[u32]| -> Vec<(String, u32)> {
+                    regs.iter()
+                        .map(|&r| sim.register_name(r))
+                        .map(|(rf, i)| (rf.to_owned(), i))
+                        .collect()
+                };
+                // Only the ports the executor reads, by port.
+                let read = match action.op() {
+                    Op::InputRead | Op::ProgConst | Op::RomConst => 0,
+                    Op::OutputWrite | Op::RamRead | Op::Pass | Op::PassClip => 1,
+                    _ => 2,
+                };
+                let ports: Vec<(String, u32)> = spec
+                    .inputs()
+                    .iter()
+                    .cloned()
+                    .zip(d.operand_regs.iter().copied())
+                    .take(read)
+                    .collect();
+                assert_eq!(names(action.reads()), ports);
+                assert_eq!(names(action.writes()), d.dests);
+                assert_eq!(action.latency(), spec.latency_of(&d.op).unwrap().max(1));
+                let expected = match action.op() {
+                    Op::ProgConst => d.imm,
+                    Op::RomConst => Some(microcode.rom_image[d.imm.unwrap() as usize]),
+                    _ => None,
+                };
+                assert_eq!(action.constant(), expected);
+                ops.push(action.op());
+            }
+        }
+        for op in [
+            Op::InputRead,
+            Op::OutputWrite,
+            Op::AcuAddMod,
+            Op::RamRead,
+            Op::RamWrite,
+            Op::Mult,
+            Op::Add,
+            Op::PassClip,
+        ] {
+            assert!(ops.contains(&op), "{op:?} missing from the program");
+        }
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! `cargo run --release --example fault -- --start <seed> --seeds 1
 //! --apps <app> --kinds <kind>`.
 
+use std::fmt::Write;
+
 use dspcc::apps;
+use dspcc::arch::Fnv64;
 use dspcc::fault::{FaultAudit, FaultOutcome, MutationKind};
 
 /// The pinned CI block: 32 seeds × 3 corpus apps × all mutation kinds,
-/// zero silent survivors, zero refuted witnesses.
+/// zero silent survivors, zero refuted witnesses, and the whole table
+/// pinned bit for bit.
 #[test]
 fn fixed_seed_block_has_zero_survivors() {
     let report = FaultAudit::new()
@@ -69,6 +73,15 @@ fn fixed_seed_block_has_zero_survivors() {
             _ => {}
         }
     }
+    // The table bit for bit: mutation texts, witnesses and detection
+    // details, which the counts above do not cover.
+    let mut h = Fnv64::new();
+    write!(h, "{:?}", report.cells).unwrap();
+    let digest = h.finish();
+    assert_eq!(
+        digest, 0x8836_92a8_18ce_e3fe,
+        "digest {digest:#018x}\n{report}"
+    );
 }
 
 /// The audit table is byte-identical for every worker-thread count.
