@@ -1,28 +1,9 @@
-//! Cycle-accurate simulation throughput: frames per second of the audio
-//! core running the figure-7 application, and the reference interpreter
-//! for comparison.
+//! Cycle-accurate simulation of the audio core running the figure-7
+//! application: the pre-decoded `CoreSim` against the retained
+//! decode-per-cycle `ReferenceSim`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dspcc::dfg::Interpreter;
 use dspcc::{apps, cores, Compiler};
-
-fn bench_simulator(c: &mut Criterion) {
-    let core = cores::audio_core();
-    let compiled = Compiler::new(&core)
-        .restarts(2)
-        .compile(&apps::audio_application())
-        .expect("audio application compiles");
-    let mut group = c.benchmark_group("simulator");
-    group.bench_function("audio_frame/cycle_accurate", |b| {
-        let mut sim = compiled.simulator().unwrap();
-        b.iter(|| sim.step_frame(&[1000, -1000]).unwrap())
-    });
-    group.bench_function("audio_frame/interpreter", |b| {
-        let mut interp = Interpreter::new(&compiled.dfg, core.format);
-        b.iter(|| interp.step(&[1000, -1000]))
-    });
-    group.finish();
-}
 
 /// Pre-decoded fast path vs the retained decode-per-cycle reference —
 /// the direct measurement of what construction-time decoding buys.
@@ -45,5 +26,5 @@ fn bench_sim_predecoded(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_sim_predecoded);
+criterion_group!(benches, bench_sim_predecoded);
 criterion_main!(benches);

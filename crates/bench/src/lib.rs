@@ -1,10 +1,11 @@
-//! Benchmark harness and figure/experiment regeneration for the `dspcc`
+//! Figure/experiment regeneration and kernel benches for the `dspcc`
 //! reproduction of *Efficient Code Generation for In-House DSP-Cores*
 //! (DATE 1995).
 //!
 //! Each binary in `src/bin/` regenerates one figure or in-text result of
 //! the paper (see DESIGN.md's experiment index); the Criterion benches in
-//! `benches/` measure the runtime of the algorithms themselves.
+//! `benches/` time kernels for same-machine A/B runs only, and
+//! `perfbench/` is the end-to-end benchmark.
 
 use dspcc::sched::report::OccupationReport;
 use dspcc::Compiled;
@@ -31,246 +32,6 @@ pub fn fig9_report(compiled: &Compiled) -> OccupationReport {
 /// Renders a small paper-vs-measured table row.
 pub fn compare_row(name: &str, paper: &str, measured: &str) -> String {
     format!("{name:<24} paper: {paper:<16} measured: {measured}")
-}
-
-/// Bench-result parsing and regression comparison for the
-/// `bench_compare` gate (see DESIGN.md's "Benchmark baseline" section).
-pub mod compare {
-    use std::collections::BTreeMap;
-
-    /// One benchmark that got slower than the baseline allows.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Regression {
-        /// Benchmark name (`group/bench/param`).
-        pub name: String,
-        /// Baseline median, nanoseconds.
-        pub baseline_ns: f64,
-        /// Fresh median, nanoseconds.
-        pub fresh_ns: f64,
-    }
-
-    impl Regression {
-        /// Slowdown as a percentage over the baseline (e.g. `37.5`).
-        pub fn slowdown_pct(&self) -> f64 {
-            (self.fresh_ns / self.baseline_ns - 1.0) * 100.0
-        }
-    }
-
-    /// Parses benchmark medians from either supported format:
-    ///
-    /// * the baseline map (`BENCH_baseline.json`): `"name": 123.4,` lines
-    ///   inside one JSON object;
-    /// * the criterion-shim `BENCH_JSON` append log: one
-    ///   `{"name": "...", "median_ns": 123.4}` object per line.
-    ///
-    /// Unrecognised lines are skipped, so both whole files parse with the
-    /// same routine. A name appearing twice keeps the **last** value (a
-    /// re-run appended to the same log supersedes the first run).
-    pub fn parse_results(text: &str) -> BTreeMap<String, f64> {
-        let mut out = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            let entry = if line.starts_with('{') && line.contains("\"median_ns\"") {
-                parse_log_line(line)
-            } else {
-                parse_map_line(line)
-            };
-            if let Some((name, median)) = entry {
-                out.insert(name, median);
-            }
-        }
-        out
-    }
-
-    /// `{"name": "group/bench", "median_ns": 123.4}`
-    fn parse_log_line(line: &str) -> Option<(String, f64)> {
-        let name = field_str(line, "\"name\"")?;
-        let median = field_num(line, "\"median_ns\"")?;
-        Some((name, median))
-    }
-
-    /// `"group/bench": 123.4`
-    fn parse_map_line(line: &str) -> Option<(String, f64)> {
-        let rest = line.strip_prefix('"')?;
-        let (name, rest) = rest.split_once('"')?;
-        let value = rest.trim().strip_prefix(':')?.trim();
-        Some((name.to_owned(), value.parse().ok()?))
-    }
-
-    fn field_str(line: &str, key: &str) -> Option<String> {
-        let after = line.split(key).nth(1)?.trim_start().strip_prefix(':')?;
-        let after = after.trim_start().strip_prefix('"')?;
-        Some(after.split('"').next()?.to_owned())
-    }
-
-    fn field_num(line: &str, key: &str) -> Option<f64> {
-        let after = line.split(key).nth(1)?.trim_start().strip_prefix(':')?;
-        let digits: String = after
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        digits.parse().ok()
-    }
-
-    /// Outcome of a baseline comparison.
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct Comparison {
-        /// Benchmarks slower than the threshold allows, sorted by name.
-        pub regressions: Vec<Regression>,
-        /// Baseline names absent from the fresh run (bench rot: a renamed
-        /// or deleted benchmark silently stops guarding its group).
-        pub missing: Vec<String>,
-        /// Fresh names absent from the baseline (a new benchmark is
-        /// ungated until the baseline is refreshed).
-        pub ungated: Vec<String>,
-    }
-
-    /// Median per-benchmark delta (percent, negative = faster) for each
-    /// benchmark group, where the group is the name up to the first `/`.
-    /// Reported by `bench_compare` so speedups are as visible as
-    /// regressions — a perf PR's wins land in specific groups, and the
-    /// gate output should say where.
-    pub fn group_deltas(
-        baseline: &BTreeMap<String, f64>,
-        fresh: &BTreeMap<String, f64>,
-    ) -> Vec<(String, f64, usize)> {
-        let mut per_group: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-        for (name, &base) in baseline {
-            if let Some(&now) = fresh.get(name) {
-                if base > 0.0 {
-                    let group = name.split('/').next().unwrap_or(name);
-                    per_group
-                        .entry(group)
-                        .or_default()
-                        .push((now / base - 1.0) * 100.0);
-                }
-            }
-        }
-        per_group
-            .into_iter()
-            .map(|(group, mut deltas)| {
-                deltas.sort_by(|a, b| a.partial_cmp(b).expect("finite deltas"));
-                let n = deltas.len();
-                let median = if n % 2 == 1 {
-                    deltas[n / 2]
-                } else {
-                    (deltas[n / 2 - 1] + deltas[n / 2]) / 2.0
-                };
-                (group.to_owned(), median, n)
-            })
-            .collect()
-    }
-
-    /// Compares `fresh` medians against `baseline`: a benchmark regresses
-    /// when it is more than `threshold_pct` percent slower. Names on only
-    /// one side are reported, not failed — see [`Comparison`].
-    pub fn find_regressions(
-        baseline: &BTreeMap<String, f64>,
-        fresh: &BTreeMap<String, f64>,
-        threshold_pct: f64,
-    ) -> Comparison {
-        let mut out = Comparison::default();
-        for (name, &base) in baseline {
-            match fresh.get(name) {
-                Some(&now) if now > base * (1.0 + threshold_pct / 100.0) => {
-                    out.regressions.push(Regression {
-                        name: name.clone(),
-                        baseline_ns: base,
-                        fresh_ns: now,
-                    });
-                }
-                Some(_) => {}
-                None => out.missing.push(name.clone()),
-            }
-        }
-        out.ungated = fresh
-            .keys()
-            .filter(|name| !baseline.contains_key(*name))
-            .cloned()
-            .collect();
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn parses_baseline_map_format() {
-            let text = "{\n  \"a/b/8\": 542.1,\n  \"c/d\": 1534406.5\n}\n";
-            let r = parse_results(text);
-            assert_eq!(r.len(), 2);
-            assert_eq!(r["a/b/8"], 542.1);
-            assert_eq!(r["c/d"], 1534406.5);
-        }
-
-        #[test]
-        fn parses_bench_json_log_format_last_wins() {
-            let text = "{\"name\": \"g/x\", \"median_ns\": 100.0}\n\
-                        {\"name\": \"g/y\", \"median_ns\": 7.5}\n\
-                        {\"name\": \"g/x\", \"median_ns\": 90.0}\n";
-            let r = parse_results(text);
-            assert_eq!(r.len(), 2);
-            assert_eq!(r["g/x"], 90.0);
-            assert_eq!(r["g/y"], 7.5);
-        }
-
-        #[test]
-        fn mixed_and_malformed_lines_are_skipped() {
-            let text = "{\n\"a\": 1.0,\nnot json at all\n\
-                        {\"name\": \"b\", \"median_ns\": 2.0}\n}\n";
-            let r = parse_results(text);
-            assert_eq!(r.len(), 2);
-        }
-
-        #[test]
-        fn regression_threshold_is_exclusive() {
-            let baseline = parse_results("\"g/a\": 100.0\n\"g/b\": 100.0\n\"g/gone\": 5.0");
-            let fresh = parse_results("\"g/a\": 125.0\n\"g/b\": 125.1\n\"g/new\": 7.0");
-            let cmp = find_regressions(&baseline, &fresh, 25.0);
-            assert_eq!(cmp.regressions.len(), 1);
-            assert_eq!(cmp.regressions[0].name, "g/b");
-            assert!((cmp.regressions[0].slowdown_pct() - 25.1).abs() < 0.2);
-            assert_eq!(cmp.missing, vec!["g/gone".to_owned()]);
-            assert_eq!(cmp.ungated, vec!["g/new".to_owned()]);
-        }
-
-        #[test]
-        fn group_deltas_report_speedups_and_regressions() {
-            let baseline =
-                parse_results("\"g/a\": 100.0\n\"g/b\": 200.0\n\"g/c\": 50.0\n\"h/x\": 10.0");
-            let fresh =
-                parse_results("\"g/a\": 50.0\n\"g/b\": 100.0\n\"g/c\": 100.0\n\"h/x\": 11.0");
-            let deltas = group_deltas(&baseline, &fresh);
-            assert_eq!(deltas.len(), 2);
-            // g: deltas −50, −50, +100 → median −50.
-            assert_eq!(deltas[0].0, "g");
-            assert!((deltas[0].1 - -50.0).abs() < 1e-9, "{:?}", deltas);
-            assert_eq!(deltas[0].2, 3);
-            // h: single +10%.
-            assert_eq!(deltas[1].0, "h");
-            assert!((deltas[1].1 - 10.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn group_deltas_skip_one_sided_benches() {
-            let baseline = parse_results("\"g/a\": 100.0\n\"g/gone\": 5.0");
-            let fresh = parse_results("\"g/a\": 120.0\n\"g/new\": 7.0");
-            let deltas = group_deltas(&baseline, &fresh);
-            assert_eq!(deltas.len(), 1);
-            assert_eq!(deltas[0].2, 1);
-            assert!((deltas[0].1 - 20.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn improvements_never_regress() {
-            let baseline = parse_results("\"g/a\": 100.0");
-            let fresh = parse_results("\"g/a\": 10.0");
-            let cmp = find_regressions(&baseline, &fresh, 25.0);
-            assert_eq!(cmp, Comparison::default());
-        }
-    }
 }
 
 #[cfg(test)]

@@ -202,11 +202,6 @@ impl<'a> Interpreter<'a> {
         self.frames_run += 1;
         Ok(outputs)
     }
-
-    /// Runs one frame per row of `input_frames`, collecting output frames.
-    pub fn run(&mut self, input_frames: &[Vec<i64>]) -> Vec<Vec<i64>> {
-        input_frames.iter().map(|f| self.step(f)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -240,10 +235,10 @@ mod tests {
     fn two_frame_delay() {
         let dfg = build("input u; output y; y = pass(u@2);");
         let mut i = Interpreter::new(&dfg, WordFormat::q15());
-        assert_eq!(
-            i.run(&[vec![1], vec![2], vec![3], vec![4]]),
-            vec![vec![0], vec![0], vec![1], vec![2]]
-        );
+        assert_eq!(i.step(&[1]), vec![0]);
+        assert_eq!(i.step(&[2]), vec![0]);
+        assert_eq!(i.step(&[3]), vec![1]);
+        assert_eq!(i.step(&[4]), vec![2]);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
+    fn expect_token(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
         match self.next() {
             Some(t) if &t.kind == kind => Ok(t),
             Some(t) => Err(ParseError {
@@ -162,18 +162,18 @@ impl Parser {
             "output" => Decl::Output(name),
             "signal" => Decl::Signal(name),
             "coeff" => {
-                self.expect(&TokenKind::Equals)?;
+                self.expect_token(&TokenKind::Equals)?;
                 let v = self.expect_number()?;
                 Decl::Coeff(name, v)
             }
             "const" => {
-                self.expect(&TokenKind::Equals)?;
+                self.expect_token(&TokenKind::Equals)?;
                 let v = self.expect_number()?;
                 Decl::Const(name, v)
             }
             other => return Err(self.error(format!("unknown declaration keyword `{other}`"))),
         };
-        self.expect(&TokenKind::Semicolon)?;
+        self.expect_token(&TokenKind::Semicolon)?;
         Ok(decl)
     }
 
@@ -202,7 +202,7 @@ impl Parser {
             }
         };
         let expr = self.expr()?;
-        self.expect(&TokenKind::Semicolon)?;
+        self.expect_token(&TokenKind::Semicolon)?;
         Ok(Stmt {
             target,
             kind,
@@ -238,7 +238,7 @@ impl Parser {
                         self.next();
                         args.push(self.expr()?);
                     }
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect_token(&TokenKind::RParen)?;
                     Ok(Expr::Call(name, args))
                 }
                 _ => Ok(Expr::Ref(name)),

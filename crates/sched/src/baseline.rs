@@ -8,7 +8,7 @@
 //! * [`sequential_schedule`] — one RT per cycle, the code a non-packing
 //!   compiler would emit;
 //! * [`strip_artificial_resources`] — undo the ISA modelling, yielding the
-//!   "ISA-unaware" scheduler whose output violates the instruction set
+//!   "ISA-unaware" scheduler whose output can violate the instruction set
 //!   (counted in experiment E10).
 
 use dspcc_ir::Program;

@@ -778,15 +778,6 @@ impl CoreSim {
         self.frames += 1;
         Ok(outputs)
     }
-
-    /// Runs one frame per row of `input_frames`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`].
-    pub fn run(&mut self, input_frames: &[Vec<i64>]) -> Result<Vec<Vec<i64>>, SimError> {
-        input_frames.iter().map(|f| self.step_frame(f)).collect()
-    }
 }
 
 #[cfg(test)]

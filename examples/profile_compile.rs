@@ -2,18 +2,13 @@
 //!
 //! Prints the [`dspcc::CompileStats`] profile (parse / sema / lower /
 //! modify / deps / matrix / schedule / regalloc / encode) alongside the
-//! end-to-end wall time, a warm-session reuse demonstration (the
-//! `cache_hits` counter), then a few substrate micro-timings. Run in
-//! CI's bench-smoke job so the stats path is exercised on every push.
+//! end-to-end wall time, then a warm-session reuse demonstration (the
+//! `cache_hits` counter). Run in CI's bench-smoke job so the stats path
+//! is exercised on every push.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dspcc::dfg::{parse, Dfg};
-use dspcc::rtgen::{lower, LowerOptions};
-use dspcc::sched::bounds::length_lower_bound;
-use dspcc::sched::deps::DependenceGraph;
-use dspcc::sched::ConflictMatrix;
 use dspcc::{apps, cores, CompileOptions, CompileSession, CompileStats, Compiler};
 
 fn main() {
@@ -61,7 +56,7 @@ fn main() {
     // shrinking budgets; everything up to the conflict matrix is served
     // from the session's artifact cache (cache_hits = 4 per re-compile).
     let session = CompileSession::new();
-    let shared_core = Arc::new(core.clone());
+    let shared_core = Arc::new(core);
     let cold_opts = CompileOptions {
         restarts: 1,
         ..CompileOptions::default()
@@ -87,31 +82,4 @@ fn main() {
             warm.stats.cache_hits,
         );
     }
-    let dfg = Dfg::build(&parse(&src).unwrap()).unwrap();
-    let n = 20;
-    let t = Instant::now();
-    for _ in 0..n {
-        let _ = lower(&dfg, &core.datapath, &LowerOptions::default()).unwrap();
-    }
-    println!("lower: {:?}/iter", t.elapsed() / n);
-    let compiled = Compiler::new(&core).restarts(1).compile(&src).unwrap();
-    let prog = &compiled.lowering.program;
-    let deps = DependenceGraph::build_with_edges(prog, &compiled.lowering.sequence_edges).unwrap();
-    println!("rts: {}", prog.rt_count());
-    let t = Instant::now();
-    for _ in 0..n {
-        let _ = ConflictMatrix::build(prog);
-    }
-    println!("matrix: {:?}/iter", t.elapsed() / n);
-    let matrix = ConflictMatrix::build(prog);
-    let t = Instant::now();
-    for _ in 0..n {
-        let _ = length_lower_bound(prog, &deps, &matrix);
-    }
-    println!(
-        "bound: {:?}/iter  (bound={}, sched len={})",
-        t.elapsed() / n,
-        length_lower_bound(prog, &deps, &matrix),
-        compiled.schedule.length()
-    );
 }

@@ -8,18 +8,14 @@
 //! Measurement model: each `Bencher::iter` call calibrates the number of
 //! iterations per sample to roughly [`SAMPLE_TARGET_NS`], collects
 //! `sample_size` samples, and reports the **median** per-iteration time in
-//! nanoseconds. Results are printed to stdout; when the `BENCH_JSON`
-//! environment variable names a file, one JSON line per benchmark
-//! (`{"name": ..., "median_ns": ...}`) is appended to it, which is how
-//! `BENCH_baseline.json` is produced (see DESIGN.md).
+//! nanoseconds. Results are printed to stdout only: nothing is recorded,
+//! so compare medians of two builds on one machine.
 //!
 //! Command-line: any non-flag argument is a substring filter on benchmark
 //! names (flags such as `--bench` passed by cargo are ignored). With
 //! `--test`, every routine runs exactly once and nothing is measured.
 
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Per-sample measurement budget the calibrator aims for.
@@ -238,11 +234,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
         format_ns(median),
         bencher.samples.len()
     );
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        if let Ok(mut file) = OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(file, "{{\"name\": \"{name}\", \"median_ns\": {median:.1}}}");
-        }
-    }
 }
 
 fn format_ns(ns: f64) -> String {
