@@ -2,8 +2,9 @@
 //!
 //! `union_cores` is one cross-core structural union plus ISA
 //! re-derivation — the fixed overhead of every union candidate.
-//! `hw_cost` is the hardware-cost model on a generated core (datapath
-//! walk + encoder field layout). `sweep_4x2` is a whole small sweep —
+//! `hw_cost` is the hardware-cost model on a generated core: the
+//! datapath walk, reading the field layout the core derived on the first
+//! call. `sweep_4x2` is a whole small sweep —
 //! 4 seeds + 2 adjacent unions + merge moves × 2 apps, every point
 //! differentially verified — the unit CI's codesign-smoke job runs; its
 //! throughput decides how much of the design space each change explores

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dspcc_arch::{Fnv64, SplitMix64};
-use dspcc_encode::{FieldLayout, Microcode, Word};
+use dspcc_encode::{Microcode, Word};
 use dspcc_ir::RtId;
 use dspcc_num::WordFormat;
 use dspcc_sched::{Degradation, DegradeAction, Schedule};
@@ -769,8 +769,8 @@ pub fn decode_schedule_artifact(bytes: &[u8]) -> Result<ScheduleArtifact, String
 
 /// Serializes an [`EncodeArtifact`] payload: microcode words (as raw
 /// bit chunks), ROM image, region size, I/O orders and word format.
-/// The field layout is *not* stored — it re-derives deterministically
-/// from the core on decode (and the encode key already pins the core).
+/// The field layout is *not* stored — the decoder takes the core's (and
+/// the encode key already pins the core).
 pub fn encode_encode_artifact(artifact: &EncodeArtifact) -> Vec<u8> {
     let mc = &artifact.microcode;
     let mut w = ByteWriter::new();
@@ -797,11 +797,11 @@ pub fn encode_encode_artifact(artifact: &EncodeArtifact) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes an [`EncodeArtifact`] payload against `core` (needed
-/// to re-derive the field layout).
+/// Deserializes an [`EncodeArtifact`] payload against `core`, whose
+/// shared field layout the microcode takes.
 pub fn decode_encode_artifact(bytes: &[u8], core: &Core) -> Result<EncodeArtifact, String> {
     let mut r = ByteReader::new(bytes);
-    let layout = FieldLayout::derive(&core.datapath, core.format);
+    let layout = core.layout();
     let word_count = r.u64()? as usize;
     if word_count > bytes.len() {
         return Err(format!("implausible word count {word_count}"));
@@ -858,7 +858,7 @@ pub fn decode_encode_artifact(bytes: &[u8], core: &Core) -> Result<EncodeArtifac
     Ok(EncodeArtifact {
         microcode: Arc::new(Microcode {
             words,
-            layout,
+            layout: Arc::clone(layout),
             rom_image,
             region_size,
             output_order,

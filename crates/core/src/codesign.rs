@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use dspcc_arch::merge::MergePlan;
 use dspcc_arch::{Datapath, Fnv64};
-use dspcc_encode::FieldLayout;
 use dspcc_isa::derive_isa;
 
 use crate::conform::{conform_cell, CellOutcome};
@@ -51,7 +50,8 @@ use crate::sweep;
 ///
 /// The fields follow the ROADMAP's cost axes: unit counts, word width,
 /// register-file/memory sizes, and the instruction-word width the
-/// encoder's [`FieldLayout`] actually derives for the datapath.
+/// encoder's [`FieldLayout`](dspcc_encode::FieldLayout) actually derives
+/// for the datapath ([`Core::layout`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HwCost {
     /// Operation units in the datapath.
@@ -89,8 +89,8 @@ impl HwCost {
             word_width: w,
             rf_bits: dp.register_files().iter().map(|r| r.size() * w).sum(),
             mem_bits: dp.opus().iter().map(|o| o.memory_size() * w).sum(),
-            iword_bits: FieldLayout::derive(dp, core.format).width(),
-            control_bits: u64::from(FieldLayout::derive(dp, core.format).width())
+            iword_bits: core.layout().width(),
+            control_bits: u64::from(core.layout().width())
                 * u64::from(core.controller.program_depth()),
         }
     }
@@ -517,15 +517,15 @@ fn build_move(base: &Candidate, base_idx: usize, name: &str, plan: &MergePlan) -
                 // instruction set (under the base's stimulus seed so the
                 // ISA style stays a pure function of the label lineage).
                 let isa = derive_isa(&dp, base.stim_seed);
-                Core {
-                    name: label.clone(),
-                    datapath: dp,
-                    controller: core.controller.clone(),
-                    format: core.format,
-                    classification: Some(isa.classification),
-                    instruction_set: isa.instruction_set,
-                    cover: isa.cover,
-                }
+                Core::new(
+                    label.clone(),
+                    dp,
+                    core.controller.clone(),
+                    core.format,
+                    Some(isa.classification),
+                    isa.instruction_set,
+                    isa.cover,
+                )
             }),
     };
     candidate_of(label, kind, core)

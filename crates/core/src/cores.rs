@@ -36,15 +36,15 @@ use crate::pipeline::Core;
 pub fn audio_core() -> Core {
     let dp = audio_datapath();
     let (classification, iset) = audio_isa(&dp);
-    Core {
-        name: "audio".to_owned(),
-        datapath: dp,
-        controller: Controller::stripped(128),
-        format: WordFormat::q15(),
-        classification: Some(classification),
-        instruction_set: Some(iset),
-        cover: CoverStrategy::GreedyMaximal,
-    }
+    Core::new(
+        "audio",
+        dp,
+        Controller::stripped(128),
+        WordFormat::q15(),
+        Some(classification),
+        Some(iset),
+        CoverStrategy::GreedyMaximal,
+    )
 }
 
 /// The raw datapath of the audio core (figure 8, paper order: IPB, OPB₁,
@@ -206,15 +206,15 @@ pub fn tiny_core() -> Core {
         .unit(UnitPlan::new(OpuKind::ProgConst, "prgc", &[("const", 1)]).bus("bus_prgc"))
         .build()
         .expect("tiny core datapath is valid");
-    Core {
-        name: "tiny".to_owned(),
-        datapath: dp,
-        controller: Controller::stripped(32),
-        format: WordFormat::q15(),
-        classification: None,
-        instruction_set: None,
-        cover: CoverStrategy::GreedyMaximal,
-    }
+    Core::new(
+        "tiny",
+        dp,
+        Controller::stripped(32),
+        WordFormat::q15(),
+        None,
+        None,
+        CoverStrategy::GreedyMaximal,
+    )
 }
 
 /// An intermediate-architecture core (paper section 4): two ALUs, each
@@ -260,15 +260,15 @@ pub fn unmerged_intermediate() -> Core {
         .unit(UnitPlan::new(OpuKind::ProgConst, "prgc", &[("const", 1)]).bus("bus_prgc"))
         .build()
         .expect("intermediate datapath is valid");
-    Core {
-        name: "intermediate".to_owned(),
-        datapath: dp,
-        controller: Controller::stripped(128),
-        format: WordFormat::q15(),
-        classification: None,
-        instruction_set: None,
-        cover: CoverStrategy::GreedyMaximal,
-    }
+    Core::new(
+        "intermediate",
+        dp,
+        Controller::stripped(128),
+        WordFormat::q15(),
+        None,
+        None,
+        CoverStrategy::GreedyMaximal,
+    )
 }
 
 /// A seeded random-but-valid core: the architecture from
@@ -286,15 +286,15 @@ pub fn generated_core(seed: u64) -> Core {
 /// one drawn with a custom [`dspcc_arch::GenConfig`]).
 pub fn generated_core_from(arch: GeneratedArch) -> Core {
     let isa = derive_isa(&arch.datapath, arch.seed);
-    Core {
-        name: format!("gen_{:x}", arch.seed),
-        datapath: arch.datapath,
-        controller: arch.controller,
-        format: WordFormat::new(arch.word_width).expect("generator draws valid widths"),
-        classification: Some(isa.classification),
-        instruction_set: isa.instruction_set,
-        cover: isa.cover,
-    }
+    Core::new(
+        format!("gen_{:x}", arch.seed),
+        arch.datapath,
+        arch.controller,
+        WordFormat::new(arch.word_width).expect("generator draws valid widths"),
+        Some(isa.classification),
+        isa.instruction_set,
+        isa.cover,
+    )
 }
 
 /// Merges two seeded generated cores into one machine that can run both
@@ -324,16 +324,15 @@ pub fn merged_core(seed_a: u64, seed_b: u64) -> Result<Core, MergeError> {
         h.write_u64(seed_b);
     });
     let isa = derive_isa(&dp, isa_seed);
-    Ok(Core {
-        name: format!("gen_{seed_a:x}+gen_{seed_b:x}"),
-        datapath: dp,
-        controller: a.controller.merged(&b.controller),
-        format: WordFormat::new(a.word_width.max(b.word_width))
-            .expect("generator draws valid widths"),
-        classification: Some(isa.classification),
-        instruction_set: isa.instruction_set,
-        cover: isa.cover,
-    })
+    Ok(Core::new(
+        format!("gen_{seed_a:x}+gen_{seed_b:x}"),
+        dp,
+        a.controller.merged(&b.controller),
+        WordFormat::new(a.word_width.max(b.word_width)).expect("generator draws valid widths"),
+        Some(isa.classification),
+        isa.instruction_set,
+        isa.cover,
+    ))
 }
 
 #[cfg(test)]

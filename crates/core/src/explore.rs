@@ -175,10 +175,11 @@ impl DesignSpace {
                     .map(|cover| match cover {
                         None => Arc::clone(core),
                         Some(c) if *c == core.cover => Arc::clone(core),
-                        Some(c) => Arc::new(Core {
-                            cover: *c,
-                            ..(**core).clone()
-                        }),
+                        Some(c) => {
+                            let mut covered = (**core).clone();
+                            covered.cover = *c;
+                            Arc::new(covered)
+                        }
                     })
                     .collect()
             })

@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dspcc_arch::{Fnv64, SplitMix64};
-use dspcc_encode::{allocate_registers, decode, encode, Microcode};
+use dspcc_encode::{allocate_registers, decode, encode, Microcode, RegisterMap};
 use dspcc_sched::Schedule;
 use dspcc_sim::{Action, CoreSim, Op};
 
@@ -564,7 +564,10 @@ fn inject_cycle_swap(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
 /// benign only when [`microcode_witness`] proves it — otherwise the
 /// differential run must kill it.
 fn inject_reg_redirect(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
-    let program = &compiled.assignment.program;
+    let program = compiled
+        .assignment
+        .registers
+        .rewrite(&compiled.lowering.program);
     let dp = &compiled.core.datapath;
     // Candidate operand slots: any operand of any RT whose register
     // file has at least two registers.
@@ -588,7 +591,7 @@ fn inject_reg_redirect(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
     }
     let (rt_id, slot, p, size) = candidates[(rng.next_u64() % candidates.len() as u64) as usize];
     let q = (p + 1 + (rng.next_u64() % u64::from(size - 1)) as u32) % size;
-    let mut mutated_program = program.clone();
+    let mut mutated_program = program;
     let rt = mutated_program.rt_mut(rt_id);
     let target = rt.dests().len() + slot; // remap_registers visits dests, then operands
     let mut visit = 0usize;
@@ -598,10 +601,12 @@ fn inject_reg_redirect(compiled: &Compiled, rng: &mut SplitMix64) -> Injected {
         mapped
     });
     let mutation = format!("{rt_id}: operand {slot} register {p} -> {q}");
-    // Re-encode the mutated program under the original schedule.
+    // Re-encode the mutated program, physical throughout, under the
+    // original schedule.
     let microcode = &compiled.microcode;
     let words = match encode(
         &mutated_program,
+        &RegisterMap::default(),
         &compiled.schedule,
         &microcode.layout,
         &compiled.lowering.immediates,
@@ -635,7 +640,8 @@ fn reencode(compiled: &Compiled, schedule: &Schedule) -> Result<Microcode, Strin
         allocate_registers(&lowering.program, schedule, dp, &pinned).map_err(|e| e.to_string())?;
     let microcode = &compiled.microcode;
     let words = encode(
-        &assignment.program,
+        &lowering.program,
+        &assignment.registers,
         schedule,
         &microcode.layout,
         &lowering.immediates,

@@ -22,12 +22,12 @@
 //! application — stage artifacts are then reused across compiles.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dspcc_arch::{Controller, Datapath};
 use dspcc_dfg::Dfg;
-use dspcc_encode::{Microcode, RegAssignment};
+use dspcc_encode::{FieldLayout, Microcode, RegAssignment};
 use dspcc_isa::{Classification, CoverStrategy, InstructionSet};
 use dspcc_num::WordFormat;
 use dspcc_rtgen::Lowering;
@@ -44,6 +44,12 @@ use crate::session::{CompileOptions, CompileSession};
 /// An in-house core: datapath + controller + instruction set (+ word
 /// format) — "the core is defined by the presented datapath, the
 /// controller and the instruction set" (section 7).
+///
+/// Build one with [`Core::new`]. The instruction-word [`FieldLayout`] is
+/// derived from the datapath and word format on first use
+/// ([`Core::layout`]) and shared by every compile of the core. A clone
+/// starts without one, so edit the datapath or format of a clone, not of
+/// a core that has compiled.
 #[derive(Debug, Clone)]
 pub struct Core {
     /// Human-readable name.
@@ -62,6 +68,59 @@ pub struct Core {
     pub instruction_set: Option<InstructionSet>,
     /// Clique-cover strategy for the artificial resources.
     pub cover: CoverStrategy,
+    layout: LayoutSlot,
+}
+
+impl Core {
+    /// A core of the given parts. Derives nothing: the field layout waits
+    /// for its first use.
+    pub fn new(
+        name: impl Into<String>,
+        datapath: Datapath,
+        controller: Controller,
+        format: WordFormat,
+        classification: Option<Classification>,
+        instruction_set: Option<InstructionSet>,
+        cover: CoverStrategy,
+    ) -> Core {
+        Core {
+            name: name.into(),
+            datapath,
+            controller,
+            format,
+            classification,
+            instruction_set,
+            cover,
+            layout: LayoutSlot::default(),
+        }
+    }
+
+    /// The instruction-word layout of this core's datapath and word
+    /// format, derived on the first call.
+    pub fn layout(&self) -> &Arc<FieldLayout> {
+        self.layout
+            .0
+            .get_or_init(|| Arc::new(FieldLayout::derive(&self.datapath, self.format)))
+    }
+}
+
+/// The slot [`Core::layout`] fills. A clone is empty, so a copy whose
+/// datapath or format is then edited derives its own layout.
+#[derive(Default)]
+struct LayoutSlot(OnceLock<Arc<FieldLayout>>);
+
+impl Clone for LayoutSlot {
+    fn clone(&self) -> Self {
+        LayoutSlot::default()
+    }
+}
+
+/// Prints the same whether or not the layout was derived, so a core's
+/// `Debug` output does not depend on whether it has compiled.
+impl fmt::Debug for LayoutSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LayoutSlot").finish_non_exhaustive()
+    }
 }
 
 /// Compilation failure, wrapping each stage's error with the stage name.
@@ -228,7 +287,7 @@ pub struct Compiler<'c> {
     /// Lazily-built shared copy of `core`, so repeated `compile` calls in
     /// the iteration loop clone the core once, not once per compile (the
     /// borrow on `core` guarantees it cannot change underneath).
-    core_arc: std::sync::OnceLock<Arc<Core>>,
+    core_arc: OnceLock<Arc<Core>>,
     options: CompileOptions,
 }
 
@@ -241,7 +300,7 @@ impl<'c> Compiler<'c> {
     pub fn new(core: &'c Core) -> Self {
         Compiler {
             core,
-            core_arc: std::sync::OnceLock::new(),
+            core_arc: OnceLock::new(),
             options: CompileOptions::default(),
         }
     }
@@ -626,5 +685,57 @@ mod tests {
         assert_eq!(repeat.stats.cache_hits, 7);
         assert!(Arc::ptr_eq(&cold.microcode, &repeat.microcode));
         assert_eq!(repeat.stats.total(), Duration::ZERO);
+    }
+    #[test]
+    fn compiles_of_one_core_share_its_layout() {
+        let mut targets = vec![cores::audio_core()];
+        targets.extend((0..16).map(cores::generated_core));
+        for core in &targets {
+            let derived = FieldLayout::derive(&core.datapath, core.format);
+            assert_eq!(**core.layout(), derived, "{}", core.name);
+        }
+        let core = Arc::new(cores::audio_core());
+        let src = "input u; coeff k = 0.5; output y; y = add_clip(mlt(k, u), u);";
+        let session = CompileSession::new();
+        let first = session
+            .compile(&core, src, &CompileOptions::default())
+            .unwrap();
+        let relaxed = CompileOptions {
+            budget: Some(first.cycles() + 3),
+            ..CompileOptions::default()
+        };
+        let second = session.compile(&core, src, &relaxed).unwrap();
+        assert!(!Arc::ptr_eq(&first.microcode, &second.microcode));
+        assert!(Arc::ptr_eq(
+            &first.microcode.layout,
+            &second.microcode.layout
+        ));
+        assert!(Arc::ptr_eq(&first.microcode.layout, core.layout()));
+    }
+
+    #[test]
+    fn edited_clone_derives_its_own_layout() {
+        let core = cores::audio_core();
+        let original = Arc::clone(core.layout());
+        let mut wider = core.clone();
+        wider.format = WordFormat::new(24).unwrap();
+        assert_eq!(
+            **wider.layout(),
+            FieldLayout::derive(&wider.datapath, wider.format)
+        );
+        assert_ne!(wider.layout().width(), original.width());
+        let mut rewired = core.clone();
+        rewired.datapath = cores::tiny_core().datapath;
+        assert_eq!(
+            **rewired.layout(),
+            FieldLayout::derive(&rewired.datapath, rewired.format)
+        );
+        assert_ne!(**rewired.layout(), *original);
+        // A compile of the edited clone encodes in the clone's layout.
+        let compiled = Compiler::new(&wider)
+            .compile("input u; output y; y = pass(u);")
+            .unwrap();
+        assert_eq!(compiled.microcode.layout.width(), wider.layout().width());
+        assert!(Arc::ptr_eq(core.layout(), &original));
     }
 }

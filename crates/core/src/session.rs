@@ -567,4 +567,20 @@ mod tests {
         let hit = session.compile(&core, src, &options).unwrap();
         assert_eq!(hit.stats.cache_hits, 7);
     }
+
+    #[test]
+    fn disk_hit_microcode_takes_the_core_layout() {
+        let dir = CacheDir::new("layout");
+        let cache = Arc::new(DiskCache::new(&dir.0));
+        let core = Arc::new(cores::tiny_core());
+        let options = CompileOptions::default();
+        CompileSession::with_disk_cache(Arc::clone(&cache))
+            .compile(&core, SRC, &options)
+            .unwrap();
+        let warm = CompileSession::with_disk_cache(cache)
+            .compile(&core, SRC, &options)
+            .unwrap();
+        assert_eq!(warm.stats.disk_hits, 2);
+        assert!(Arc::ptr_eq(&warm.microcode.layout, core.layout()));
+    }
 }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use dspcc_arch::Fnv64;
 use dspcc_dfg::{parse, Dfg};
-use dspcc_encode::{allocate_registers, encode, FieldLayout, Microcode, RegAssignment};
+use dspcc_encode::{allocate_registers, encode, Microcode, RegAssignment};
 use dspcc_isa::{artificial_resources, Classification};
 use dspcc_rtgen::{apply_instruction_set, lower, LowerOptions, Lowering};
 use dspcc_sched::deps::DependenceGraph;
@@ -255,7 +255,7 @@ pub struct ScheduleArtifact {
 /// Register-allocation output.
 #[derive(Debug)]
 pub struct RegallocArtifact {
-    /// The assignment (with its rewritten program).
+    /// The assignment: the register map the encoder reads.
     pub assignment: Arc<RegAssignment>,
     /// Wall-clock time of the stage.
     pub time: Duration,
@@ -444,12 +444,11 @@ pub fn run_regalloc(
 ) -> Result<RegallocArtifact, CompileError> {
     let lowering = &modified.lowering;
     let t = Instant::now();
-    let pinned = vec![lowering.fp_reg.clone()];
     let assignment = allocate_registers(
         &lowering.program,
         &schedule.schedule,
         &core.datapath,
-        &pinned,
+        std::slice::from_ref(&lowering.fp_reg),
     )
     .map_err(CompileError::RegAlloc)?;
     Ok(RegallocArtifact {
@@ -458,8 +457,9 @@ pub fn run_regalloc(
     })
 }
 
-/// Instruction encoding (compiler step 5): field layout, instruction
-/// words, and the executable microcode bundle.
+/// Instruction encoding (compiler step 5): the instruction words of the
+/// virtual program read through the register map, in the core's shared
+/// field layout, and the executable microcode bundle.
 ///
 /// # Errors
 ///
@@ -472,11 +472,12 @@ pub fn run_encode(
 ) -> Result<EncodeArtifact, CompileError> {
     let lowering = &modified.lowering;
     let t = Instant::now();
-    let layout = FieldLayout::derive(&core.datapath, core.format);
+    let layout = core.layout();
     let words = encode(
-        &regalloc.assignment.program,
+        &lowering.program,
+        &regalloc.assignment.registers,
         &schedule.schedule,
-        &layout,
+        layout,
         &lowering.immediates,
         core.format,
     )
@@ -484,7 +485,7 @@ pub fn run_encode(
     let (output_order, input_order) = lowering.io_orders();
     let microcode = Microcode {
         words,
-        layout,
+        layout: Arc::clone(layout),
         rom_image: lowering
             .rom_image
             .iter()

@@ -4,12 +4,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dspcc_arch::OpuKind;
-use dspcc_ir::{Program, RtId};
+use dspcc_ir::{Program, RegRef, Rt, RtId};
 use dspcc_num::WordFormat;
 use dspcc_rtgen::Immediate;
 use dspcc_sched::Schedule;
 
 use crate::layout::{FieldLayout, ImmKind, OpuField};
+use crate::regalloc::RegisterMap;
 use crate::word::Word;
 
 /// Encoding failure.
@@ -19,6 +20,16 @@ pub enum EncodeError {
     UnknownOpu {
         /// The RT's diagnostic name.
         rt: String,
+    },
+    /// An RT reads or writes a virtual register the register map does
+    /// not assign.
+    Unallocated {
+        /// The RT's diagnostic name.
+        rt: String,
+        /// The register file.
+        rf: String,
+        /// The virtual index.
+        index: u32,
     },
     /// An RT's operation is not in its OPU's opcode table.
     UnknownOp {
@@ -69,6 +80,13 @@ impl fmt::Display for EncodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EncodeError::UnknownOpu { rt } => write!(f, "RT `{rt}` uses no known OPU"),
+            EncodeError::Unallocated { rt, rf, index } => {
+                write!(
+                    f,
+                    "RT `{rt}` uses virtual register {index} of `{rf}`, which the \
+                     register map does not assign"
+                )
+            }
             EncodeError::UnknownOp { opu, op } => {
                 write!(f, "`{op}` is not an opcode of `{opu}`")
             }
@@ -93,8 +111,10 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Encodes a scheduled, register-allocated program into instruction words
-/// (one per cycle, including NOP cycles).
+/// Encodes a scheduled program into instruction words (one per cycle,
+/// including NOP cycles), reading each register through `registers`: the
+/// program may be virtual, and the map says where its registers live. The
+/// empty map encodes a program that is physical throughout.
 ///
 /// # Errors
 ///
@@ -102,99 +122,94 @@ impl std::error::Error for EncodeError {}
 /// format — all of which indicate earlier pipeline bugs, not user errors.
 pub fn encode(
     program: &Program,
+    registers: &RegisterMap,
     schedule: &Schedule,
     layout: &FieldLayout,
     immediates: &BTreeMap<RtId, Immediate>,
     format: WordFormat,
 ) -> Result<Vec<Word>, EncodeError> {
-    // Resolve every field's OPU name to its interned resource id once;
-    // the per-RT field search below is then pure integer compares, and
-    // per-cycle claim tracking indexes by field position instead of
-    // keying a map by OPU name.
-    let field_res: Vec<dspcc_ir::Resource> = layout
-        .fields()
-        .iter()
-        .map(|f| dspcc_ir::Resource::new(&f.opu))
-        .collect();
-    let mut words = Vec::new();
-    let mut claimed: Vec<Option<Word>> = vec![None; layout.fields().len()];
+    let fields = layout.fields();
+    let mut words = Vec::with_capacity(schedule.length() as usize);
+    // Per cycle, which fields an RT already wrote into the word. A later
+    // RT on a claimed field is encoded into `scratch` and must match the
+    // field's bits in the word (identical RTs may share a cycle).
+    let mut claimed = vec![false; fields.len()];
+    let mut scratch = Word::new(layout.width());
     for (cycle, instr) in schedule.instructions() {
         let mut word = Word::new(layout.width());
-        for c in claimed.iter_mut() {
-            *c = None;
-        }
+        claimed.fill(false);
         for &rt_id in instr {
             let rt = program.rt(rt_id);
-            let fidx = field_res
+            let (fidx, usage) = fields
                 .iter()
-                .position(|&res| rt.usage_id_of(res).is_some())
+                .enumerate()
+                .find_map(|(i, f)| rt.usage_id_of(f.opu_id).map(|u| (i, u)))
                 .ok_or_else(|| EncodeError::UnknownOpu {
                     rt: rt.name().to_owned(),
                 })?;
-            let field = &layout.fields()[fidx];
-            // Encode this RT's contribution into a scratch word first so
-            // identical RTs sharing a cycle can be detected cheaply.
-            let mut scratch = Word::new(layout.width());
-            encode_rt(
-                program,
-                rt_id,
-                field,
-                field_res[fidx],
-                immediates,
-                format,
-                &mut scratch,
-            )?;
-            if let Some(prev) = &claimed[fidx] {
-                if *prev != scratch {
-                    return Err(EncodeError::FieldClash {
-                        opu: field.opu.clone(),
-                        cycle,
-                    });
-                }
+            let field = &fields[fidx];
+            let op = usage.get().op();
+            let imm = immediates.get(&rt_id);
+            if !claimed[fidx] {
+                encode_rt(rt, registers, field, op, imm, format, &mut word)?;
+                claimed[fidx] = true;
                 continue;
             }
-            merge_field(&mut word, &scratch, field);
-            claimed[fidx] = Some(scratch);
+            encode_rt(rt, registers, field, op, imm, format, &mut scratch)?;
+            let mut same = true;
+            for_each_subfield(field, |offset, bits| {
+                same &= scratch.bits(offset, bits) == word.bits(offset, bits);
+                scratch.set_bits(offset, bits, 0);
+            });
+            if !same {
+                return Err(EncodeError::FieldClash {
+                    opu: field.opu.clone(),
+                    cycle,
+                });
+            }
         }
         words.push(word);
     }
     Ok(words)
 }
 
-pub(crate) fn merge_field(word: &mut Word, scratch: &Word, field: &OpuField) {
-    let mut copy = |offset: u32, bits: u32| {
+/// Visits every sub-field of `field` that has bits, as `(offset, bits)`.
+fn for_each_subfield(field: &OpuField, mut visit: impl FnMut(u32, u32)) {
+    let mut sub = |offset: u32, bits: u32| {
         if bits > 0 {
-            word.set_bits(offset, bits, scratch.bits(offset, bits));
+            visit(offset, bits);
         }
     };
-    copy(field.opcode_offset, field.opcode_bits);
+    sub(field.opcode_offset, field.opcode_bits);
     for o in &field.operands {
-        copy(o.offset, o.bits);
+        sub(o.offset, o.bits);
     }
     for d in &field.dests {
-        copy(d.enable_offset, 1);
-        copy(d.addr_offset, d.addr_bits);
+        sub(d.enable_offset, 1);
+        sub(d.addr_offset, d.addr_bits);
     }
     if let Some((offset, bits, _)) = field.imm {
-        copy(offset, bits);
+        sub(offset, bits);
     }
 }
 
+pub(crate) fn merge_field(word: &mut Word, scratch: &Word, field: &OpuField) {
+    for_each_subfield(field, |offset, bits| {
+        word.set_bits(offset, bits, scratch.bits(offset, bits));
+    });
+}
+
+/// Writes one RT's opcode `op`, its registers and its immediate `imm`
+/// into `field` of `word`, whose bits in that field must be zero.
 fn encode_rt(
-    program: &Program,
-    rt_id: RtId,
+    rt: &Rt,
+    registers: &RegisterMap,
     field: &OpuField,
-    field_res: dspcc_ir::Resource,
-    immediates: &BTreeMap<RtId, Immediate>,
+    op: &str,
+    imm: Option<&Immediate>,
     format: WordFormat,
     word: &mut Word,
 ) -> Result<(), EncodeError> {
-    let rt = program.rt(rt_id);
-    let op = rt
-        .usage_id_of(field_res)
-        .expect("field matched this RT")
-        .get()
-        .op();
     let opcode = field.opcode_of(op).ok_or_else(|| EncodeError::UnknownOp {
         opu: field.opu.clone(),
         op: op.to_owned(),
@@ -202,20 +217,33 @@ fn encode_rt(
     if field.opcode_bits > 0 {
         word.set_bits(field.opcode_offset, field.opcode_bits, opcode);
     }
-    // Operands: match each input port with the first unconsumed operand
-    // from the same register file (source order == port order when files
-    // coincide).
-    let mut used = vec![false; rt.operands().len()];
-    for spec in &field.operands {
-        if let Some(i) = rt
+    let physical = |reg: &RegRef| {
+        registers
+            .physical(reg)
+            .ok_or_else(|| EncodeError::Unallocated {
+                rt: rt.name().to_owned(),
+                rf: reg.rf().name().to_owned(),
+                index: reg.index(),
+            })
+    };
+    // Operands: each input port reads the first operand from its register
+    // file that an earlier port has not taken, so the k-th port on a file
+    // reads the k-th operand from it (source order == port order when
+    // files coincide).
+    for (port, spec) in field.operands.iter().enumerate() {
+        let rank = field.operands[..port]
+            .iter()
+            .filter(|earlier| earlier.rf_id == spec.rf_id)
+            .count();
+        let operand = rt
             .operands()
             .iter()
-            .enumerate()
-            .position(|(i, o)| !used[i] && o.rf().name() == spec.rf)
-        {
-            used[i] = true;
+            .filter(|o| *o.rf() == spec.rf_id)
+            .nth(rank);
+        if let Some(reg) = operand {
+            let index = physical(reg)?;
             if spec.bits > 0 {
-                word.set_bits(spec.offset, spec.bits, rt.operands()[i].index() as u64);
+                word.set_bits(spec.offset, spec.bits, u64::from(index));
             }
         }
     }
@@ -224,23 +252,22 @@ fn encode_rt(
         let spec = field
             .dests
             .iter()
-            .find(|d| d.rf == dest.rf().name())
+            .find(|d| d.rf_id == *dest.rf())
             .ok_or_else(|| EncodeError::BadDest {
                 opu: field.opu.clone(),
                 rf: dest.rf().name().to_owned(),
             })?;
+        let index = physical(dest)?;
         word.set_bits(spec.enable_offset, 1, 1);
         if spec.addr_bits > 0 {
-            word.set_bits(spec.addr_offset, spec.addr_bits, dest.index() as u64);
+            word.set_bits(spec.addr_offset, spec.addr_bits, u64::from(index));
         }
     }
     // Immediate.
     if let Some((offset, bits, kind)) = field.imm {
-        let imm = immediates
-            .get(&rt_id)
-            .ok_or_else(|| EncodeError::MissingImmediate {
-                rt: rt.name().to_owned(),
-            })?;
+        let imm = imm.ok_or_else(|| EncodeError::MissingImmediate {
+            rt: rt.name().to_owned(),
+        })?;
         let raw: i64 = match (imm, kind) {
             (Immediate::Fixed(v), ImmKind::ProgConst) => format.from_f64(*v),
             (Immediate::Raw(v), ImmKind::ProgConst) => *v,
@@ -427,7 +454,15 @@ mod tests {
         let id = p.add_rt(add_rt());
         let mut s = Schedule::new();
         s.place(id, 0);
-        let words = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap();
         assert_eq!(words.len(), 1);
         let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
         assert_eq!(d.actions.len(), 1);
@@ -447,7 +482,15 @@ mod tests {
         let id = p.add_rt(add_rt());
         let mut s = Schedule::new();
         s.place(id, 2); // cycles 0,1 empty
-        let words = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap();
         assert_eq!(words.len(), 3);
         assert!(words[0].is_zero());
         assert!(decode(&words[1], &layout, WordFormat::q15())
@@ -474,7 +517,15 @@ mod tests {
         for value in [-0.5f64, 0.25, -1.0, 0.999] {
             let imms: BTreeMap<RtId, Immediate> =
                 [(id, Immediate::Fixed(value))].into_iter().collect();
-            let words = encode(&p, &s, &layout, &imms, WordFormat::q15()).unwrap();
+            let words = encode(
+                &p,
+                &RegisterMap::default(),
+                &s,
+                &layout,
+                &imms,
+                WordFormat::q15(),
+            )
+            .unwrap();
             let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
             let expected = WordFormat::q15().from_f64(value);
             assert_eq!(d.actions[0].imm, Some(expected), "value {value}");
@@ -493,7 +544,15 @@ mod tests {
         let mut s = Schedule::new();
         s.place(id, 0);
         let imms: BTreeMap<RtId, Immediate> = [(id, Immediate::Raw(37))].into_iter().collect();
-        let words = encode(&p, &s, &layout, &imms, WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &imms,
+            WordFormat::q15(),
+        )
+        .unwrap();
         let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
         assert_eq!(d.actions[0].imm, Some(37));
     }
@@ -508,7 +567,15 @@ mod tests {
         let id = p.add_rt(rt);
         let mut s = Schedule::new();
         s.place(id, 0);
-        let err = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EncodeError::MissingImmediate { .. }));
     }
 
@@ -524,7 +591,15 @@ mod tests {
         let mut s = Schedule::new();
         s.place(a, 0);
         s.place(b, 0);
-        let err = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, EncodeError::FieldClash { cycle: 0, .. }),
             "{err}"
@@ -541,7 +616,15 @@ mod tests {
         let mut s = Schedule::new();
         s.place(a, 0);
         s.place(b, 0);
-        let words = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap();
         let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
         assert_eq!(d.actions.len(), 1);
     }
@@ -557,7 +640,15 @@ mod tests {
         let id = p.add_rt(rt);
         let mut s = Schedule::new();
         s.place(id, 0);
-        let err = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EncodeError::BadDest { .. }));
         assert!(err.to_string().contains("rf_nowhere"));
     }
@@ -578,7 +669,15 @@ mod tests {
         let mut s = Schedule::new();
         s.place(id, 0);
         let imms: BTreeMap<RtId, Immediate> = [(id, Immediate::Raw(1 << 40))].into_iter().collect();
-        let err = encode(&p, &s, &layout, &imms, WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &imms,
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         match err {
             EncodeError::ImmediateOverflow {
                 ref opu,
@@ -595,7 +694,15 @@ mod tests {
         // The largest representable value still encodes.
         let max = WordFormat::q15().max_value();
         let ok: BTreeMap<RtId, Immediate> = [(id, Immediate::Raw(max))].into_iter().collect();
-        let words = encode(&p, &s, &layout, &ok, WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &ok,
+            WordFormat::q15(),
+        )
+        .unwrap();
         let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
         assert_eq!(d.actions[0].imm, Some(max));
     }
@@ -612,12 +719,52 @@ mod tests {
         let id = p.add_rt(rt);
         let mut s = Schedule::new();
         s.place(id, 0);
-        let err = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, EncodeError::UnknownOp { ref opu, ref op } if opu == "alu" && op == "mult"),
             "{err}"
         );
         assert!(err.to_string().contains("not an opcode"));
+    }
+
+    #[test]
+    fn unallocated_virtual_register_reported() {
+        // A virtual register is encoded only through a map that assigns
+        // it; the empty map assigns none.
+        let dp = dp();
+        let layout = FieldLayout::derive(&dp, WordFormat::q15());
+        let mut p = Program::new();
+        let mut rt = add_rt();
+        rt.add_dest(RegRef::new("rf_a", dspcc_rtgen::VIRTUAL_BASE + 4));
+        let id = p.add_rt(rt);
+        let mut s = Schedule::new();
+        s.place(id, 0);
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            EncodeError::Unallocated {
+                rt: "add".to_owned(),
+                rf: "rf_a".to_owned(),
+                index: dspcc_rtgen::VIRTUAL_BASE + 4,
+            }
+        );
+        assert!(err.to_string().contains("does not assign"));
     }
 
     #[test]
@@ -630,7 +777,15 @@ mod tests {
         let id = p.add_rt(rt);
         let mut s = Schedule::new();
         s.place(id, 0);
-        let err = encode(&p, &s, &layout, &BTreeMap::new(), WordFormat::q15()).unwrap_err();
+        let err = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &BTreeMap::new(),
+            WordFormat::q15(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EncodeError::UnknownOpu { .. }));
     }
 
@@ -648,7 +803,15 @@ mod tests {
         s.place(a, 0);
         s.place(b, 0);
         let imms: BTreeMap<RtId, Immediate> = [(b, Immediate::Fixed(0.5))].into_iter().collect();
-        let words = encode(&p, &s, &layout, &imms, WordFormat::q15()).unwrap();
+        let words = encode(
+            &p,
+            &RegisterMap::default(),
+            &s,
+            &layout,
+            &imms,
+            WordFormat::q15(),
+        )
+        .unwrap();
         let d = decode(&words[0], &layout, WordFormat::q15()).unwrap();
         assert_eq!(d.actions.len(), 2);
         let names: Vec<&str> = d.actions.iter().map(|a| a.opu.as_str()).collect();

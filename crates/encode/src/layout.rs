@@ -12,10 +12,15 @@
 //! unit's output bus; the write-enable bit doubles as the multiplexer
 //! select at the register file (only one unit may assert a write per file
 //! per cycle — guaranteed by the write-port resource conflicts).
+//!
+//! Unit and register-file names are interned when the layout is derived
+//! (`opu_id`, `rf_id`), so the encoder matches RTs to fields and registers
+//! to sub-fields by integer compare.
 
 use std::fmt;
 
 use dspcc_arch::{Datapath, OpuKind};
+use dspcc_ir::Resource;
 use dspcc_num::WordFormat;
 
 /// What an OPU's immediate field holds.
@@ -32,6 +37,8 @@ pub enum ImmKind {
 pub struct OperandSpec {
     /// Register file feeding the port.
     pub rf: String,
+    /// `rf`, interned.
+    pub rf_id: Resource,
     /// Bit offset within the word.
     pub offset: u32,
     /// Field width.
@@ -44,6 +51,8 @@ pub struct OperandSpec {
 pub struct DestSpec {
     /// The destination register file.
     pub rf: String,
+    /// `rf`, interned.
+    pub rf_id: Resource,
     /// Bit offset of the write-enable bit.
     pub enable_offset: u32,
     /// Bit offset of the register address.
@@ -57,6 +66,8 @@ pub struct DestSpec {
 pub struct OpuField {
     /// The OPU.
     pub opu: String,
+    /// `opu`, interned: the resource an RT must use to claim this field.
+    pub opu_id: Resource,
     /// Its kind (fixes simulation semantics).
     pub kind: OpuKind,
     /// Operation names; opcode `i+1` encodes `ops[i]`, opcode 0 is NOP.
@@ -104,6 +115,7 @@ impl FieldLayout {
                 let bits = width_for(size);
                 operands.push(OperandSpec {
                     rf: rf.clone(),
+                    rf_id: Resource::new(rf),
                     offset: cursor,
                     bits,
                 });
@@ -115,6 +127,7 @@ impl FieldLayout {
                     let addr_bits = width_for(rf.size());
                     dests.push(DestSpec {
                         rf: rf.name().to_owned(),
+                        rf_id: Resource::new(rf.name()),
                         enable_offset: cursor,
                         addr_offset: cursor + 1,
                         addr_bits,
@@ -139,6 +152,7 @@ impl FieldLayout {
             };
             fields.push(OpuField {
                 opu: opu.name().to_owned(),
+                opu_id: Resource::new(opu.name()),
                 kind: opu.kind(),
                 ops,
                 opcode_offset,

@@ -8,6 +8,8 @@
 //!   (one per value) are mapped to physical registers of each distributed
 //!   register file by linear scan over issue-cycle live ranges; exceeding
 //!   a file's capacity is a feasibility failure fed back to the designer.
+//!   The result is a [`RegisterMap`], not a rewritten program: the encoder
+//!   reads the virtual program through it.
 //! * [`layout`] — derivation of the VLIW *word format* from the datapath:
 //!   one field per OPU (opcode, operand register addresses, destination
 //!   write-enables + addresses, immediates). This is the microcode format
@@ -26,11 +28,13 @@ pub mod reference;
 pub mod regalloc;
 pub mod word;
 
+use std::sync::Arc;
+
 use dspcc_num::WordFormat;
 
 pub use encoder::{decode, encode, DecodedInstruction, EncodeError, OpuAction};
 pub use layout::{FieldLayout, ImmKind, OpuField};
-pub use regalloc::{allocate_registers, RegAllocError, RegAssignment};
+pub use regalloc::{allocate_registers, RegAllocError, RegAssignment, RegisterMap};
 pub use word::Word;
 
 /// Executable microcode for one core + application: the output of the
@@ -39,8 +43,9 @@ pub use word::Word;
 pub struct Microcode {
     /// One instruction word per schedule cycle.
     pub words: Vec<Word>,
-    /// The word format the words are encoded in.
-    pub layout: FieldLayout,
+    /// The word format the words are encoded in, shared by every
+    /// microcode of one core.
+    pub layout: Arc<FieldLayout>,
     /// Coefficient ROM image (fixed-point words).
     pub rom_image: Vec<i64>,
     /// ACU circular-region modulus (power of two).

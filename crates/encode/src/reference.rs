@@ -21,8 +21,20 @@ use dspcc_sched::Schedule;
 
 use crate::encoder::{decode_imm_raw, merge_field, EncodeError};
 use crate::layout::{FieldLayout, ImmKind};
-use crate::regalloc::{RegAllocError, RegAssignment};
+use crate::regalloc::RegAllocError;
 use crate::word::Word;
+
+/// What the seed's register allocator returned: the maps, plus the
+/// program rewritten to physical registers.
+#[derive(Debug, Clone)]
+pub struct ReferenceAssignment {
+    /// `(rf, virtual) → physical`.
+    pub mapping: BTreeMap<(String, u32), u32>,
+    /// Peak register usage per file.
+    pub peak_usage: BTreeMap<String, u32>,
+    /// The program with all register references physical.
+    pub program: Program,
+}
 
 /// The seed's string-keyed register allocator (see module docs).
 ///
@@ -34,13 +46,17 @@ pub fn allocate_registers_reference(
     schedule: &Schedule,
     dp: &Datapath,
     pinned: &[(String, u32)],
-) -> Result<RegAssignment, RegAllocError> {
+) -> Result<ReferenceAssignment, RegAllocError> {
     let issue = schedule.issue_cycles(program.rt_count());
+    let issue_of = |id: RtId, name: &str| {
+        issue[id.0 as usize].ok_or_else(|| RegAllocError::Unscheduled {
+            rt: name.to_owned(),
+        })
+    };
     // Live ranges per (rf, virtual index): (write_cycle, last_read_cycle).
     let mut ranges: BTreeMap<(String, u32), (u32, u32)> = BTreeMap::new();
     for (id, rt) in program.rts() {
-        let t = issue[id.0 as usize].expect("schedule covers all RTs");
-        let write_time = t + rt.latency();
+        let write_time = issue_of(id, rt.name())? + rt.latency();
         for dest in rt.dests() {
             if dest.index() < VIRTUAL_BASE {
                 continue; // pre-colored
@@ -51,7 +67,7 @@ pub fn allocate_registers_reference(
         }
     }
     for (id, rt) in program.rts() {
-        let t = issue[id.0 as usize].expect("schedule covers all RTs");
+        let t = issue_of(id, rt.name())?;
         for opr in rt.operands() {
             if opr.index() < VIRTUAL_BASE {
                 continue;
@@ -76,7 +92,10 @@ pub fn allocate_registers_reference(
     let mut mapping: BTreeMap<(String, u32), u32> = BTreeMap::new();
     let mut peak_usage: BTreeMap<String, u32> = BTreeMap::new();
     for (rf, mut items) in per_rf {
-        let size = dp.register_file(&rf).map(|s| s.size()).unwrap_or(u32::MAX);
+        let size = dp
+            .register_file(&rf)
+            .ok_or_else(|| RegAllocError::UnknownRegisterFile { rf: rf.clone() })?
+            .size();
         let pinned_here: Vec<u32> = pinned
             .iter()
             .filter(|(p, _)| *p == rf)
@@ -146,10 +165,10 @@ pub fn allocate_registers_reference(
         }
         *rt = fresh;
     }
-    Ok(RegAssignment {
-        program: rewritten,
+    Ok(ReferenceAssignment {
         mapping,
         peak_usage,
+        program: rewritten,
     })
 }
 

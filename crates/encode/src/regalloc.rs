@@ -17,20 +17,65 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dspcc_arch::Datapath;
-use dspcc_ir::{Program, Resource};
+use dspcc_ir::{Program, RegRef, Resource, RtId};
 use dspcc_rtgen::VIRTUAL_BASE;
 use dspcc_sched::Schedule;
 
-/// The physical register assignment: `(rf, virtual index) → physical
-/// index`, plus the rewritten program.
+/// The physical register assignment of a scheduled program. The program
+/// itself is not rewritten: the encoder reads [`RegAssignment::registers`]
+/// as it encodes, and [`RegisterMap::rewrite`] builds a physical copy for
+/// the callers that need one.
 #[derive(Debug, Clone)]
 pub struct RegAssignment {
-    /// Program with all register references physical.
-    pub program: Program,
     /// Mapping used, for reports: `(rf, virtual) → physical`.
     pub mapping: BTreeMap<(String, u32), u32>,
     /// Peak register usage per file, for the feasibility report.
     pub peak_usage: BTreeMap<String, u32>,
+    /// The same mapping as a dense table, for the encoder.
+    pub registers: RegisterMap,
+}
+
+/// A dense `(register file, virtual register) → physical register` table.
+///
+/// Registers below [`VIRTUAL_BASE`] are physical already and map to
+/// themselves, so the empty map is the identity on a program that is
+/// physical throughout.
+#[derive(Debug, Clone, Default)]
+pub struct RegisterMap {
+    /// Register files holding virtual registers, in first-write order.
+    rfs: Vec<Resource>,
+    /// `physical[slot][value]`: the register of virtual register
+    /// `VIRTUAL_BASE + value` in `rfs[slot]`.
+    physical: Vec<Vec<Option<u32>>>,
+}
+
+impl RegisterMap {
+    /// The physical index of `reg`: its own index when it is physical,
+    /// `None` for a virtual register the map does not assign.
+    pub fn physical(&self, reg: &RegRef) -> Option<u32> {
+        let Some(value) = reg.index().checked_sub(VIRTUAL_BASE) else {
+            return Some(reg.index());
+        };
+        let slot = self.rfs.iter().position(|rf| rf == reg.rf())?;
+        self.physical[slot].get(value as usize).copied().flatten()
+    }
+
+    /// A copy of `program` with every register this map assigns
+    /// rewritten to its physical index. Registers it does not assign are
+    /// left as they are, so encoding the copy under the empty map reports
+    /// them ([`crate::EncodeError::Unallocated`]).
+    pub fn rewrite(&self, program: &Program) -> Program {
+        let mut rewritten = program.clone();
+        for id in 0..rewritten.rt_count() {
+            rewritten
+                .rt_mut(RtId(id as u32))
+                .remap_registers(|reg| match self.physical(reg) {
+                    Some(index) => reg.with_index(index),
+                    None => *reg,
+                });
+        }
+        rewritten
+    }
 }
 
 /// Register-allocation failure.
@@ -52,6 +97,16 @@ pub enum RegAllocError {
         /// The virtual index.
         virtual_index: u32,
     },
+    /// The schedule places no cycle for an RT of the program.
+    Unscheduled {
+        /// The RT's diagnostic name.
+        rt: String,
+    },
+    /// A virtual register lives in a register file the datapath lacks.
+    UnknownRegisterFile {
+        /// The register file.
+        rf: String,
+    },
 }
 
 impl fmt::Display for RegAllocError {
@@ -70,6 +125,12 @@ impl fmt::Display for RegAllocError {
                 f,
                 "virtual register {virtual_index} of `{rf}` is read but never written"
             ),
+            RegAllocError::Unscheduled { rt } => {
+                write!(f, "RT `{rt}` is not placed by the schedule")
+            }
+            RegAllocError::UnknownRegisterFile { rf } => {
+                write!(f, "register file `{rf}` is not in the datapath")
+            }
         }
     }
 }
@@ -82,7 +143,8 @@ impl std::error::Error for RegAllocError {}
 ///
 /// # Errors
 ///
-/// Returns [`RegAllocError`] on capacity overflow or dangling reads.
+/// Returns [`RegAllocError`] on capacity overflow, dangling reads, RTs the
+/// schedule leaves unplaced, or register files the datapath lacks.
 pub fn allocate_registers(
     program: &Program,
     schedule: &Schedule,
@@ -90,17 +152,21 @@ pub fn allocate_registers(
     pinned: &[(String, u32)],
 ) -> Result<RegAssignment, RegAllocError> {
     let issue = schedule.issue_cycles(program.rt_count());
+    let issue_of = |id: RtId, name: &str| {
+        issue[id.0 as usize].ok_or_else(|| RegAllocError::Unscheduled {
+            rt: name.to_owned(),
+        })
+    };
     // Live ranges in dense per-register-file tables: register files are
     // identified by interned `Resource`, virtual indices are dense value
     // ids (`VIRTUAL_BASE + value`), so range recording and the final
-    // rewrite are array indexing — no string-keyed map on the hot path.
+    // table are array indexing — no string-keyed map on the hot path.
     let mut rfs: Vec<Resource> = Vec::new();
     // ranges[rf slot][value] = (write_cycle, last_read_cycle).
     let mut ranges: Vec<Vec<Option<(u32, u32)>>> = Vec::new();
     let slot_of = |rfs: &[Resource], rf: Resource| rfs.iter().position(|&x| x == rf);
     for (id, rt) in program.rts() {
-        let t = issue[id.0 as usize].expect("schedule covers all RTs");
-        let write_time = t + rt.latency();
+        let write_time = issue_of(id, rt.name())? + rt.latency();
         for dest in rt.dests() {
             if dest.index() < VIRTUAL_BASE {
                 continue; // pre-colored
@@ -122,7 +188,7 @@ pub fn allocate_registers(
         }
     }
     for (id, rt) in program.rts() {
-        let t = issue[id.0 as usize].expect("schedule covers all RTs");
+        let t = issue_of(id, rt.name())?;
         for opr in rt.operands() {
             if opr.index() < VIRTUAL_BASE {
                 continue;
@@ -145,34 +211,44 @@ pub fn allocate_registers(
     // Linear-scan each register file. Files are processed in name order so
     // the reported maps read deterministically; assignments within a file
     // depend only on that file's ranges, never on interning order.
+    let names: Vec<&str> = rfs.iter().map(|rf| rf.name()).collect();
     let mut order: Vec<usize> = (0..rfs.len()).collect();
-    order.sort_by_key(|&s| rfs[s].name());
-    // phys[rf slot][value] = allocated physical index.
-    let mut phys_of: Vec<Vec<Option<u32>>> = ranges.iter().map(|r| vec![None; r.len()]).collect();
+    order.sort_by_key(|&s| names[s]);
+    // physical[rf slot][value] = allocated physical index.
+    let mut physical: Vec<Vec<Option<u32>>> = ranges.iter().map(|r| vec![None; r.len()]).collect();
     let mut mapping: BTreeMap<(String, u32), u32> = BTreeMap::new();
     let mut peak_usage: BTreeMap<String, u32> = BTreeMap::new();
+    // Per-file scratch, reused across files.
+    let mut pinned_here: Vec<u32> = Vec::new();
+    let mut items: Vec<(u32, u32, u32)> = Vec::new();
+    // Active: (last_read, physical).
+    let mut active: Vec<(u32, u32)> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
     for slot in order {
-        let rf = rfs[slot].name();
-        let size = dp.register_file(rf).map(|s| s.size()).unwrap_or(u32::MAX);
-        let pinned_here: Vec<u32> = pinned
-            .iter()
-            .filter(|(p, _)| p == rf)
-            .map(|&(_, i)| i)
-            .collect();
-        let mut items: Vec<(u32, u32, u32)> = ranges[slot]
-            .iter()
-            .enumerate()
-            .filter_map(|(v, r)| r.map(|(w, rd)| (w, rd, VIRTUAL_BASE + v as u32)))
-            .collect();
+        let rf = names[slot];
+        let size = dp
+            .register_file(rf)
+            .ok_or_else(|| RegAllocError::UnknownRegisterFile { rf: rf.to_owned() })?
+            .size();
+        pinned_here.clear();
+        pinned_here.extend(pinned.iter().filter(|(p, _)| p == rf).map(|&(_, i)| i));
+        items.clear();
+        items.extend(
+            ranges[slot]
+                .iter()
+                .enumerate()
+                .filter_map(|(v, r)| r.map(|(w, rd)| (w, rd, VIRTUAL_BASE + v as u32))),
+        );
         items.sort_unstable_by_key(|&(w, r, v)| (w, r, v));
-        // Active: (last_read, physical).
-        let mut active: Vec<(u32, u32)> = Vec::new();
-        let mut free: Vec<u32> = (0..size)
-            .rev() // pop from the low end
-            .filter(|i| !pinned_here.contains(i))
-            .collect();
+        active.clear();
+        free.clear();
+        free.extend(
+            (0..size)
+                .rev() // pop from the low end
+                .filter(|i| !pinned_here.contains(i)),
+        );
         let mut peak = 0u32;
-        for (w, r, virt) in items {
+        for &(w, r, virt) in &items {
             // Expire ranges read strictly before this value becomes
             // visible: a write landing at cycle `w` replaces the register
             // content *for* cycle `w` (the commit happens at the end of
@@ -198,30 +274,15 @@ pub fn allocate_registers(
             };
             active.push((r, phys));
             peak = peak.max(active.len() as u32 + pinned_here.len() as u32);
-            phys_of[slot][(virt - VIRTUAL_BASE) as usize] = Some(phys);
+            physical[slot][(virt - VIRTUAL_BASE) as usize] = Some(phys);
             mapping.insert((rf.to_owned(), virt), phys);
         }
         peak_usage.insert(rf.to_owned(), peak);
     }
-    // Rewrite the register references in place — usages, defs, uses, and
-    // latencies are untouched, so nothing is re-interned or re-allocated.
-    let mut rewritten = program.clone();
-    for id in rewritten.rt_ids().collect::<Vec<_>>() {
-        rewritten.rt_mut(id).remap_registers(|reg| {
-            if reg.index() < VIRTUAL_BASE {
-                *reg
-            } else {
-                let slot = slot_of(&rfs, *reg.rf()).expect("range recorded for virtual register");
-                let phys = phys_of[slot][(reg.index() - VIRTUAL_BASE) as usize]
-                    .expect("virtual register allocated");
-                reg.with_index(phys)
-            }
-        });
-    }
     Ok(RegAssignment {
-        program: rewritten,
         mapping,
         peak_usage,
+        registers: RegisterMap { rfs, physical },
     })
 }
 
@@ -273,8 +334,8 @@ mod tests {
         // Each value dies right as the next is written → 2 registers do.
         let a = allocate_registers(&p, &s, &dp, &[]).unwrap();
         assert!(a.peak_usage["rf_a"] <= 2, "{:?}", a.peak_usage);
-        // All references physical now.
-        for (_, rt) in a.program.rts() {
+        // All references of the rewritten program are physical.
+        for (_, rt) in a.registers.rewrite(&p).rts() {
             for r in rt.dests().iter().chain(rt.operands()) {
                 assert!(r.index() < VIRTUAL_BASE);
                 assert!(r.index() < 2);
@@ -412,5 +473,64 @@ mod tests {
         let dp = small_dp(1); // only one register!
         let a = allocate_registers(&p, &s, &dp, &[]).unwrap();
         assert_eq!(a.peak_usage["rf_a"], 1);
+    }
+    #[test]
+    fn register_map_agrees_with_the_mapping() {
+        let (p, s) = chain(4);
+        let dp = small_dp(2);
+        let a = allocate_registers(&p, &s, &dp, &[]).unwrap();
+        for (&(ref rf, virt), &phys) in &a.mapping {
+            let reg = RegRef::new(rf.as_str(), virt);
+            assert_eq!(a.registers.physical(&reg), Some(phys));
+        }
+        // Physical registers map to themselves, in any map.
+        let physical = RegRef::new("rf_b", 1);
+        assert_eq!(a.registers.physical(&physical), Some(1));
+        assert_eq!(RegisterMap::default().physical(&physical), Some(1));
+        // A virtual register the map does not assign has no image, and
+        // the rewrite leaves it as it is.
+        let stray = RegRef::new("rf_b", VIRTUAL_BASE);
+        assert_eq!(a.registers.physical(&stray), None);
+        let mut q = p.clone();
+        q.rt_mut(dspcc_ir::RtId(0)).add_operand(stray);
+        let rewritten = a.registers.rewrite(&q);
+        assert_eq!(rewritten.rt(dspcc_ir::RtId(0)).operands(), &[stray]);
+    }
+
+    #[test]
+    fn unplaced_rt_is_a_typed_error() {
+        let (p, _) = chain(3);
+        let mut s = Schedule::new();
+        s.place(dspcc_ir::RtId(0), 0);
+        s.place(dspcc_ir::RtId(2), 2);
+        let err = allocate_registers(&p, &s, &small_dp(2), &[]).unwrap_err();
+        assert_eq!(
+            err,
+            RegAllocError::Unscheduled {
+                rt: "op1".to_owned()
+            }
+        );
+        assert!(err.to_string().contains("not placed"));
+    }
+
+    #[test]
+    fn register_file_outside_the_datapath_is_a_typed_error() {
+        let mut p = Program::new();
+        let v = p.add_value("v0");
+        let mut rt = Rt::new("w");
+        rt.add_dest(RegRef::new("rf_elsewhere", VIRTUAL_BASE + v.0));
+        rt.add_def(v);
+        rt.add_usage("alu", Usage::apply("pass", ["v0"]));
+        let id = p.add_rt(rt);
+        let mut s = Schedule::new();
+        s.place(id, 0);
+        let err = allocate_registers(&p, &s, &small_dp(2), &[]).unwrap_err();
+        assert_eq!(
+            err,
+            RegAllocError::UnknownRegisterFile {
+                rf: "rf_elsewhere".to_owned()
+            }
+        );
+        assert!(err.to_string().contains("not in the datapath"));
     }
 }

@@ -19,7 +19,6 @@
 //! sets of the **conflict graph**: classes are nodes, and an edge joins two
 //! classes that never occur together in any type.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use dspcc_graph::cliques::maximal_cliques;
@@ -39,7 +38,10 @@ use crate::classes::ClassId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionSet {
     class_count: usize,
-    types: BTreeSet<BTreeSet<ClassId>>,
+    /// Every type as an ascending class list, the lists in lexicographic
+    /// order without duplicates: the order a set of sets of classes
+    /// iterates in, so lookups are binary searches.
+    types: Vec<Vec<ClassId>>,
     /// The conflict graph of `types`.
     conflict: UndirectedGraph,
 }
@@ -92,12 +94,15 @@ impl InstructionSet {
     /// call [`InstructionSet::validate`], which also reports class ids
     /// out of range (the conflict graph ignores them).
     pub fn from_types(class_count: usize, types: &[Vec<usize>]) -> Self {
+        let mut canonical: Vec<Vec<ClassId>> = types
+            .iter()
+            .map(|t| canonical_type(t.iter().map(|&c| ClassId(c))))
+            .collect();
+        canonical.sort_unstable();
+        canonical.dedup();
         InstructionSet {
             class_count,
-            types: types
-                .iter()
-                .map(|t| t.iter().map(|&c| ClassId(c)).collect())
-                .collect(),
+            types: canonical,
             conflict: compat_of(class_count, types).complement(),
         }
     }
@@ -129,23 +134,34 @@ impl InstructionSet {
         // Compatible pairs: those inside some desired type.
         let compat = compat_of(class_count, desired);
         // Valid types = independent sets of the conflict graph = cliques of
-        // the compatibility graph, plus NOP and singletons.
-        let mut types: BTreeSet<BTreeSet<ClassId>> = BTreeSet::new();
-        types.insert(BTreeSet::new());
-        for c in 0..class_count {
-            types.insert([ClassId(c)].into_iter().collect());
-        }
+        // the compatibility graph, plus NOP and singletons. Each type is a
+        // class bitmask while the subsets are enumerated.
+        let mut masks: Vec<u32> = vec![0];
+        masks.extend((0..class_count).map(|c| 1u32 << c));
         for maximal in maximal_cliques(&compat) {
-            // All subsets of each maximal clique.
-            let n = maximal.len();
-            for mask in 1u32..(1 << n) {
-                let t: BTreeSet<ClassId> = (0..n)
-                    .filter(|&i| mask & (1 << i) != 0)
-                    .map(|i| ClassId(maximal[i]))
-                    .collect();
-                types.insert(t);
+            // All non-empty subsets of each maximal clique: the submasks
+            // of its mask, walked downwards.
+            let clique = maximal.iter().fold(0u32, |mask, &c| mask | 1 << c);
+            let mut subset = clique;
+            while subset != 0 {
+                masks.push(subset);
+                subset = (subset - 1) & clique;
             }
         }
+        masks.sort_unstable();
+        masks.dedup();
+        let mut types: Vec<Vec<ClassId>> = masks
+            .into_iter()
+            .map(|mut mask| {
+                let mut t = Vec::with_capacity(mask.count_ones() as usize);
+                while mask != 0 {
+                    t.push(ClassId(mask.trailing_zeros() as usize));
+                    mask &= mask - 1;
+                }
+                t
+            })
+            .collect();
+        types.sort_unstable();
         // Two classes share a type iff they share a maximal clique, that
         // is iff they are compatible: the conflict graph is the
         // complement.
@@ -163,19 +179,21 @@ impl InstructionSet {
 
     /// All types, smallest first (NOP, singletons, pairs, …).
     pub fn types(&self) -> Vec<Vec<ClassId>> {
-        let mut out: Vec<Vec<ClassId>> = self
-            .types
-            .iter()
-            .map(|t| t.iter().copied().collect())
-            .collect();
+        let mut out = self.types.clone();
         out.sort_by_key(|t: &Vec<ClassId>| (t.len(), t.clone()));
         out
     }
 
     /// Whether the given set of classes is an allowed instruction type.
     pub fn allows(&self, classes: &[ClassId]) -> bool {
-        let set: BTreeSet<ClassId> = classes.iter().copied().collect();
-        self.types.contains(&set)
+        self.contains(&canonical_type(classes.iter().copied()))
+    }
+
+    /// Whether the ascending, duplicate-free class list `t` is a type.
+    fn contains(&self, t: &[ClassId]) -> bool {
+        self.types
+            .binary_search_by(|probe| probe.as_slice().cmp(t))
+            .is_ok()
     }
 
     /// Checks construction rules 1–4.
@@ -192,26 +210,27 @@ impl InstructionSet {
             }
         }
         // Rule 1.
-        if !self.types.contains(&BTreeSet::new()) {
+        if !self.contains(&[]) {
             return Err(IsaError::MissingNop);
         }
         // Rule 2.
         for c in 0..self.class_count {
-            let singleton: BTreeSet<ClassId> = [ClassId(c)].into_iter().collect();
-            if !self.types.contains(&singleton) {
+            if !self.contains(&[ClassId(c)]) {
                 return Err(IsaError::MissingSingleton(ClassId(c)));
             }
         }
         // Rule 3: removing any one element of a type yields a type
         // (sufficient for full downward closure by induction).
+        let mut sub = Vec::new();
         for t in &self.types {
-            for &c in t {
-                let mut sub = t.clone();
-                sub.remove(&c);
-                if !self.types.contains(&sub) {
+            for i in 0..t.len() {
+                sub.clear();
+                sub.extend_from_slice(&t[..i]);
+                sub.extend_from_slice(&t[i + 1..]);
+                if !self.contains(&sub) {
                     return Err(IsaError::NotDownwardClosed {
-                        of: t.iter().copied().collect(),
-                        missing: sub.into_iter().collect(),
+                        of: t.clone(),
+                        missing: sub,
                     });
                 }
             }
@@ -221,17 +240,18 @@ impl InstructionSet {
         let conflict = self.conflict_graph();
         let compat = conflict.complement();
         for clique in maximal_cliques(&compat) {
-            let t: BTreeSet<ClassId> = clique.iter().map(|&c| ClassId(c)).collect();
-            if !self.types.contains(&t) {
-                return Err(IsaError::PairwiseButNotJoint(t.into_iter().collect()));
+            let t = canonical_type(clique.iter().map(|&c| ClassId(c)));
+            if !self.contains(&t) {
+                return Err(IsaError::PairwiseButNotJoint(t));
             }
         }
         Ok(())
     }
 
-    /// Content fingerprint: the class count and every type (types iterate
-    /// in `BTreeSet` order, so the value is independent of construction
-    /// order). Used by the compile session to key cached RT-modification
+    /// Content fingerprint: the class count and every type, in the
+    /// canonical order the set stores them (ascending class lists in
+    /// lexicographic order), so the value is independent of construction
+    /// order. Used by the compile session to key cached RT-modification
     /// artifacts against the instruction set actually imposed.
     pub fn fingerprint(&self) -> u64 {
         dspcc_arch::Fnv64::of_parts(|h| {
@@ -254,6 +274,14 @@ impl InstructionSet {
     pub fn conflict_graph(&self) -> &UndirectedGraph {
         &self.conflict
     }
+}
+
+/// `classes` as a type: ascending, without duplicates.
+fn canonical_type(classes: impl IntoIterator<Item = ClassId>) -> Vec<ClassId> {
+    let mut t: Vec<ClassId> = classes.into_iter().collect();
+    t.sort_unstable();
+    t.dedup();
+    t
 }
 
 /// The compatibility graph of `types` over classes `0..class_count`: an
@@ -462,6 +490,16 @@ mod tests {
         assert!(IsaError::PairwiseButNotJoint(vec![])
             .to_string()
             .contains("rule 4"));
+    }
+
+    #[test]
+    fn from_types_is_canonical() {
+        // Order, repeats and duplicate classes inside a type do not matter.
+        let a = InstructionSet::from_types(3, &[vec![1, 0], vec![], vec![2], vec![0, 1, 0]]);
+        let b = InstructionSet::from_types(3, &[vec![], vec![0, 1], vec![2]]);
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(a.allows(&[ClassId(1), ClassId(0), ClassId(1)]));
     }
 
     #[test]

@@ -73,6 +73,26 @@ proptest! {
         }
     }
 
+    /// The closure's types are exactly the independent sets of its
+    /// conflict graph, found by brute force over every class subset.
+    #[test]
+    fn closure_types_are_the_independent_sets((n, desired) in (1usize..=10).prop_flat_map(|n| (Just(n), arb_desired(n)))) {
+        let iset = InstructionSet::closure(n, &desired);
+        let g = iset.conflict_graph();
+        let mut independent: Vec<Vec<ClassId>> = Vec::new();
+        for mask in 0u32..(1 << n) {
+            let set: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+            let free = set.iter().enumerate().all(|(k, &a)| {
+                set[k + 1..].iter().all(|&b| !g.has_edge(a, b))
+            });
+            if free {
+                independent.push(set.into_iter().map(ClassId).collect());
+            }
+        }
+        independent.sort_by_key(|t| (t.len(), t.clone()));
+        prop_assert_eq!(iset.types(), independent, "desired {:?}", desired);
+    }
+
     /// After installing artificial resources, RT-pair compatibility equals
     /// conflict-graph non-adjacency — for every cover strategy.
     #[test]

@@ -783,6 +783,8 @@ impl CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use dspcc_arch::DatapathBuilder;
     use dspcc_dfg::{parse, Dfg, Interpreter};
     use dspcc_encode::{allocate_registers, encode, FieldLayout, Microcode};
@@ -884,7 +886,8 @@ mod tests {
         let assignment = allocate_registers(&lowering.program, &schedule, &dp, &pinned).unwrap();
         let layout = FieldLayout::derive(&dp, format);
         let words = encode(
-            &assignment.program,
+            &lowering.program,
+            &assignment.registers,
             &schedule,
             &layout,
             &lowering.immediates,
@@ -893,7 +896,7 @@ mod tests {
         .unwrap();
         let microcode = Microcode {
             words,
-            layout,
+            layout: Arc::new(layout),
             rom_image: lowering
                 .rom_image
                 .iter()

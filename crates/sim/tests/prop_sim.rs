@@ -4,6 +4,8 @@
 //! outputs, same cycle counter, same register files, same RAM, after
 //! every frame.
 
+use std::sync::Arc;
+
 use dspcc_arch::{Datapath, DatapathBuilder, OpuKind};
 use dspcc_dfg::{parse, Dfg};
 use dspcc_encode::{allocate_registers, encode, FieldLayout, Microcode};
@@ -106,7 +108,8 @@ fn compile(src: &str) -> (Datapath, Microcode) {
     let assignment = allocate_registers(&lowering.program, &schedule, &dp, &pinned).unwrap();
     let layout = FieldLayout::derive(&dp, format);
     let words = encode(
-        &assignment.program,
+        &lowering.program,
+        &assignment.registers,
         &schedule,
         &layout,
         &lowering.immediates,
@@ -115,7 +118,7 @@ fn compile(src: &str) -> (Datapath, Microcode) {
     .unwrap();
     let microcode = Microcode {
         words,
-        layout,
+        layout: Arc::new(layout),
         rom_image: lowering
             .rom_image
             .iter()

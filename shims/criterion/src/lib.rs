@@ -9,7 +9,9 @@
 //! iterations per sample to roughly [`SAMPLE_TARGET_NS`], collects
 //! `sample_size` samples, and reports the **median** per-iteration time in
 //! nanoseconds. Results are printed to stdout only: nothing is recorded,
-//! so compare medians of two builds on one machine.
+//! so compare medians of two builds on one machine, over several
+//! alternated runs of each: one run per side does not resolve a 25% move
+//! (DESIGN.md, "Benchmarks").
 //!
 //! Command-line: any non-flag argument is a substring filter on benchmark
 //! names (flags such as `--bench` passed by cargo are ignored). With
@@ -41,7 +43,7 @@ impl BenchmarkId {
     }
 }
 
-/// Anything accepted as a benchmark name: `&str`, `String`, [`BenchmarkId`].
+/// Anything accepted as a benchmark name: `&str` or [`BenchmarkId`].
 pub trait IntoBenchmarkId {
     /// The rendered benchmark name.
     fn into_benchmark_id(self) -> String;
@@ -56,12 +58,6 @@ impl IntoBenchmarkId for BenchmarkId {
 impl IntoBenchmarkId for &str {
     fn into_benchmark_id(self) -> String {
         self.to_owned()
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_benchmark_id(self) -> String {
-        self
     }
 }
 
@@ -141,16 +137,6 @@ impl Criterion {
             sample_size: 20,
         }
     }
-
-    /// Benchmarks `f` under `id` outside any group.
-    pub fn bench_function<F>(&mut self, id: impl IntoBenchmarkId, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let name = id.into_benchmark_id();
-        run_one(self, &name, 20, f);
-        self
-    }
 }
 
 /// A group of related benchmarks sharing a name prefix and sample size.
@@ -164,11 +150,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of samples collected per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(3);
-        self
-    }
-
-    /// Accepted for API compatibility; the shim budgets per sample instead.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 

@@ -366,6 +366,10 @@ fn encoding_round_trips_the_schedule() {
         .restarts(2)
         .compile(&apps::fir(8))
         .unwrap();
+    let program = compiled
+        .assignment
+        .registers
+        .rewrite(&compiled.lowering.program);
     for (cycle, instr) in compiled.schedule.instructions() {
         let decoded = decode(
             &compiled.microcode.words[cycle as usize],
@@ -376,7 +380,7 @@ fn encoding_round_trips_the_schedule() {
         // Every scheduled RT's OPU appears among the decoded actions
         // (identical RTs share one field).
         for &rt_id in instr {
-            let rt = compiled.assignment.program.rt(rt_id);
+            let rt = program.rt(rt_id);
             let opu = decoded
                 .actions
                 .iter()
@@ -390,14 +394,9 @@ fn encoding_round_trips_the_schedule() {
         // And no action without a scheduled RT.
         for action in &decoded.actions {
             assert!(
-                instr.iter().any(|&rt_id| {
-                    compiled
-                        .assignment
-                        .program
-                        .rt(rt_id)
-                        .usage_of(&action.opu)
-                        .is_some()
-                }),
+                instr
+                    .iter()
+                    .any(|&rt_id| program.rt(rt_id).usage_of(&action.opu).is_some()),
                 "cycle {cycle}: spurious action on `{}`",
                 action.opu
             );

@@ -6,7 +6,7 @@
 //! are resolved once at the boundary, and nothing downstream can tell.
 
 use dspcc::encode::reference::{allocate_registers_reference, encode_reference};
-use dspcc::encode::{allocate_registers, encode, FieldLayout};
+use dspcc::encode::{allocate_registers, encode, FieldLayout, RegisterMap};
 use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
 use dspcc::{cores, Compiler};
 use proptest::prelude::*;
@@ -93,20 +93,35 @@ proptest! {
             allocate_registers_reference(program, &s_ref, &core.datapath, &pinned).unwrap();
         prop_assert_eq!(&a_fast.mapping, &a_ref.mapping, "mappings diverge for:\n{}", src);
         prop_assert_eq!(&a_fast.peak_usage, &a_ref.peak_usage);
-        for (id, rt) in a_fast.program.rts() {
+        let rewritten = a_fast.registers.rewrite(program);
+        for (id, rt) in rewritten.rts() {
             prop_assert_eq!(rt, a_ref.program.rt(id), "rewritten {} diverges for:\n{}", id, src);
         }
 
-        // Encoding: resolved-id field matching vs string field matching.
+        // Encoding: the virtual program read through the register map,
+        // with resolved-id field matching, vs the rewritten program with
+        // string field matching.
         let layout = FieldLayout::derive(&core.datapath, core.format);
         let w_fast = encode(
-            &a_fast.program,
+            program,
+            &a_fast.registers,
             &s_fast,
             &layout,
             &compiled.lowering.immediates,
             core.format,
         )
         .unwrap();
+        // The empty map is the identity on the rewritten program.
+        let w_physical = encode(
+            &rewritten,
+            &RegisterMap::default(),
+            &s_fast,
+            &layout,
+            &compiled.lowering.immediates,
+            core.format,
+        )
+        .unwrap();
+        prop_assert_eq!(&w_fast, &w_physical, "empty map diverges for:\n{}", src);
         let w_ref = encode_reference(
             &a_ref.program,
             &s_ref,

@@ -84,15 +84,15 @@ proptest! {
         // Property 2: the merged core (instruction set re-derived on the
         // merged datapath) still computes what the golden model computes.
         let isa = derive_isa(&merged_dp, seed);
-        let core = Arc::new(Core {
-            name: format!("gen_{seed:x}/m({rf_a},{rf_b})"),
-            datapath: merged_dp,
-            controller: arch.controller.clone(),
-            format: cores::generated_core(seed).format,
-            classification: Some(isa.classification),
-            instruction_set: isa.instruction_set,
-            cover: isa.cover,
-        });
+        let core = Arc::new(Core::new(
+            format!("gen_{seed:x}/m({rf_a},{rf_b})"),
+            merged_dp,
+            arch.controller.clone(),
+            cores::generated_core(seed).format,
+            Some(isa.classification),
+            isa.instruction_set,
+            isa.cover,
+        ));
         let session = CompileSession::new();
         let outcome = conform_cell(
             &session,

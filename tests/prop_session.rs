@@ -88,8 +88,10 @@ proptest! {
         prop_assert_eq!(warm.schedule_bound, cold.schedule_bound);
         prop_assert_eq!(&warm.assignment.mapping, &cold.assignment.mapping,
             "mapping diverged for:\n{}", src);
-        for (id, rt) in warm.assignment.program.rts() {
-            prop_assert_eq!(rt, cold.assignment.program.rt(id));
+        let warm_program = warm.assignment.registers.rewrite(&warm.lowering.program);
+        let cold_program = cold.assignment.registers.rewrite(&cold.lowering.program);
+        for (id, rt) in warm_program.rts() {
+            prop_assert_eq!(rt, cold_program.rt(id));
         }
         prop_assert_eq!(&warm.microcode.words, &cold.microcode.words,
             "microcode diverged for:\n{}", src);
