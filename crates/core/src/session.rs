@@ -27,9 +27,29 @@
 //! artifact; stages are deterministic, so both results are bit-identical
 //! and the first one wins the cache slot.
 //!
+//! Beside the seven stage tables the session keeps the compacting
+//! scheduler's searches ([`dspcc_sched::Search`]), one per analysed
+//! program, restart count and fuel limit. A budget ladder is the loop's
+//! commonest step, and every budget of a program walks the same search
+//! and only stops at a different point on it, so the schedule stage of a
+//! compacting compile answers from the kept search instead of starting
+//! one: construction and compaction run once per search, and the local
+//! search only ever extends as far as the tightest budget asked needs.
+//! The search table is not a stage. Its keys are not stage keys, it is
+//! never written to disk, and neither [`crate::CompileStats::cache_hits`]
+//! nor [`CompileSession::cached_artifacts`] counts it: the stage result
+//! it yields is memoized under the schedule key like any other. Its
+//! mutex is held only to fetch a search's slot; each search has its own
+//! mutex, held while it advances, so two budgets of one program take
+//! turns on one search while other programs schedule in parallel. A memo
+//! hit takes neither lock. A cancelled advance leaves its search at the
+//! last completed seed, and a search whose advance panicked is discarded,
+//! never resumed.
+//!
 //! The memo is **unbounded**: every distinct stage key retains its
 //! artifact for the session's lifetime (that retention is what makes a
-//! sweep's variants share work). A session is meant to be scoped to one
+//! sweep's variants share work), and so does every kept search, with the
+//! schedules its improvements found. A session is meant to be scoped to one
 //! design loop; for very long-lived loops over ever-changing options,
 //! start a fresh session for each phase.
 //!
@@ -54,7 +74,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dspcc_sched::list::Priority;
-use dspcc_sched::{CancelToken, Scheduler};
+use dspcc_sched::{CancelToken, Scheduler, Search};
 
 use crate::cache::{self, DiskCache, Load, TransientPolicy};
 use crate::pipeline::{CompileError, CompileStats, Compiled, Core};
@@ -170,6 +190,23 @@ impl SessionMemo {
     }
 }
 
+/// One kept compacting search, behind its own mutex.
+type SearchSlot = Arc<Mutex<Option<Search>>>;
+
+/// The kept searches, by (analysis key, restart count, fuel limit).
+type Searches = HashMap<(u64, u32, Option<u64>), SearchSlot>;
+
+/// Locks one kept search. A search whose advance panicked is discarded,
+/// never resumed: the next compile starts a fresh one.
+fn lock_search(slot: &Mutex<Option<Search>>) -> MutexGuard<'_, Option<Search>> {
+    slot.lock().unwrap_or_else(|poisoned| {
+        let mut search = poisoned.into_inner();
+        *search = None;
+        slot.clear_poison();
+        search
+    })
+}
+
 /// How the disk tier stores one stage's artifact: the stage's directory
 /// under the cache root and its payload codec.
 struct Persisted<'a, A> {
@@ -186,6 +223,7 @@ struct Persisted<'a, A> {
 #[derive(Default)]
 pub struct CompileSession {
     memo: Mutex<SessionMemo>,
+    searches: Mutex<Searches>,
     disk: Option<Arc<DiskCache>>,
 }
 
@@ -204,8 +242,8 @@ impl CompileSession {
     /// recomputed, so a corrupt cache costs time, never correctness.
     pub fn with_disk_cache(cache: Arc<DiskCache>) -> Self {
         CompileSession {
-            memo: Mutex::default(),
             disk: Some(cache),
+            ..CompileSession::default()
         }
     }
 
@@ -218,9 +256,17 @@ impl CompileSession {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of cached stage artifacts (all stages summed).
+    /// Number of cached stage artifacts (all stages summed). The kept
+    /// searches are not stage artifacts and are not counted.
     pub fn cached_artifacts(&self) -> usize {
         self.memo().len()
+    }
+
+    /// The slot of the kept search for `key`, created empty on first
+    /// use. The table lock is held only for this lookup.
+    fn search_slot(&self, key: (u64, u32, Option<u64>)) -> SearchSlot {
+        let mut searches = self.searches.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(searches.entry(key).or_default())
     }
 
     /// The one stage lookup: polls `cancel`, then looks `key` up in the
@@ -400,7 +446,21 @@ impl CompileSession {
                 encode: cache::encode_schedule_artifact,
                 decode: &cache::decode_schedule_artifact,
             }),
-            || stages::run_schedule(&modified, &analysis, core, options, cancel),
+            || match options.scheduler() {
+                Scheduler::Compacting { restarts } => {
+                    let slot = self.search_slot((akey, restarts, options.fuel));
+                    let mut search = lock_search(&slot);
+                    stages::run_schedule_from(
+                        &mut search,
+                        &modified,
+                        &analysis,
+                        core,
+                        options,
+                        cancel,
+                    )
+                }
+                _ => stages::run_schedule(&modified, &analysis, core, options, cancel),
+            },
         )?;
         stats.schedule = charged(hit, scheduled.time);
         stats.degradation = scheduled.degradation;
@@ -582,5 +642,121 @@ mod tests {
             .unwrap();
         assert_eq!(warm.stats.disk_hits, 2);
         assert!(Arc::ptr_eq(&warm.microcode.layout, core.layout()));
+    }
+
+    /// The default options under `budget`.
+    fn budgeted(budget: Option<u32>) -> CompileOptions {
+        CompileOptions {
+            budget,
+            ..CompileOptions::default()
+        }
+    }
+
+    /// Asserts that `warm` equals a cold compile of the same variant in a
+    /// fresh session, error for error.
+    fn equals_cold(
+        core: &Arc<Core>,
+        options: &CompileOptions,
+        warm: &Result<Compiled, CompileError>,
+    ) {
+        let source = crate::apps::audio_application();
+        let cold = CompileSession::new().compile(core, &source, options);
+        match (warm, &cold) {
+            (Ok(w), Ok(c)) => {
+                assert_eq!(w.diverges_from(c), None, "{options:?}");
+                assert_eq!(w.schedule_bound, c.schedule_bound);
+                assert_eq!(w.stats.degradation, c.stats.degradation);
+            }
+            _ => assert_eq!(
+                warm.as_ref().map_err(ToString::to_string).err(),
+                cold.as_ref().map_err(ToString::to_string).err(),
+                "{options:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn a_cancelled_advance_memoizes_nothing_and_leaves_the_search_usable() {
+        let session = CompileSession::new();
+        let core = Arc::new(cores::audio_core());
+        let source = crate::apps::audio_application();
+        let first = session.compile(&core, &source, &budgeted(None)).unwrap();
+        let tight = budgeted(Some(first.schedule_bound));
+        let slot = {
+            let searches = session.searches.lock().unwrap();
+            assert_eq!(searches.len(), 1);
+            Arc::clone(searches.values().next().unwrap())
+        };
+        let before = format!("{:?}", lock_search(&slot));
+        let artifacts = session.cached_artifacts();
+        let token = CancelToken::new();
+        let cancelled = std::thread::scope(|scope| {
+            // Hold the search while the compile reaches it: the compile has
+            // passed every stage poll by the time it fetched the slot, so
+            // the raised token is seen by the advance itself.
+            let held = lock_search(&slot);
+            let compile =
+                scope.spawn(|| session.compile_cancellable(&core, &source, &tight, &token));
+            while Arc::strong_count(&slot) < 3 {
+                std::thread::yield_now();
+            }
+            token.cancel();
+            drop(held);
+            compile.join().unwrap()
+        });
+        assert!(matches!(cancelled, Err(CompileError::Cancelled)));
+        assert_eq!(session.cached_artifacts(), artifacts);
+        assert_eq!(format!("{:?}", lock_search(&slot)), before);
+        let warm = session.compile(&core, &source, &tight);
+        equals_cold(&core, &tight, &warm);
+    }
+
+    #[test]
+    fn four_threads_answer_four_budgets_from_one_search() {
+        let session = CompileSession::new();
+        let core = Arc::new(cores::audio_core());
+        let source = crate::apps::audio_application();
+        let first = session.compile(&core, &source, &budgeted(None)).unwrap();
+        let (cycles, bound) = (first.cycles(), first.schedule_bound);
+        let budgets = [cycles, cycles - 1, (cycles + bound) / 2, bound];
+        let start = std::sync::Barrier::new(budgets.len());
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = budgets
+                .map(|b| {
+                    let (session, core, source, start) = (&session, &core, &source, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        session.compile(core, source, &budgeted(Some(b)))
+                    })
+                })
+                .into_iter()
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(session.searches.lock().unwrap().len(), 1);
+        for (b, warm) in budgets.into_iter().zip(&results) {
+            equals_cold(&core, &budgeted(Some(b)), warm);
+        }
+    }
+
+    #[test]
+    fn the_search_table_is_not_a_stage() {
+        let session = CompileSession::new();
+        let core = Arc::new(cores::audio_core());
+        let source = crate::apps::audio_application();
+        let first = session.compile(&core, &source, &budgeted(None)).unwrap();
+        assert_eq!(session.cached_artifacts(), 7);
+        // A budget that fits adds its schedule, regalloc and encode
+        // artifacts, a budget verdict its schedule-stage failure, and
+        // neither anything for the search it was answered from.
+        let fits = session
+            .compile(&core, &source, &budgeted(Some(first.cycles() - 1)))
+            .unwrap();
+        assert_eq!(fits.stats.cache_hits, 4);
+        assert_eq!(session.cached_artifacts(), 10);
+        let verdict = session.compile(&core, &source, &budgeted(Some(first.schedule_bound)));
+        assert!(matches!(verdict, Err(CompileError::Schedule(_))));
+        assert_eq!(session.cached_artifacts(), 11);
+        assert_eq!(session.searches.lock().unwrap().len(), 1);
     }
 }

@@ -38,6 +38,7 @@ use dspcc_sched::deps::DependenceGraph;
 use dspcc_sched::list::Priority;
 use dspcc_sched::{
     CancelToken, ConflictMatrix, Degradation, Fuel, SchedError, Schedule, Scheduled, Scheduler,
+    Search,
 };
 
 use crate::pipeline::{CompileError, Core};
@@ -383,10 +384,16 @@ fn schedule_error(e: SchedError) -> CompileError {
 
 /// Scheduling (compiler step 3): runs [`CompileOptions::scheduler`]
 /// within the budget, capped at the controller's program depth, under
-/// [`CompileOptions::fuel`] (see [`dspcc_sched::schedule`]). Fuel
-/// exhaustion degrades the search instead of failing it, and the artifact
-/// carries the [`Degradation`] report. `cancel` is polled inside the
-/// search; a raised token aborts with [`CompileError::Cancelled`].
+/// [`CompileOptions::fuel`] (see [`dspcc_sched::schedule`]). Without an
+/// explicit budget the program depth is the budget. Fuel exhaustion
+/// degrades the search instead of failing it, and the artifact carries
+/// the [`Degradation`] report. `cancel` is polled inside the search; a
+/// raised token aborts with [`CompileError::Cancelled`].
+///
+/// The compacting scheduler answers from a one-off [`Search`];
+/// [`crate::CompileSession`] keeps one per analysed program, restart
+/// count and fuel limit and answers every budget from it, with the same
+/// result.
 ///
 /// # Errors
 ///
@@ -399,24 +406,59 @@ pub fn run_schedule(
     options: &CompileOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<ScheduleArtifact, CompileError> {
+    run_schedule_from(&mut None, modified, analysis, core, options, cancel)
+}
+
+/// [`run_schedule`], answering the compacting scheduler from `search`,
+/// which a `None` starts. The caller keys `search` by the analysis, the
+/// restart count and the fuel limit: the search reads nothing else, and
+/// the budget only picks where it stops. A cancelled answer leaves the
+/// search at its last completed seed; a failed start leaves `None`.
+pub(crate) fn run_schedule_from(
+    search: &mut Option<Search>,
+    modified: &ModifyArtifact,
+    analysis: &AnalysisArtifact,
+    core: &Core,
+    options: &CompileOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<ScheduleArtifact, CompileError> {
     let t = Instant::now();
+    let program = &modified.lowering.program;
+    let (deps, matrix) = (&*analysis.deps, &*analysis.matrix);
     let hard_cap = core.controller.program_depth();
     let budget = options.budget.map(|b| b.min(hard_cap)).unwrap_or(hard_cap);
     let mut fuel = options.fuel.map(Fuel::limited).unwrap_or_default();
+    let scheduled = match options.scheduler() {
+        Scheduler::Compacting { restarts } => {
+            let search = match search {
+                Some(search) => search,
+                None => search.insert(
+                    Search::new(program, deps, matrix, restarts, fuel, cancel)
+                        .map_err(schedule_error)?,
+                ),
+            };
+            search.answer(program, deps, matrix, Some(budget), cancel)
+        }
+        scheduler => dspcc_sched::schedule(
+            program,
+            deps,
+            matrix,
+            scheduler,
+            Some(budget),
+            &mut fuel,
+            cancel,
+        )
+        .map(|s| Scheduled {
+            schedule: Arc::new(s.schedule),
+            bound: s.bound,
+            degradation: s.degradation,
+        }),
+    };
     let Scheduled {
         schedule,
         bound,
         degradation,
-    } = dspcc_sched::schedule(
-        &modified.lowering.program,
-        &analysis.deps,
-        &analysis.matrix,
-        options.scheduler(),
-        Some(budget),
-        &mut fuel,
-        cancel,
-    )
-    .map_err(schedule_error)?;
+    } = scheduled.map_err(schedule_error)?;
     let time = t.elapsed();
     if schedule.length() > hard_cap {
         return Err(CompileError::ProgramTooLong {
@@ -425,7 +467,7 @@ pub fn run_schedule(
         });
     }
     Ok(ScheduleArtifact {
-        schedule: Arc::new(schedule),
+        schedule,
         bound,
         degradation,
         time,

@@ -10,12 +10,17 @@
 //! lines the tail chains up against the deadline, freeing the resource
 //! slots that the original greedy pass wasted early.
 //!
-//! [`compacting`] is [`crate::Scheduler::Compacting`]: the restart engine,
+//! [`Search`] is [`crate::Scheduler::Compacting`]: the restart engine,
 //! then justification rounds to a fixpoint, then an iterated local search
-//! that perturbs the left-justification order.
+//! that perturbs the left-justification order. The budget only decides
+//! where the local search stops, so one search, kept between calls,
+//! answers every budget of a program.
+
+use std::sync::Arc;
 
 use dspcc_ir::{Program, RtId};
 
+use crate::bounds::length_lower_bound;
 use crate::deps::DependenceGraph;
 use crate::fuel::{CancelToken, Degradation, DegradeAction, Fuel};
 use crate::list::{best_effort_bounded, jitter, schedule_of};
@@ -86,7 +91,7 @@ fn right_justify(
 /// One left-justification pass: every RT moves to its earliest feasible
 /// cycle, processed in increasing issue order. A nonzero `seed` perturbs
 /// that order deterministically — the escape mechanism of the iterated
-/// local search in [`compacting`].
+/// local search in [`Search`].
 fn left_justify(
     program: &Program,
     deps: &DependenceGraph,
@@ -207,12 +212,73 @@ fn compact(
     Ok((best, skipped))
 }
 
-/// The production scheduler ([`crate::Scheduler::Compacting`]):
-/// best-effort construction (multiple priorities, restarts, forward and
-/// backward) followed by justification compaction and an iterated local
-/// search, all stopping the moment the schedule meets `bound`, the
+/// One stopping point of the compacting scheduler: a schedule, and where
+/// a one-shot run stands when it stops there — the work units it has
+/// skipped and its fuel.
+#[derive(Debug, Clone)]
+struct Stop {
+    schedule: Arc<Schedule>,
+    skipped: u64,
+    fuel: Fuel,
+}
+
+impl Stop {
+    /// The outcome of a run that stops here under `budget`: the schedule,
+    /// with a [`Degradation`] when fuel skipped work, or the budget miss,
+    /// attributed to fuel when fuel skipped work.
+    fn verdict(
+        self,
+        bound: u32,
+        budget: Option<u32>,
+    ) -> Result<Scheduled<Arc<Schedule>>, SchedError> {
+        let spent = self.fuel.used();
+        let degradation = (self.skipped > 0).then_some(Degradation {
+            stage: "schedule",
+            spent,
+            action: DegradeAction::SearchTruncated {
+                skipped: self.skipped,
+            },
+        });
+        match budget {
+            Some(b) if self.schedule.length() > b => Err(if degradation.is_some() {
+                SchedError::FuelExhausted { spent, budget: b }
+            } else {
+                SchedError::BudgetExceeded {
+                    budget: b,
+                    unplaced: 0,
+                }
+            }),
+            _ => Ok(Scheduled {
+                schedule: self.schedule,
+                bound,
+                degradation,
+            }),
+        }
+    }
+}
+
+/// The production scheduler's search ([`crate::Scheduler::Compacting`]),
+/// kept between budgets.
+///
+/// The search is best-effort construction (multiple priorities, restarts,
+/// forward and backward), justification compaction, then an iterated
+/// local search, all stopping the moment the schedule meets `bound`, the
 /// provable length lower bound: at the bound the schedule is optimal and
-/// the remaining rounds are pure waste.
+/// the remaining rounds are pure waste. Construction runs without a
+/// budget, so a too-tight target cannot wedge the greedy pass, and
+/// neither it nor compaction reads the budget. The budget enters in one
+/// place: the local search stops at the first seed after which the best
+/// schedule meets it. Every budget of a program therefore walks one
+/// trajectory and only picks where to stop on it.
+///
+/// [`Search::new`] runs construction and compaction. [`Search::answer`]
+/// extends the local search one seed at a time, only as far as its
+/// budget needs, and records each strict improvement together with the
+/// skipped count and [`Fuel`] state a one-shot run has when it stops
+/// there. An answer reports the checkpoint its budget stops at, or the
+/// state where the whole search ends when none meets the budget, never
+/// a state the search has advanced past, so it is exactly what
+/// [`crate::schedule`] returns for that budget.
 ///
 /// One fuel unit pays for one construction attempt, one justification
 /// round, or one perturbation seed. The baseline construction round is
@@ -223,12 +289,172 @@ fn compact(
 /// budget is missed *and* fuel was the binding constraint does the
 /// attributable [`SchedError::FuelExhausted`] replace the generic
 /// [`SchedError::BudgetExceeded`].
+#[derive(Debug)]
+pub struct Search {
+    bound: u32,
+    /// The compacted construction, then each strict improvement of the
+    /// local search, each with the state right after the seed that
+    /// found it. Lengths strictly decrease.
+    improvements: Vec<Stop>,
+    /// The best schedule, with the state after the last completed seed.
+    current: Stop,
+    /// The next perturbation seed, and the last one the search runs.
+    next_seed: u64,
+    last_seed: u64,
+}
+
+impl Search {
+    /// Computes the length lower bound of `program`, then runs
+    /// construction with `restarts` jittered rounds per priority and
+    /// compaction, paid from `fuel`.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Cancelled`] when `cancel` is raised.
+    pub fn new(
+        program: &Program,
+        deps: &DependenceGraph,
+        matrix: &ConflictMatrix,
+        restarts: u32,
+        fuel: Fuel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Search, SchedError> {
+        let bound = length_lower_bound(program, deps, matrix);
+        Search::with_bound(program, deps, matrix, restarts, bound, fuel, cancel)
+    }
+
+    fn with_bound(
+        program: &Program,
+        deps: &DependenceGraph,
+        matrix: &ConflictMatrix,
+        restarts: u32,
+        bound: u32,
+        mut fuel: Fuel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Search, SchedError> {
+        let (initial, construct_skipped) = best_effort_bounded(
+            program, deps, matrix, None, restarts, bound, &mut fuel, cancel,
+        )?;
+        let (best, compact_skipped) =
+            compact(program, deps, matrix, initial, 32, bound, &mut fuel, cancel)?;
+        let current = Stop {
+            schedule: Arc::new(best),
+            skipped: construct_skipped + compact_skipped,
+            fuel,
+        };
+        // The seed range is offset past the construction jitter seeds
+        // (`0..=restarts`) so one `restarts` setting never feeds the same
+        // seed value to both loops (the two perturb different things; the
+        // offset is bookkeeping hygiene, not deduplicated work — the
+        // round count matches the old `1..=(restarts·4).max(8)` loop).
+        let restarts = u64::from(restarts);
+        Ok(Search {
+            bound,
+            improvements: vec![current.clone()],
+            current,
+            next_seed: restarts + 1,
+            last_seed: restarts + (restarts * 4).max(8),
+        })
+    }
+
+    /// Exactly what [`crate::schedule`] returns for
+    /// [`crate::Scheduler::Compacting`] under `budget`, with the fuel this
+    /// search started from. The schedule is shared with the search.
+    /// `program`, `deps` and `matrix` must be the ones the search was
+    /// started on.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Cancelled`] when `cancel` is raised while the search
+    /// advances, which leaves it at its last completed seed;
+    /// [`SchedError::FuelExhausted`] / [`SchedError::BudgetExceeded`] when
+    /// no schedule meets `budget`.
+    pub fn answer(
+        &mut self,
+        program: &Program,
+        deps: &DependenceGraph,
+        matrix: &ConflictMatrix,
+        budget: Option<u32>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Scheduled<Arc<Schedule>>, SchedError> {
+        let bound = self.bound;
+        self.stop(program, deps, matrix, budget, cancel)?
+            .verdict(bound, budget)
+    }
+
+    /// Where a one-shot run stops under `budget`: the first stored
+    /// improvement good enough for it, extending the local search until
+    /// one is or the search ends; then the best schedule with the final
+    /// state.
+    fn stop(
+        &mut self,
+        program: &Program,
+        deps: &DependenceGraph,
+        matrix: &ConflictMatrix,
+        budget: Option<u32>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Stop, SchedError> {
+        let bound = self.bound;
+        let good_enough = |stop: &Stop| {
+            let len = stop.schedule.length();
+            len <= bound || budget.is_some_and(|b| len <= b)
+        };
+        if let Some(stop) = self.improvements.iter().find(|s| good_enough(s)) {
+            return Ok(stop.clone());
+        }
+        while self.next_seed <= self.last_seed {
+            if self.advance(program, deps, matrix, cancel)? && good_enough(&self.current) {
+                break;
+            }
+        }
+        Ok(self.current.clone())
+    }
+
+    /// Runs the next seed of the iterated local search: perturbed left
+    /// justification escapes the justification fixpoint, and a short
+    /// re-compaction follows. Returns whether the seed improved the best
+    /// schedule. A failed fuel charge skips every remaining seed and ends
+    /// the search. Cancellation commits nothing.
+    fn advance(
+        &mut self,
+        program: &Program,
+        deps: &DependenceGraph,
+        matrix: &ConflictMatrix,
+        cancel: Option<&CancelToken>,
+    ) -> Result<bool, SchedError> {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(SchedError::Cancelled);
+        }
+        let mut fuel = self.current.fuel;
+        if !fuel.try_charge(1) {
+            self.current.skipped += self.last_seed - self.next_seed + 1;
+            self.next_seed = self.last_seed + 1;
+            return Ok(false);
+        }
+        let best = &self.current.schedule;
+        let perturbed = left_justify(program, deps, matrix, best, self.next_seed);
+        let (candidate, skipped) = compact(
+            program, deps, matrix, perturbed, 8, self.bound, &mut fuel, cancel,
+        )?;
+        let improved = candidate.length() < best.length();
+        self.next_seed += 1;
+        self.current.skipped += skipped;
+        self.current.fuel = fuel;
+        if improved {
+            self.current.schedule = Arc::new(candidate);
+            self.improvements.push(self.current.clone());
+        }
+        Ok(improved)
+    }
+}
+
+/// [`crate::schedule`]'s compacting scheduler: one search, answered once
+/// under `budget`, which leaves `fuel` where the search stopped. The
+/// exact scheduler's fallback runs it too, with the bound it computed.
 ///
 /// # Errors
 ///
-/// [`SchedError::Cancelled`] when `cancel` is raised;
-/// [`SchedError::FuelExhausted`] / [`SchedError::BudgetExceeded`] when
-/// no schedule meets `budget`.
+/// As [`Search::answer`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compacting(
     program: &Program,
@@ -240,70 +466,20 @@ pub(crate) fn compacting(
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
 ) -> Result<Scheduled, SchedError> {
-    // Construct without a hard budget so a too-tight target cannot wedge
-    // the greedy pass, then compact and check the budget at the end.
-    let (initial, mut skipped) =
-        best_effort_bounded(program, deps, matrix, None, restarts, bound, fuel, cancel)?;
-    let (mut best, compact_skipped) =
-        compact(program, deps, matrix, initial, 32, bound, fuel, cancel)?;
-    skipped += compact_skipped;
-    let good_enough =
-        |s: &Schedule| s.length() <= bound || budget.map(|b| s.length() <= b).unwrap_or(false);
-    if !good_enough(&best) {
-        // Iterated local search: perturbed left-justification escapes the
-        // justification fixpoint; each round re-compacts and keeps the
-        // best. The seed range is offset past the construction jitter
-        // seeds (`0..=restarts`) so one `restarts` setting never feeds the
-        // same seed value to both loops (the two perturb different things;
-        // the offset is bookkeeping hygiene, not deduplicated work — the
-        // round count matches the old `1..=(restarts·4).max(8)` loop).
-        let first_seed = restarts as u64 + 1;
-        let last_seed = restarts as u64 + (restarts as u64 * 4).max(8);
-        for seed in first_seed..=last_seed {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(SchedError::Cancelled);
-            }
-            if !fuel.try_charge(1) {
-                skipped += last_seed - seed + 1;
-                break;
-            }
-            let perturbed = left_justify(program, deps, matrix, &best, seed);
-            let (candidate, ils_skipped) =
-                compact(program, deps, matrix, perturbed, 8, bound, fuel, cancel)?;
-            skipped += ils_skipped;
-            if candidate.length() < best.length() {
-                best = candidate;
-            }
-            if good_enough(&best) {
-                break;
-            }
-        }
-    }
-    let degradation = (skipped > 0).then_some(Degradation {
-        stage: "schedule",
-        spent: fuel.used(),
-        action: DegradeAction::SearchTruncated { skipped },
-    });
-    match budget {
-        Some(b) if best.length() > b => {
-            if degradation.is_some() {
-                Err(SchedError::FuelExhausted {
-                    spent: fuel.used(),
-                    budget: b,
-                })
-            } else {
-                Err(SchedError::BudgetExceeded {
-                    budget: b,
-                    unplaced: 0,
-                })
-            }
-        }
-        _ => Ok(Scheduled {
-            schedule: best,
-            bound,
-            degradation,
-        }),
-    }
+    let stop = Search::with_bound(program, deps, matrix, restarts, bound, *fuel, cancel)?
+        .stop(program, deps, matrix, budget, cancel)?;
+    *fuel = stop.fuel;
+    // The search is gone, so the schedule moves out of its `Arc`.
+    let Scheduled {
+        schedule,
+        bound,
+        degradation,
+    } = stop.verdict(bound, budget)?;
+    Ok(Scheduled {
+        schedule: Arc::unwrap_or_clone(schedule),
+        bound,
+        degradation,
+    })
 }
 
 #[cfg(test)]

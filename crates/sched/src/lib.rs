@@ -20,6 +20,9 @@
 //! * [`list`] — the construction passes (list scheduling, forward and
 //!   backward insertion scheduling) and the restart engine that runs
 //!   them; its [`list::Priority`] orders the ready RTs.
+//! * [`Search`] — the compacting scheduler's search (the restart engine,
+//!   justification and an iterated local search), kept between budgets:
+//!   the budget only picks where its local search stops.
 //! * [`exact`] — branch-and-bound scheduler with *execution-interval
 //!   analysis*: bipartite-matching feasibility pruning per resource, the
 //!   technique of the paper's future-work reference \[11\] (Timmer & Jess,
@@ -70,6 +73,7 @@ mod schedule;
 
 use dspcc_ir::Program;
 
+pub use compact::Search;
 pub use fuel::{CancelToken, Degradation, DegradeAction, Fuel};
 pub use schedule::{ConflictMatrix, SchedError, Schedule, VerifyError};
 
@@ -85,6 +89,8 @@ pub enum Scheduler {
     /// list, forward and backward insertion scheduling, plus `restarts`
     /// jittered rounds per priority), then justification compaction and
     /// an iterated local search, all stopping at the length lower bound.
+    /// Only the local search reads the budget; [`Search`] keeps the
+    /// search to answer several budgets.
     Compacting {
         /// Jittered restart rounds per priority.
         restarts: u32,
@@ -113,11 +119,12 @@ impl Scheduler {
     }
 }
 
-/// The result of [`schedule()`].
+/// The result of [`schedule()`], and of [`Search::answer`] with the
+/// schedule shared with the search.
 #[derive(Debug, Clone)]
-pub struct Scheduled {
+pub struct Scheduled<S = Schedule> {
     /// The schedule.
-    pub schedule: Schedule,
+    pub schedule: S,
     /// The provable length lower bound ([`bounds::length_lower_bound`]);
     /// `schedule.length() == bound` proves the schedule optimal.
     pub bound: u32,

@@ -8,13 +8,15 @@
 //!   share a cycle.
 //! * What the dependence graph and the conflict matrix store at build
 //!   equals a from-scratch derivation.
+//! * One kept `Search` answers budgets in any order exactly like a
+//!   one-shot `schedule` call per budget, under any fuel.
 
 use dspcc_graph::dag::Dag;
 use dspcc_ir::{Program, Rt, RtId, Usage};
 use dspcc_sched::bounds::{distinct_usage_bound, length_lower_bound};
 use dspcc_sched::deps::DependenceGraph;
 use dspcc_sched::list::Priority;
-use dspcc_sched::{schedule, ConflictMatrix, Fuel, SchedError, Scheduled, Scheduler};
+use dspcc_sched::{schedule, ConflictMatrix, Fuel, SchedError, Scheduled, Scheduler, Search};
 use proptest::prelude::*;
 
 /// Per-RT shape: (unit id, usage id, carries a private bus usage, latency).
@@ -214,6 +216,44 @@ proptest! {
         for s in &results {
             s.schedule.verify(&p, &deps).unwrap();
             prop_assert!(s.bound <= s.schedule.length());
+        }
+    }
+
+    /// One search answers a random order of budgets — every budget from
+    /// two below the bound to two above the compacted length, and none —
+    /// exactly like a one-shot compacting run per budget: the schedule,
+    /// the bound and the degradation, or the error. Fuel unlimited, 1, 3
+    /// and 8: a limited search must report the fuel and skipped count of
+    /// the point it answers from, not where it has advanced to.
+    #[test]
+    fn one_search_answers_budgets_like_one_shot_runs(
+        (p, restarts, keys) in (arb_program(20), 0u32..4, proptest::collection::vec(any::<u64>(), 32))
+    ) {
+        let deps = DependenceGraph::build(&p).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        let scheduler = Scheduler::Compacting { restarts };
+        for fuel in [Fuel::unlimited(), Fuel::limited(1), Fuel::limited(3), Fuel::limited(8)] {
+            let one_shot = |budget: Option<u32>| {
+                let mut fuel = fuel;
+                schedule(&p, &deps, &matrix, scheduler, budget, &mut fuel, None)
+                    .map(|s| (s.schedule, s.bound, s.degradation))
+            };
+            // A budget no schedule misses stops the search at its
+            // compacted construction.
+            let (compacted, bound, _) = one_shot(Some(u32::MAX)).unwrap();
+            let mut budgets: Vec<Option<u32>> = (bound.saturating_sub(2)..=compacted.length() + 2)
+                .map(Some)
+                .chain([None])
+                .collect();
+            let mut keyed: Vec<_> = budgets.drain(..).zip(keys.iter().cycle()).collect();
+            keyed.sort_by_key(|&(_, key)| *key);
+            let mut search = Search::new(&p, &deps, &matrix, restarts, fuel, None).unwrap();
+            for (budget, _) in keyed {
+                let shared = search
+                    .answer(&p, &deps, &matrix, budget, None)
+                    .map(|s| ((*s.schedule).clone(), s.bound, s.degradation));
+                prop_assert_eq!(shared, one_shot(budget), "budget {:?}, fuel {:?}", budget, fuel);
+            }
         }
     }
 }
