@@ -103,17 +103,6 @@ impl Dag {
         &self.pred[v]
     }
 
-    /// The mirrored graph: every edge `a →(w) b` becomes `b →(w) a`. The
-    /// predecessor and successor lists trade places, so no edge is
-    /// re-added (and none needs merging: the lists are already merged).
-    pub fn reversed(&self) -> Dag {
-        Dag {
-            n: self.n,
-            succ: self.pred.clone(),
-            pred: self.succ.clone(),
-        }
-    }
-
     /// Kahn topological order.
     ///
     /// # Errors
@@ -278,19 +267,6 @@ mod tests {
         let d = Dag::new(0);
         assert!(d.topological_order().unwrap().is_empty());
         assert_eq!(d.critical_path_length(), 0);
-    }
-
-    #[test]
-    fn reversed_mirrors_every_edge() {
-        let d = diamond();
-        let r = d.reversed();
-        assert_eq!(r.edge_count(), d.edge_count());
-        for v in 0..4 {
-            assert_eq!(r.successors(v), d.predecessors(v));
-            assert_eq!(r.predecessors(v), d.successors(v));
-        }
-        // Longest paths in the mirror are the forward paths to a sink.
-        assert_eq!(r.longest_path_lengths(), vec![4, 1, 3, 0]);
     }
 
     #[test]

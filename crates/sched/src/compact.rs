@@ -15,6 +15,18 @@
 //! that perturbs the left-justification order. The budget only decides
 //! where the local search stops, so one search, kept between calls,
 //! answers every budget of a program.
+//!
+//! # Performance notes
+//!
+//! Justification runs dozens of times per search, so its passes work on
+//! issue arrays (`&[u32]`, one cycle per RT) and write into buffers
+//! that every pass of one [`Search::new`] or one answer's advance
+//! reuses. A pass orders the RTs with a counting sort by cycle, takes its
+//! next RT as the lowest set bit of a ready bitset over order positions,
+//! and updates each RT's latest or earliest start as its neighbours are
+//! placed: `O(n + edges)` bookkeeping around the probes. Feasibility is one row-AND per probed cycle against per-cycle
+//! occupancy bitsets ([`ConflictMatrix::fits_mask`]). A [`Schedule`] is
+//! built only for a result the search keeps.
 
 use std::sync::Arc;
 
@@ -27,167 +39,270 @@ use crate::list::{best_effort_bounded, jitter, schedule_of};
 use crate::schedule::{ConflictMatrix, SchedError, Schedule};
 use crate::Scheduled;
 
-/// One right-justification pass: every RT moves to its latest feasible
-/// cycle < `deadline`, processed in decreasing issue order. Each step
-/// takes the first RT in that order whose successors are all placed: a
-/// separation-0 edge lets a successor share its predecessor's cycle, and
-/// such a successor may come later in the order.
-///
-/// Feasibility is answered on per-cycle occupancy bitsets
-/// ([`ConflictMatrix::fits_mask`]) — one row-AND per probed cycle, the
-/// same inner loop as insertion scheduling. Justification runs dozens of
-/// times per compaction, so this pass being cheap is what makes the
-/// iterated local search affordable.
+/// The state of one justification pass.
+#[derive(Debug, Default)]
+struct Pass {
+    /// RTs in the pass's processing order.
+    order: Vec<u32>,
+    /// Each RT's position in `order`.
+    position: Vec<u32>,
+    /// Counting-sort buckets, one per cycle.
+    buckets: Vec<u32>,
+    /// Perturbed sort keys with their RT ids.
+    keyed: Vec<((i64, i64), u32)>,
+    /// Per RT: neighbours not placed yet, successors in a right pass and
+    /// predecessors in a left pass.
+    waiting: Vec<u32>,
+    /// Per RT: the latest start its placed successors allow (right pass)
+    /// or the earliest its placed predecessors allow (left pass).
+    start: Vec<u32>,
+    /// Order positions whose RT has every neighbour placed, a bitset.
+    ready: Vec<u64>,
+    /// Per-cycle occupancy bitsets, `words_per_row` words per cycle.
+    occ: Vec<u64>,
+    /// Per conflict-row-class probe hints (left pass).
+    hints: Vec<u32>,
+}
+
+impl Pass {
+    /// Orders the RTs by `issue` cycle, ties by RT id, latest cycle first
+    /// when `descending`: a counting sort.
+    fn sort_by_cycle(&mut self, issue: &[u32], descending: bool) {
+        let len = issue.iter().max().map_or(0, |&t| t as usize + 1);
+        let bucket = |t: u32| {
+            if descending {
+                len - 1 - t as usize
+            } else {
+                t as usize
+            }
+        };
+        self.buckets.clear();
+        self.buckets.resize(len + 1, 0);
+        for &t in issue {
+            self.buckets[bucket(t) + 1] += 1;
+        }
+        for b in 1..=len {
+            self.buckets[b] += self.buckets[b - 1];
+        }
+        self.order.clear();
+        self.order.resize(issue.len(), 0);
+        for (i, &t) in issue.iter().enumerate() {
+            let slot = &mut self.buckets[bucket(t)];
+            self.order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+
+    /// Orders the RTs by `issue` cycle nudged by ±2 cycles, ties by a
+    /// second hash and then by RT id: the perturbed order of the iterated
+    /// local search. Each RT's two hashes are computed once.
+    fn sort_perturbed(&mut self, issue: &[u32], seed: u64) {
+        self.keyed.clear();
+        self.keyed.extend(issue.iter().enumerate().map(|(i, &t)| {
+            let j = (jitter(i, seed) % 5) as i64 - 2;
+            ((t as i64 + j, jitter(i, seed ^ 0xABCD) as i64), i as u32)
+        }));
+        self.keyed.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.keyed.iter().map(|&(_, i)| i));
+    }
+
+    /// Fills `position` from `order`, `waiting` with `count(rt)` and
+    /// `start` with `initial`, and marks the RTs with nothing to wait for
+    /// ready.
+    fn prepare(&mut self, count: impl Fn(RtId) -> usize, initial: u32) {
+        let n = self.order.len();
+        self.position.clear();
+        self.position.resize(n, 0);
+        for (k, &i) in self.order.iter().enumerate() {
+            self.position[i as usize] = k as u32;
+        }
+        self.waiting.clear();
+        self.waiting
+            .extend((0..n).map(|i| count(RtId(i as u32)) as u32));
+        self.start.clear();
+        self.start.resize(n, initial);
+        self.ready.clear();
+        self.ready.resize(n.div_ceil(64), 0);
+        for (k, &i) in self.order.iter().enumerate() {
+            if self.waiting[i as usize] == 0 {
+                self.ready[k / 64] |= 1 << (k % 64);
+            }
+        }
+    }
+
+    /// Takes the first RT in order whose neighbours are all placed: the
+    /// lowest set bit of `ready`.
+    fn next_ready(&mut self) -> usize {
+        let w = self
+            .ready
+            .iter()
+            .position(|&w| w != 0)
+            .expect("acyclic graph always has a ready RT");
+        let bits = self.ready[w];
+        self.ready[w] = bits & (bits - 1);
+        self.order[w * 64 + bits.trailing_zeros() as usize] as usize
+    }
+
+    /// Notes that a neighbour of `rt` was placed, and marks `rt` ready
+    /// when it was the last.
+    fn release(&mut self, rt: usize) {
+        self.waiting[rt] -= 1;
+        if self.waiting[rt] == 0 {
+            let k = self.position[rt] as usize;
+            self.ready[k / 64] |= 1 << (k % 64);
+        }
+    }
+}
+
+/// The buffers every justification pass of one [`Search::new`] or one
+/// answer's advance reuses: the pass state, the schedule under
+/// compaction, and what its right and left passes leave. They stay out of
+/// the [`Search`], so a cancelled advance changes nothing the search
+/// keeps.
+#[derive(Debug, Default)]
+struct Buffers {
+    pass: Pass,
+    current: Vec<u32>,
+    right: Vec<u32>,
+    left: Vec<u32>,
+}
+
+/// One right-justification pass: every RT of the complete schedule
+/// `issue` moves to its latest feasible cycle < `deadline`, processed in
+/// decreasing issue order, and `out` receives the new issue cycles. Each
+/// step takes the first RT in that order whose successors are all
+/// placed: a separation-0 edge lets a successor share its predecessor's
+/// cycle, and such a successor may come later in the order.
 fn right_justify(
-    program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
-    schedule: &Schedule,
+    issue: &[u32],
     deadline: u32,
-) -> Schedule {
-    let n = program.rt_count();
+    pass: &mut Pass,
+    out: &mut Vec<u32>,
+) {
+    let n = issue.len();
     let words = matrix.words_per_row();
-    let issue = schedule.issue_cycles(n);
-    let mut pending: Vec<usize> = (0..n).collect();
-    pending.sort_by_key(|&i| std::cmp::Reverse(issue[i].expect("complete schedule")));
-    let mut new_issue: Vec<Option<u32>> = vec![None; n];
-    let mut occ = vec![0u64; deadline as usize * words];
-    for next in 0..n {
-        // The first RT in order whose successors are all placed, and the
-        // latest start they allow. `pending[next..]` keeps the unplaced
-        // RTs in order; the chosen one moves to its front.
-        let (ready, latest) = pending[next..]
-            .iter()
-            .enumerate()
-            .find_map(|(k, &i)| {
-                let latest = deps.successors(RtId(i as u32)).try_fold(
-                    deadline - 1,
-                    |latest, (succ, lat)| {
-                        let ts = new_issue[succ.0 as usize]?;
-                        Some(latest.min(ts.saturating_sub(lat)))
-                    },
-                )?;
-                Some((k, latest))
-            })
-            .expect("acyclic graph always has a ready RT");
-        pending[next..=next + ready].rotate_right(1);
-        let i = pending[next];
+    pass.sort_by_cycle(issue, true);
+    pass.prepare(|rt| deps.successors(rt).count(), deadline - 1);
+    pass.occ.clear();
+    pass.occ.resize(deadline as usize * words, 0);
+    out.clear();
+    out.resize(n, 0);
+    for _ in 0..n {
+        let i = pass.next_ready();
         let id = RtId(i as u32);
-        let mut t = latest;
+        let mut t = pass.start[i];
         loop {
             let base = t as usize * words;
-            if matrix.fits_mask(id, &occ[base..base + words]) {
-                occ[base + i / 64] |= 1 << (i % 64);
-                new_issue[i] = Some(t);
+            if matrix.fits_mask(id, &pass.occ[base..base + words]) {
+                pass.occ[base + i / 64] |= 1 << (i % 64);
                 break;
             }
             assert!(t > 0, "right justification cannot fail below the original");
             t -= 1;
         }
+        out[i] = t;
+        for (pred, lat) in deps.predecessors(id) {
+            let p = pred.0 as usize;
+            pass.start[p] = pass.start[p].min(t.saturating_sub(lat));
+            pass.release(p);
+        }
     }
-    schedule_of(&new_issue, &[])
 }
 
-/// One left-justification pass: every RT moves to its earliest feasible
-/// cycle, processed in increasing issue order. A nonzero `seed` perturbs
-/// that order deterministically — the escape mechanism of the iterated
-/// local search in [`Search`].
+/// One left-justification pass: every RT of the complete schedule
+/// `issue` moves to its earliest feasible cycle, processed in increasing
+/// issue order, and `out` receives the new issue cycles. Returns their
+/// length. A nonzero `seed` perturbs that order deterministically — the
+/// escape mechanism of the iterated local search in [`Search`]. Each
+/// step takes the first RT in order whose predecessors are all placed, so
+/// a perturbed order that does not respect dependences still yields a
+/// valid schedule.
 fn left_justify(
-    program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
-    schedule: &Schedule,
+    issue: &[u32],
     seed: u64,
-) -> Schedule {
-    let n = program.rt_count();
-    let issue = schedule.issue_cycles(n);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| {
-        let base = issue[i].expect("complete schedule") as i64;
-        if seed == 0 {
-            (base, 0)
-        } else {
-            // Nudge issue keys by ±2 cycles to reshuffle near-ties.
-            let j = (jitter(i, seed) % 5) as i64 - 2;
-            (base + j, jitter(i, seed ^ 0xABCD) as i64)
-        }
-    });
-    // A perturbed order may not respect dependences; fall back to a
-    // dependence-respecting sweep over the ordered list.
+    pass: &mut Pass,
+    out: &mut Vec<u32>,
+) -> u32 {
+    let n = issue.len();
     let words = matrix.words_per_row();
-    let mut new_issue: Vec<Option<u32>> = vec![None; n];
-    let mut remaining: Vec<usize> = (0..n)
-        .map(|i| deps.predecessors(RtId(i as u32)).count())
-        .collect();
-    let mut occ: Vec<u64> = Vec::new();
+    if seed == 0 {
+        pass.sort_by_cycle(issue, false);
+    } else {
+        pass.sort_perturbed(issue, seed);
+    }
+    pass.prepare(|rt| deps.predecessors(rt).count(), 0);
+    pass.occ.clear();
     // Per conflict-row-class probe hints: cycles below a class's hint
     // already failed `fits_mask` for an identical row this pass, and
     // occupancy only grows — skipping them cannot change the result.
-    let mut hints: Vec<u32> = vec![0; matrix.class_count()];
-    let mut pending: Vec<usize> = order;
-    while !pending.is_empty() {
-        let pos = pending
-            .iter()
-            .position(|&i| remaining[i] == 0)
-            .expect("acyclic graph always has a ready RT");
-        let i = pending.remove(pos);
+    pass.hints.clear();
+    pass.hints.resize(matrix.class_count(), 0);
+    out.clear();
+    out.resize(n, 0);
+    let mut length = 0;
+    for _ in 0..n {
+        let i = pass.next_ready();
         let id = RtId(i as u32);
-        for (succ, _) in deps.successors(id) {
-            remaining[succ.0 as usize] -= 1;
-        }
-        let mut earliest = 0u32;
-        for (pred, lat) in deps.predecessors(id) {
-            earliest = earliest.max(new_issue[pred.0 as usize].expect("ready order") + lat);
-        }
+        let earliest = pass.start[i];
         let class = matrix.row_class(id) as usize;
-        let contiguous = hints[class] >= earliest;
-        let mut t = earliest.max(hints[class]);
+        let contiguous = pass.hints[class] >= earliest;
+        let mut t = earliest.max(pass.hints[class]);
         loop {
             let base = t as usize * words;
-            if occ.len() < base + words {
-                occ.resize(base + words, 0);
+            if pass.occ.len() < base + words {
+                pass.occ.resize(base + words, 0);
             }
-            if matrix.fits_mask(id, &occ[base..base + words]) {
-                occ[base + i / 64] |= 1 << (i % 64);
-                new_issue[i] = Some(t);
+            if matrix.fits_mask(id, &pass.occ[base..base + words]) {
+                pass.occ[base + i / 64] |= 1 << (i % 64);
                 if contiguous {
-                    hints[class] = t;
+                    pass.hints[class] = t;
                 }
                 break;
             }
             t += 1;
         }
+        out[i] = t;
+        length = length.max(t + 1);
+        for (succ, lat) in deps.successors(id) {
+            let s = succ.0 as usize;
+            pass.start[s] = pass.start[s].max(t + lat);
+            pass.release(s);
+        }
     }
-    schedule_of(&new_issue, &[])
+    length
 }
 
-/// Alternates right and left justification until the length stops
-/// improving, reaches `bound` (a provable lower bound — see
-/// [`crate::bounds`] — below which no round can improve anything) or
-/// `max_rounds` ran. One [`Fuel`] unit pays for a round *before* it runs
-/// (rounds are atomic: paid-for work always completes). Exhaustion
-/// returns the best schedule so far plus the number of rounds skipped;
-/// compaction only ever shortens, so a truncated run is still valid.
-/// `cancel` is polled per round.
+/// Alternates right and left justification on `buf.current`, a complete
+/// schedule of length `len`, until the length stops improving, reaches
+/// `bound` (a provable lower bound — see [`crate::bounds`] — below which
+/// no round can improve anything) or `max_rounds` ran, leaving the
+/// shortest schedule in `buf.current`. One [`Fuel`] unit pays for a
+/// round *before* it runs (rounds are atomic: paid-for work always
+/// completes). Exhaustion keeps the shortest schedule so far and counts
+/// the rounds skipped; compaction only ever shortens, so a truncated run
+/// is still valid. Returns the length and the skipped rounds. `cancel`
+/// is polled per round.
 ///
 /// # Errors
 ///
 /// [`SchedError::Cancelled`] when the token is raised mid-compaction.
 #[allow(clippy::too_many_arguments)]
 fn compact(
-    program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
-    schedule: Schedule,
+    mut len: u32,
     max_rounds: u32,
     bound: u32,
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
-) -> Result<(Schedule, u64), SchedError> {
-    let mut best = schedule;
-    let mut skipped = 0u64;
+    buf: &mut Buffers,
+) -> Result<(u32, u64), SchedError> {
     for round in 0..max_rounds {
-        let len = best.length();
         if len == 0 || len <= bound {
             break;
         }
@@ -195,21 +310,25 @@ fn compact(
             return Err(SchedError::Cancelled);
         }
         if !fuel.try_charge(1) {
-            skipped = (max_rounds - round) as u64;
+            return Ok((len, (max_rounds - round) as u64));
+        }
+        right_justify(
+            deps,
+            matrix,
+            &buf.current,
+            len,
+            &mut buf.pass,
+            &mut buf.right,
+        );
+        let left = left_justify(deps, matrix, &buf.right, 0, &mut buf.pass, &mut buf.left);
+        // Stop on stagnation.
+        if left >= len {
             break;
         }
-        let right = right_justify(program, deps, matrix, &best, len);
-        let left = left_justify(program, deps, matrix, &right, 0);
-        if left.length() >= len {
-            // Keep the shorter of the two; stop on stagnation.
-            if left.length() < best.length() {
-                best = left;
-            }
-            break;
-        }
-        best = left;
+        std::mem::swap(&mut buf.current, &mut buf.left);
+        len = left;
     }
-    Ok((best, skipped))
+    Ok((len, 0))
 }
 
 /// One stopping point of the compacting scheduler: a schedule, and where
@@ -278,7 +397,9 @@ impl Stop {
 /// there. An answer reports the checkpoint its budget stops at, or the
 /// state where the whole search ends when none meets the budget, never
 /// a state the search has advanced past, so it is exactly what
-/// [`crate::schedule`] returns for that budget.
+/// [`crate::schedule`] returns for that budget. The search keeps the
+/// best schedule's issue cycles for the next perturbation; a
+/// [`Schedule`] is built only for a result it keeps.
 ///
 /// One fuel unit pays for one construction attempt, one justification
 /// round, or one perturbation seed. The baseline construction round is
@@ -298,6 +419,8 @@ pub struct Search {
     improvements: Vec<Stop>,
     /// The best schedule, with the state after the last completed seed.
     current: Stop,
+    /// The best schedule's issue cycles, which the next seed perturbs.
+    best_issue: Vec<u32>,
     /// The next perturbation seed, and the last one the search runs.
     next_seed: u64,
     last_seed: u64,
@@ -332,13 +455,31 @@ impl Search {
         mut fuel: Fuel,
         cancel: Option<&CancelToken>,
     ) -> Result<Search, SchedError> {
-        let (initial, construct_skipped) = best_effort_bounded(
-            program, deps, matrix, None, restarts, bound, &mut fuel, cancel,
+        let (built, construct_skipped) =
+            best_effort_bounded(program, deps, matrix, restarts, bound, &mut fuel, cancel)?;
+        let mut buf = Buffers {
+            current: built.issue,
+            ..Buffers::default()
+        };
+        let (len, compact_skipped) = compact(
+            deps,
+            matrix,
+            built.length,
+            32,
+            bound,
+            &mut fuel,
+            cancel,
+            &mut buf,
         )?;
-        let (best, compact_skipped) =
-            compact(program, deps, matrix, initial, 32, bound, &mut fuel, cancel)?;
+        // A compaction that shortens the construction lists each cycle's
+        // RTs by id; otherwise the construction keeps its own order.
+        let placed: &[usize] = if len < built.length {
+            &[]
+        } else {
+            &built.placed
+        };
         let current = Stop {
-            schedule: Arc::new(best),
+            schedule: Arc::new(schedule_of(&buf.current, placed)),
             skipped: construct_skipped + compact_skipped,
             fuel,
         };
@@ -352,6 +493,7 @@ impl Search {
             bound,
             improvements: vec![current.clone()],
             current,
+            best_issue: buf.current,
             next_seed: restarts + 1,
             last_seed: restarts + (restarts * 4).max(8),
         })
@@ -377,8 +519,9 @@ impl Search {
         budget: Option<u32>,
         cancel: Option<&CancelToken>,
     ) -> Result<Scheduled<Arc<Schedule>>, SchedError> {
+        debug_assert_eq!(program.rt_count(), self.best_issue.len());
         let bound = self.bound;
-        self.stop(program, deps, matrix, budget, cancel)?
+        self.stop(deps, matrix, budget, cancel)?
             .verdict(bound, budget)
     }
 
@@ -388,7 +531,6 @@ impl Search {
     /// state.
     fn stop(
         &mut self,
-        program: &Program,
         deps: &DependenceGraph,
         matrix: &ConflictMatrix,
         budget: Option<u32>,
@@ -402,8 +544,9 @@ impl Search {
         if let Some(stop) = self.improvements.iter().find(|s| good_enough(s)) {
             return Ok(stop.clone());
         }
+        let mut buf = Buffers::default();
         while self.next_seed <= self.last_seed {
-            if self.advance(program, deps, matrix, cancel)? && good_enough(&self.current) {
+            if self.advance(deps, matrix, cancel, &mut buf)? && good_enough(&self.current) {
                 break;
             }
         }
@@ -417,10 +560,10 @@ impl Search {
     /// the search. Cancellation commits nothing.
     fn advance(
         &mut self,
-        program: &Program,
         deps: &DependenceGraph,
         matrix: &ConflictMatrix,
         cancel: Option<&CancelToken>,
+        buf: &mut Buffers,
     ) -> Result<bool, SchedError> {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(SchedError::Cancelled);
@@ -431,17 +574,25 @@ impl Search {
             self.next_seed = self.last_seed + 1;
             return Ok(false);
         }
-        let best = &self.current.schedule;
-        let perturbed = left_justify(program, deps, matrix, best, self.next_seed);
-        let (candidate, skipped) = compact(
-            program, deps, matrix, perturbed, 8, self.bound, &mut fuel, cancel,
+        let seed = self.next_seed;
+        let perturbed = left_justify(
+            deps,
+            matrix,
+            &self.best_issue,
+            seed,
+            &mut buf.pass,
+            &mut buf.current,
+        );
+        let (len, skipped) = compact(
+            deps, matrix, perturbed, 8, self.bound, &mut fuel, cancel, buf,
         )?;
-        let improved = candidate.length() < best.length();
+        let improved = len < self.current.schedule.length();
         self.next_seed += 1;
         self.current.skipped += skipped;
         self.current.fuel = fuel;
         if improved {
-            self.current.schedule = Arc::new(candidate);
+            std::mem::swap(&mut self.best_issue, &mut buf.current);
+            self.current.schedule = Arc::new(schedule_of(&self.best_issue, &[]));
             self.improvements.push(self.current.clone());
         }
         Ok(improved)
@@ -467,7 +618,7 @@ pub(crate) fn compacting(
     cancel: Option<&CancelToken>,
 ) -> Result<Scheduled, SchedError> {
     let stop = Search::with_bound(program, deps, matrix, restarts, bound, *fuel, cancel)?
-        .stop(program, deps, matrix, budget, cancel)?;
+        .stop(deps, matrix, budget, cancel)?;
     *fuel = stop.fuel;
     // The search is gone, so the schedule moves out of its `Arc`.
     let Scheduled {
@@ -531,6 +682,11 @@ mod tests {
         .map(|s| s.schedule)
     }
 
+    /// The issue cycles of a complete schedule.
+    fn issue_of(s: &Schedule, n: usize) -> Vec<u32> {
+        s.issue_cycles(n).into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn justification_never_lengthens() {
         let p = chains(6);
@@ -538,12 +694,18 @@ mod tests {
         let matrix = ConflictMatrix::build(&p);
         let s = list_pass(&p, &deps, &matrix, None, Priority::Slack).unwrap();
         let len = s.length();
-        let right = right_justify(&p, &deps, &matrix, &s, len);
-        right.verify(&p, &deps).unwrap();
-        assert!(right.length() <= len);
-        let left = left_justify(&p, &deps, &matrix, &right, 0);
-        left.verify(&p, &deps).unwrap();
-        assert!(left.length() <= right.length());
+        let mut pass = Pass::default();
+        let (mut right, mut left) = (Vec::new(), Vec::new());
+        let issue = issue_of(&s, p.rt_count());
+        right_justify(&deps, &matrix, &issue, len, &mut pass, &mut right);
+        let right_schedule = schedule_of(&right, &[]);
+        right_schedule.verify(&p, &deps).unwrap();
+        assert!(right_schedule.length() <= len);
+        let left_len = left_justify(&deps, &matrix, &right, 0, &mut pass, &mut left);
+        let left_schedule = schedule_of(&left, &[]);
+        left_schedule.verify(&p, &deps).unwrap();
+        assert_eq!(left_len, left_schedule.length());
+        assert!(left_len <= right_schedule.length());
     }
 
     #[test]
@@ -565,9 +727,17 @@ mod tests {
         let matrix = ConflictMatrix::build(&p);
         let s = Schedule::from_cycles(vec![vec![RtId(0), RtId(1)], vec![RtId(2)]]);
         s.verify(&p, &deps).unwrap();
-        let right = right_justify(&p, &deps, &matrix, &s, 2);
-        right.verify(&p, &deps).unwrap();
-        assert_eq!(right.issue_cycles(3), [Some(0), Some(0), Some(1)]);
+        let mut right = Vec::new();
+        right_justify(
+            &deps,
+            &matrix,
+            &[0, 0, 1],
+            2,
+            &mut Pass::default(),
+            &mut right,
+        );
+        schedule_of(&right, &[]).verify(&p, &deps).unwrap();
+        assert_eq!(right, [0, 0, 1]);
     }
 
     #[test]
@@ -577,19 +747,26 @@ mod tests {
         let deps = DependenceGraph::build(&p).unwrap();
         let matrix = ConflictMatrix::build(&p);
         let bad = crate::baseline::sequential_schedule(&p, &deps);
-        let (good, skipped) = compact(
-            &p,
+        let mut buf = Buffers {
+            current: issue_of(&bad, p.rt_count()),
+            ..Buffers::default()
+        };
+        let mut fuel = Fuel::unlimited();
+        let (len, skipped) = compact(
             &deps,
             &matrix,
-            bad.clone(),
+            bad.length(),
             16,
             0,
-            &mut Fuel::unlimited(),
+            &mut fuel,
             None,
+            &mut buf,
         )
         .unwrap();
         assert_eq!(skipped, 0);
+        let good = schedule_of(&buf.current, &[]);
         good.verify(&p, &deps).unwrap();
+        assert_eq!(len, good.length());
         assert!(
             good.length() < bad.length(),
             "{} !< {}",

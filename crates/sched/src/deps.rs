@@ -176,10 +176,7 @@ impl DependenceGraph {
     /// at `budget − 1` at the latest, counting cycles from 0): the RT's
     /// successor depth before that, clamped at 0.
     pub fn alap(&self, budget: u32) -> Vec<u32> {
-        self.depth
-            .iter()
-            .map(|&d| (budget as i64 - 1 - d as i64).max(0) as u32)
-            .collect()
+        self.forward().alap(budget)
     }
 
     /// Length of the critical path in cycles: a lower bound on any
@@ -189,29 +186,110 @@ impl DependenceGraph {
         self.critical_path
     }
 
-    /// The time-mirrored dependence graph: every edge `a →(w) b` becomes
-    /// `b →(w) a`. Scheduling the mirror forward and flipping the result
-    /// (`t ← L−1−t`) is *backward scheduling*: every RT lands at its
-    /// latest feasible cycle, which packs tail-heavy programs (outputs,
-    /// stores at the end of the time-loop) far better than forward
-    /// greed.
-    ///
-    /// Nothing is re-derived: the edge lists trade places, the reversed
-    /// order is topological in the mirror, and ASAP and successor depth
-    /// swap.
-    pub fn reversed(&self) -> DependenceGraph {
-        DependenceGraph {
-            dag: self.dag.reversed(),
-            order: self.order.iter().rev().copied().collect(),
-            asap: self.depth.clone(),
-            depth: self.asap.clone(),
-            critical_path: self.critical_path,
-        }
-    }
-
     /// A topological order of the RTs.
     pub fn topological_order(&self) -> &[RtId] {
         &self.order
+    }
+
+    /// The graph as built, as a [`View`].
+    pub(crate) fn forward(&self) -> View<'_> {
+        View {
+            graph: self,
+            mirrored: false,
+        }
+    }
+
+    /// The time-mirrored graph, as a [`View`] of this one.
+    pub(crate) fn mirrored(&self) -> View<'_> {
+        View {
+            graph: self,
+            mirrored: true,
+        }
+    }
+}
+
+/// A dependence graph read forward, or time-mirrored: every edge
+/// `a →(w) b` read as `b →(w) a`. Scheduling the mirror forward and
+/// flipping the result (`t ← L−1−t`) is *backward scheduling*: every RT
+/// lands at its latest feasible cycle, which packs tail-heavy programs
+/// (outputs, stores at the end of the time-loop) far better than forward
+/// greed.
+///
+/// The mirror copies nothing: its successors are the graph's
+/// predecessors and the other way round, its ASAP times are the graph's
+/// successor depths and the other way round, and its topological order
+/// is the graph's, walked backwards.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct View<'a> {
+    graph: &'a DependenceGraph,
+    mirrored: bool,
+}
+
+impl<'a> View<'a> {
+    /// Number of RTs.
+    pub(crate) fn rt_count(self) -> usize {
+        self.graph.rt_count()
+    }
+
+    /// Direct successors of `rt` in this view, with edge latencies.
+    pub(crate) fn successors(self, rt: RtId) -> impl Iterator<Item = (RtId, u32)> + 'a {
+        let (dag, v) = (&self.graph.dag, rt.0 as usize);
+        let edges = if self.mirrored {
+            dag.predecessors(v)
+        } else {
+            dag.successors(v)
+        };
+        edges.iter().map(|&(s, w)| (RtId(s as u32), w as u32))
+    }
+
+    /// Direct predecessors of `rt` in this view, with edge latencies.
+    pub(crate) fn predecessors(self, rt: RtId) -> impl Iterator<Item = (RtId, u32)> + 'a {
+        let (dag, v) = (&self.graph.dag, rt.0 as usize);
+        let edges = if self.mirrored {
+            dag.successors(v)
+        } else {
+            dag.predecessors(v)
+        };
+        edges.iter().map(|&(p, w)| (RtId(p as u32), w as u32))
+    }
+
+    /// ASAP issue cycle of every RT in this view.
+    pub(crate) fn asap(self) -> &'a [u32] {
+        if self.mirrored {
+            &self.graph.depth
+        } else {
+            &self.graph.asap
+        }
+    }
+
+    /// Successor depth of every RT in this view.
+    pub(crate) fn depths(self) -> &'a [u32] {
+        if self.mirrored {
+            &self.graph.asap
+        } else {
+            &self.graph.depth
+        }
+    }
+
+    /// The critical path, the same in both directions.
+    pub(crate) fn critical_path(self) -> u32 {
+        self.graph.critical_path
+    }
+
+    /// ALAP issue cycles under `budget` in this view, as
+    /// [`DependenceGraph::alap`].
+    pub(crate) fn alap(self, budget: u32) -> Vec<u32> {
+        self.depths()
+            .iter()
+            .map(|&d| (budget as i64 - 1 - d as i64).max(0) as u32)
+            .collect()
+    }
+
+    /// A topological order of this view.
+    pub(crate) fn topological_order(self) -> impl DoubleEndedIterator<Item = RtId> + 'a {
+        let (order, mirrored) = (&self.graph.order, self.mirrored);
+        let last = order.len().saturating_sub(1);
+        (0..order.len()).map(move |k| order[if mirrored { last - k } else { k }])
     }
 }
 
@@ -360,6 +438,104 @@ mod tests {
                 }
                 other => panic!("expected malformed error, got {other:?}"),
             }
+        }
+    }
+
+    /// `n` RTs ordered only by `edges`, each `(from, to, separation)`.
+    fn sequenced(n: usize, edges: &[(u32, u32, u32)]) -> DependenceGraph {
+        let mut p = Program::new();
+        for i in 0..n {
+            p.add_rt(Rt::new(format!("rt{i}")));
+        }
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b, w)| (RtId(a), RtId(b), w))
+            .collect();
+        DependenceGraph::build_with_edges(&p, &edges).unwrap()
+    }
+
+    /// Every edge of `view` as `(from, to, weight)`, sorted.
+    fn edges(view: View<'_>) -> Vec<(u32, u32, u32)> {
+        let mut out: Vec<_> = (0..view.rt_count() as u32)
+            .flat_map(|v| view.successors(RtId(v)).map(move |(s, w)| (v, s.0, w)))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn mirrored_view_mirrors_every_edge() {
+        // 0 → 1 → 3, 0 → 2 → 3 with weights 1 except 2 → 3 weight 3.
+        let g = sequenced(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 3)]);
+        let (forward, mirror) = (g.forward(), g.mirrored());
+        assert_eq!(edges(mirror).len(), edges(forward).len());
+        for v in 0..4 {
+            let v = RtId(v);
+            let collect = |it: &mut dyn Iterator<Item = (RtId, u32)>| it.collect::<Vec<_>>();
+            assert_eq!(
+                collect(&mut mirror.successors(v)),
+                collect(&mut g.predecessors(v))
+            );
+            assert_eq!(
+                collect(&mut mirror.predecessors(v)),
+                collect(&mut g.successors(v))
+            );
+        }
+        // Longest paths in the mirror are the forward paths to a sink.
+        assert_eq!(mirror.asap(), [4, 1, 3, 0]);
+        assert_eq!(mirror.depths(), g.asap());
+        assert_eq!(mirror.alap(5), [4, 3, 3, 0]);
+        let order: Vec<_> = mirror.topological_order().collect();
+        assert_eq!(order.first(), Some(&RtId(3)));
+        assert_eq!(order.last(), Some(&RtId(0)));
+    }
+
+    proptest::proptest! {
+        /// The mirror holds every edge reversed, and its order, ASAP
+        /// times, successor depths, critical path and ALAP windows equal
+        /// what a fresh derivation on the reversed edges computes.
+        #[test]
+        fn mirrored_view_matches_a_fresh_derivation(
+            n in 1usize..=24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u32..4), 0..48),
+        ) {
+            let raw: Vec<_> = raw
+                .into_iter()
+                .map(|(a, b, w)| (a % n as u32, b % n as u32, w))
+                .filter(|&(a, b, _)| a != b)
+                .map(|(a, b, w)| (a.min(b), a.max(b), w))
+                .collect();
+            let g = sequenced(n, &raw);
+            let mirror = g.mirrored();
+            let mut reversed: Vec<_> =
+                edges(g.forward()).into_iter().map(|(a, b, w)| (b, a, w)).collect();
+            reversed.sort_unstable();
+            proptest::prop_assert_eq!(&edges(mirror), &reversed);
+            let mut dag = Dag::new(n);
+            for &(a, b, w) in &reversed {
+                dag.add_edge(a as usize, b as usize, w as i64);
+            }
+            let to_u32 = |v: Vec<i64>| v.into_iter().map(|t| t as u32).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(mirror.asap(), &to_u32(dag.asap())[..]);
+            proptest::prop_assert_eq!(mirror.asap(), g.depths());
+            proptest::prop_assert_eq!(mirror.depths(), g.asap());
+            let cp = dag.critical_path_length() as u32;
+            proptest::prop_assert_eq!(mirror.critical_path(), cp);
+            proptest::prop_assert_eq!(g.critical_path(), cp);
+            for b in [0, cp, cp + 1, cp + 7] {
+                let alap: Vec<u32> = dag
+                    .alap(b as i64 - 1)
+                    .into_iter()
+                    .map(|t| t.max(0) as u32)
+                    .collect();
+                proptest::prop_assert_eq!(mirror.alap(b), alap, "budget {}", b);
+            }
+            let mut pos = vec![usize::MAX; n];
+            for (k, rt) in mirror.topological_order().enumerate() {
+                pos[rt.0 as usize] = k;
+            }
+            proptest::prop_assert!(pos.iter().all(|&k| k < n));
+            proptest::prop_assert!(reversed.iter().all(|&(a, b, _)| pos[a as usize] < pos[b as usize]));
         }
     }
 

@@ -22,12 +22,16 @@
 //! [`DependenceGraph`], the distinct-usage count with the
 //! [`ConflictMatrix`]; what depends on the budget (ALAP and sink
 //! deadlines) is derived once per run and shared across all restarts.
-//! Attempts fill one reused scratch with issue cycles and report a
-//! length; only the winner becomes a [`Schedule`].
+//! Backward attempts read a mirrored [`View`] of the same graph, so no
+//! attempt copies it. Attempts fill one reused scratch with issue cycles
+//! and report a length; only the winner becomes a [`Schedule`], and only
+//! when the caller keeps it. Every attempt after the first runs against
+//! the best length so far and gives up the moment a placed RT's issue
+//! cycle plus its successor depth shows that it cannot get below it.
 
 use dspcc_ir::{Program, RtId};
 
-use crate::deps::DependenceGraph;
+use crate::deps::{DependenceGraph, View};
 use crate::fuel::{CancelToken, Fuel};
 use crate::schedule::{ConflictMatrix, SchedError, Schedule};
 
@@ -68,8 +72,14 @@ impl std::fmt::Display for Priority {
 /// One construction attempt's settings.
 #[derive(Debug, Clone, Default)]
 struct ListConfig {
-    /// Hard cycle budget; `None` schedules without a deadline.
+    /// Hard cycle budget of a list pass ([`crate::Scheduler::List`]);
+    /// `None` schedules without a deadline. The restart engine sets none.
     budget: Option<u32>,
+    /// The length to beat, once the restart engine has a schedule: an
+    /// RT issued at `t` ends every completion no earlier than `t` plus
+    /// its successor depth plus 1, so the attempt gives up as soon as a
+    /// placed RT reaches the cutoff that way (a tie loses too).
+    cutoff: Option<u32>,
     /// Priority function.
     priority: Priority,
     /// Deterministic tie-break perturbation; 0 is unperturbed. Randomised
@@ -80,8 +90,8 @@ struct ListConfig {
 
 /// Priority data shared by every restart of a scheduling run: ALAP
 /// windows and lane (sink) deadlines, computed **once** per
-/// `(deps, matrix, budget)` instead of per attempt. ASAP times and
-/// successor depths need no budget and are read from `deps` directly.
+/// `(graph view, matrix, budget)` instead of per attempt. ASAP times and
+/// successor depths need no budget and are read from the view directly.
 #[derive(Debug, Clone)]
 struct ScheduleContext {
     alap: Vec<u32>,
@@ -90,13 +100,13 @@ struct ScheduleContext {
 }
 
 impl ScheduleContext {
-    /// Computes the context for scheduling the program behind `deps` and
+    /// Computes the context for scheduling the program behind `graph` and
     /// `matrix` under `budget`, from the values both stored at build.
-    fn build(matrix: &ConflictMatrix, deps: &DependenceGraph, budget: Option<u32>) -> Self {
-        let critical = deps.critical_path() + 1;
+    fn build(matrix: &ConflictMatrix, graph: View<'_>, budget: Option<u32>) -> Self {
+        let critical = graph.critical_path() + 1;
         // Without a budget the horizon is the serial bound: every RT in
         // its own cycle after its predecessors.
-        let horizon = budget.unwrap_or(deps.rt_count() as u32 + critical);
+        let horizon = budget.unwrap_or(graph.rt_count() as u32 + critical);
         // Deadlines for the *priority* functions are computed against a
         // tight target — the best conceivable schedule: the budget, the
         // critical path or the busiest resource's distinct usages,
@@ -106,8 +116,8 @@ impl ScheduleContext {
             .unwrap_or(0)
             .max(critical)
             .max(matrix.distinct_usages());
-        let alap = deps.alap(target);
-        let sink = sink_alaps(deps, &alap);
+        let alap = graph.alap(target);
+        let sink = sink_alaps(graph, &alap);
         ScheduleContext {
             alap,
             sink,
@@ -129,8 +139,8 @@ type Key = (i64, i64, i64, i64);
 struct SchedScratch {
     /// Priority key per RT for the current attempt.
     keys: Vec<Key>,
-    /// Issue cycle per RT (`None` = unplaced).
-    issue: Vec<Option<u32>>,
+    /// Issue cycle per RT ([`UNPLACED`] until placed).
+    issue: Vec<u32>,
     /// RTs in placement order (list scheduling). Empty after an insertion
     /// attempt, whose cycles list their RTs by id.
     placed: Vec<usize>,
@@ -162,8 +172,8 @@ struct SchedScratch {
 
 impl SchedScratch {
     /// Fills `keys` for this attempt's priority function and jitter seed.
-    fn compute_keys(&mut self, deps: &DependenceGraph, ctx: &ScheduleContext, config: &ListConfig) {
-        let (asap, depth) = (deps.asap(), deps.depths());
+    fn compute_keys(&mut self, graph: View<'_>, ctx: &ScheduleContext, config: &ListConfig) {
+        let (asap, depth) = (graph.asap(), graph.depths());
         let n = asap.len();
         self.keys.clear();
         self.keys.reserve(n);
@@ -189,23 +199,44 @@ impl SchedScratch {
     fn schedule(&self) -> Schedule {
         schedule_of(&self.issue, &self.placed)
     }
+
+    /// Moves the last attempt's placement out, leaving the buffers empty.
+    fn take(&mut self, length: u32) -> Construction {
+        Construction {
+            issue: std::mem::take(&mut self.issue),
+            placed: std::mem::take(&mut self.placed),
+            length,
+        }
+    }
 }
 
-/// Builds a schedule from issue cycles, listing each cycle's RTs in
-/// `placed` order, or by RT id when `placed` is empty.
-pub(crate) fn schedule_of(issue: &[Option<u32>], placed: &[usize]) -> Schedule {
+/// The issue cycle of an RT not placed yet.
+const UNPLACED: u32 = u32::MAX;
+
+/// Builds a schedule from complete issue cycles, listing each cycle's
+/// RTs in `placed` order, or by RT id when `placed` is empty.
+pub(crate) fn schedule_of(issue: &[u32], placed: &[usize]) -> Schedule {
+    debug_assert!(!issue.contains(&UNPLACED), "every RT placed");
     let mut schedule = Schedule::new();
-    let cycle = |i: usize| issue[i].expect("every RT placed");
     if placed.is_empty() {
-        for i in 0..issue.len() {
-            schedule.place(RtId(i as u32), cycle(i));
+        for (i, &t) in issue.iter().enumerate() {
+            schedule.place(RtId(i as u32), t);
         }
     } else {
         for &i in placed {
-            schedule.place(RtId(i as u32), cycle(i));
+            schedule.place(RtId(i as u32), issue[i]);
         }
     }
     schedule
+}
+
+/// The restart engine's winner: its issue cycles, its placement order
+/// (empty unless list scheduling won) and its length.
+#[derive(Debug)]
+pub(crate) struct Construction {
+    pub(crate) issue: Vec<u32>,
+    pub(crate) placed: Vec<usize>,
+    pub(crate) length: u32,
 }
 
 /// The three construction algorithms tried per `(priority, seed)` pair.
@@ -228,7 +259,7 @@ const ATTEMPT_ALGOS: [Algo; 3] = [Algo::Insertion, Algo::Backward, Algo::List];
 /// the schedule length.
 type Attempt = fn(
     &Program,
-    &DependenceGraph,
+    View<'_>,
     &ConflictMatrix,
     &ListConfig,
     &ScheduleContext,
@@ -238,12 +269,11 @@ type Attempt = fn(
 /// Everything one restart attempt needs, built once per run.
 struct AttemptSet<'a> {
     program: &'a Program,
-    deps: &'a DependenceGraph,
-    reversed: DependenceGraph,
+    forward: View<'a>,
+    mirror: View<'a>,
     matrix: &'a ConflictMatrix,
     ctx: ScheduleContext,
     ctx_rev: ScheduleContext,
-    budget: Option<u32>,
 }
 
 impl AttemptSet<'_> {
@@ -253,31 +283,20 @@ impl AttemptSet<'_> {
         &self,
         &(priority, seed, algo): &(Priority, u64, Algo),
         scratch: &mut SchedScratch,
-        cutoff: u32,
+        cutoff: Option<u32>,
     ) -> Result<u32, SchedError> {
-        // `cutoff` is the best length already recorded (`u32::MAX` when
-        // none): an attempt that cannot get below it loses to the earlier
-        // attempt even on a tie, so it may run under a tightened budget
-        // and fail early instead of finishing a schedule that would be
-        // discarded. Successful constructions are untouched — the budget
-        // only moves the failure point — so the winner is the same with
-        // or without the cutoff.
-        let budget = match self.budget {
-            Some(b) => Some(b.min(cutoff)),
-            None if cutoff != u32::MAX => Some(cutoff),
-            None => None,
-        };
         let config = ListConfig {
-            budget,
+            budget: None,
+            cutoff,
             priority,
             jitter_seed: seed,
         };
-        let (attempt, deps, ctx): (Attempt, _, _) = match algo {
-            Algo::Insertion => (insertion_attempt, self.deps, &self.ctx),
-            Algo::Backward => (backward_attempt, &self.reversed, &self.ctx_rev),
-            Algo::List => (list_attempt, self.deps, &self.ctx),
+        let (attempt, graph, ctx): (Attempt, _, _) = match algo {
+            Algo::Insertion => (insertion_attempt, self.forward, &self.ctx),
+            Algo::Backward => (backward_attempt, self.mirror, &self.ctx_rev),
+            Algo::List => (list_attempt, self.forward, &self.ctx),
         };
-        attempt(self.program, deps, self.matrix, &config, ctx, scratch)
+        attempt(self.program, graph, self.matrix, &config, ctx, scratch)
     }
 }
 
@@ -292,12 +311,18 @@ impl AttemptSet<'_> {
 /// thread, in enumeration order, and the winner is the shortest schedule
 /// (the earliest attempt on a tie). Attempts only fill the shared scratch;
 /// the engine keeps the best attempt's issue cycles (and placement order)
-/// and builds the one [`Schedule`] it returns at the end. Two stopping
-/// rules bound the work:
+/// and returns them as a [`Construction`]. Three rules bound the work:
 ///
 /// * **Bound cutoff** — the moment an attempt meets the provable length
 ///   lower bound ([`crate::bounds`]) the engine returns it: nothing can
 ///   beat it.
+/// * **Serial cutoff** — every attempt after the first successful one
+///   runs against the best length so far and gives up once a placed RT's
+///   issue cycle plus its successor depth (in the graph the attempt runs
+///   on: the mirror's for a backward attempt) plus 1 reaches it. Every
+///   completion is at least that long and a tie loses, so a given-up
+///   attempt would have lost: its schedule and its error are never
+///   read, and the winner is the same as without the cutoff.
 /// * **Stagnation** — once at least one schedule exists, any jittered
 ///   round that fails to improve the best length abandons the remaining
 ///   rounds: the unjittered roster already ran, and one fruitless jitter
@@ -306,7 +331,8 @@ impl AttemptSet<'_> {
 ///   loop lacked. While every attempt still fails a tight budget, all
 ///   rounds run — a later seed may be the first feasible one.)
 ///
-/// `bound` is the provable length lower bound
+/// Construction runs without a budget: the serial cutoff is the only
+/// budget it sees. `bound` is the provable length lower bound
 /// ([`crate::bounds::length_lower_bound`]), computed once by the caller.
 /// `fuel` is charged one unit per attempt, at round barriers only.
 /// Round 0 (the unjittered roster) is mandatory — it charges
@@ -320,29 +346,25 @@ impl AttemptSet<'_> {
 /// # Errors
 ///
 /// [`SchedError::Cancelled`], or the error of the last failed attempt
-/// when *no* attempt fits the budget.
-#[allow(clippy::too_many_arguments)]
+/// when *no* attempt succeeds. The serial cutoff exists only once one
+/// has, so a given-up attempt's error is never reported.
 pub(crate) fn best_effort_bounded(
     program: &Program,
     deps: &DependenceGraph,
     matrix: &ConflictMatrix,
-    budget: Option<u32>,
     restarts: u32,
     bound: u32,
     fuel: &mut Fuel,
     cancel: Option<&CancelToken>,
-) -> Result<(Schedule, u64), SchedError> {
-    let ctx = ScheduleContext::build(matrix, deps, budget);
-    let reversed = deps.reversed();
-    let ctx_rev = ScheduleContext::build(matrix, &reversed, budget);
+) -> Result<(Construction, u64), SchedError> {
+    let (forward, mirror) = (deps.forward(), deps.mirrored());
     let set = AttemptSet {
         program,
-        deps,
-        reversed,
+        forward,
+        mirror,
         matrix,
-        ctx,
-        ctx_rev,
-        budget,
+        ctx: ScheduleContext::build(matrix, forward, None),
+        ctx_rev: ScheduleContext::build(matrix, mirror, None),
     };
     // Fixed enumeration: round 0 = all priorities × algorithms at seed 0,
     // then one (priority, seed) round of 3 algorithms per jittered seed.
@@ -385,15 +407,15 @@ pub(crate) fn best_effort_bounded(
         }
         let before = best.unwrap_or(u32::MAX);
         for attempt in &attempts[range.clone()] {
-            let cutoff = best.unwrap_or(u32::MAX);
-            match set.run(attempt, &mut scratch, cutoff) {
-                Ok(len) if len <= bound => return Ok((scratch.schedule(), 0)),
-                Ok(len) if len < cutoff => {
+            match set.run(attempt, &mut scratch, best) {
+                Ok(len) if len <= bound => return Ok((scratch.take(len), 0)),
+                Ok(len) => {
+                    // An attempt that completes under the cutoff beats it.
+                    debug_assert!(best.is_none_or(|b| len < b));
                     best = Some(len);
                     std::mem::swap(&mut best_issue, &mut scratch.issue);
                     std::mem::swap(&mut best_placed, &mut scratch.placed);
                 }
-                Ok(_) => {}
                 Err(e) => last_err = Some(e),
             }
         }
@@ -405,7 +427,14 @@ pub(crate) fn best_effort_bounded(
         }
     }
     match best {
-        Some(_) => Ok((schedule_of(&best_issue, &best_placed), skipped)),
+        Some(length) => {
+            let construction = Construction {
+                issue: best_issue,
+                placed: best_placed,
+                length,
+            };
+            Ok((construction, skipped))
+        }
         None => Err(last_err.expect("round 0 always runs at least one attempt")),
     }
 }
@@ -420,10 +449,10 @@ pub(crate) fn best_effort_bounded(
 ///
 /// Leaves the issue cycles in `scratch` and returns the schedule length,
 /// or [`SchedError::BudgetExceeded`] when an RT cannot be placed within
-/// the budget.
+/// the horizon or below the cutoff.
 fn insertion_attempt(
     program: &Program,
-    deps: &DependenceGraph,
+    graph: View<'_>,
     matrix: &ConflictMatrix,
     config: &ListConfig,
     ctx: &ScheduleContext,
@@ -431,17 +460,17 @@ fn insertion_attempt(
 ) -> Result<u32, SchedError> {
     let n = program.rt_count();
     scratch.issue.clear();
-    scratch.issue.resize(n, None);
+    scratch.issue.resize(n, UNPLACED);
     scratch.placed.clear();
     if n == 0 {
         return Ok(0);
     }
     let words = matrix.words_per_row();
-    scratch.compute_keys(deps, ctx, config);
+    scratch.compute_keys(graph, ctx, config);
     scratch.remaining_preds.clear();
     scratch
         .remaining_preds
-        .extend((0..n).map(|i| deps.predecessors(RtId(i as u32)).count()));
+        .extend((0..n).map(|i| graph.predecessors(RtId(i as u32)).count()));
     scratch.heap.clear();
     for i in 0..n {
         if scratch.remaining_preds[i] == 0 {
@@ -450,13 +479,10 @@ fn insertion_attempt(
     }
     scratch.cycle_occ.clear();
 
-    let limit = config
-        .budget
-        .unwrap_or(u32::MAX)
-        .min(ctx.horizon + n as u32);
+    let horizon = ctx.horizon + n as u32;
     scratch.hints.clear();
     scratch.hints.resize(matrix.class_count(), 0);
-    let asap = deps.asap();
+    let (asap, depth) = (graph.asap(), graph.depths());
     let mut length = 0;
     let mut unplaced = n;
     while unplaced > 0 {
@@ -467,9 +493,14 @@ fn insertion_attempt(
             .expect("acyclic graph always has a ready RT");
         let id = RtId(rt as u32);
         let mut earliest = asap[rt];
-        for (pred, lat) in deps.predecessors(id) {
-            earliest = earliest.max(scratch.issue[pred.0 as usize].expect("topo order") + lat);
+        for (pred, lat) in graph.predecessors(id) {
+            earliest = earliest.max(scratch.issue[pred.0 as usize] + lat);
         }
+        // Issued at `t`, the RT ends the schedule no earlier than
+        // `t + depth + 1`: at the cutoff the attempt has lost.
+        let limit = config
+            .cutoff
+            .map_or(horizon, |c| horizon.min(c.saturating_sub(depth[rt] + 1)));
         // Probe from the row-class hint when it already covers
         // `earliest`: every skipped cycle failed `fits_mask` for an RT
         // with an identical conflict row, and occupancy only grows, so
@@ -490,7 +521,7 @@ fn insertion_attempt(
             let occ = &mut scratch.cycle_occ[base..base + words];
             if matrix.fits_mask(id, occ) {
                 occ[rt / 64] |= 1 << (rt % 64);
-                scratch.issue[rt] = Some(t);
+                scratch.issue[rt] = t;
                 length = length.max(t + 1);
                 if contiguous {
                     scratch.hints[class] = t;
@@ -506,7 +537,7 @@ fn insertion_attempt(
             });
         }
         unplaced -= 1;
-        for (succ, _) in deps.successors(id) {
+        for (succ, _) in graph.successors(id) {
             let s = succ.0 as usize;
             scratch.remaining_preds[s] -= 1;
             if scratch.remaining_preds[s] == 0 {
@@ -541,21 +572,23 @@ pub(crate) fn list_pass(
     let config = ListConfig {
         budget,
         priority,
-        jitter_seed: 0,
+        ..ListConfig::default()
     };
-    let ctx = ScheduleContext::build(matrix, deps, budget);
+    let graph = deps.forward();
+    let ctx = ScheduleContext::build(matrix, graph, budget);
     let mut scratch = SchedScratch::default();
-    list_attempt(program, deps, matrix, &config, &ctx, &mut scratch)?;
+    list_attempt(program, graph, matrix, &config, &ctx, &mut scratch)?;
     Ok(scratch.schedule())
 }
 
 /// One list-scheduling attempt: cycle by cycle, ready RTs are packed into
 /// the current instruction in priority order, most urgent first. Leaves
 /// the issue cycles and the placement order in `scratch` and returns the
-/// schedule length.
+/// schedule length, or [`SchedError::BudgetExceeded`] when the budget
+/// runs out or a placement reaches the cutoff.
 fn list_attempt(
     program: &Program,
-    deps: &DependenceGraph,
+    graph: View<'_>,
     matrix: &ConflictMatrix,
     config: &ListConfig,
     ctx: &ScheduleContext,
@@ -563,20 +596,21 @@ fn list_attempt(
 ) -> Result<u32, SchedError> {
     let n = program.rt_count();
     scratch.issue.clear();
-    scratch.issue.resize(n, None);
+    scratch.issue.resize(n, UNPLACED);
     scratch.placed.clear();
     if n == 0 {
         return Ok(0);
     }
     let words = matrix.words_per_row();
-    scratch.compute_keys(deps, ctx, config);
+    scratch.compute_keys(graph, ctx, config);
     scratch.remaining_preds.clear();
     scratch
         .remaining_preds
-        .extend((0..n).map(|i| deps.predecessors(RtId(i as u32)).count()));
+        .extend((0..n).map(|i| graph.predecessors(RtId(i as u32)).count()));
     // earliest[rt]: max over scheduled preds of issue+latency, and asap.
     scratch.earliest.clear();
-    scratch.earliest.extend_from_slice(deps.asap());
+    scratch.earliest.extend_from_slice(graph.asap());
+    let depth = graph.depths();
     scratch.occ.clear();
     scratch.occ.resize(words, 0);
     // Candidate pool: RTs whose predecessors have all issued, sorted by
@@ -614,12 +648,19 @@ fn list_attempt(
             }
             let rt = RtId(i as u32);
             if matrix.fits_mask(rt, &scratch.occ) {
+                if let Some(cutoff) = config.cutoff.filter(|&c| t + depth[i] + 1 >= c) {
+                    // Every completion is at least `t + depth + 1` long.
+                    return Err(SchedError::BudgetExceeded {
+                        budget: cutoff,
+                        unplaced: unscheduled,
+                    });
+                }
                 scratch.occ[i / 64] |= 1 << (i % 64);
-                scratch.issue[i] = Some(t);
+                scratch.issue[i] = t;
                 scratch.placed.push(i);
                 placed_any = true;
                 unscheduled -= 1;
-                for (succ, lat) in deps.successors(rt) {
+                for (succ, lat) in graph.successors(rt) {
                     let s = succ.0 as usize;
                     scratch.remaining_preds[s] -= 1;
                     scratch.earliest[s] = scratch.earliest[s].max(t + lat);
@@ -631,7 +672,7 @@ fn list_attempt(
         }
         if placed_any {
             let issue = &scratch.issue;
-            scratch.pool.retain(|&(_, i)| issue[i].is_none());
+            scratch.pool.retain(|&(_, i)| issue[i] == UNPLACED);
         }
         // RTs released this cycle join the pool for the *next* cycle (a
         // zero-separation successor still cannot issue in the cycle that
@@ -656,21 +697,20 @@ fn list_attempt(
 }
 
 /// One backward insertion attempt: an insertion attempt on the
-/// time-mirrored dependence graph (built once per run by the caller),
-/// its issue cycles flipped in place (`t ← L−1−t`, the length `L` kept),
-/// so every RT lands at its *latest* feasible cycle. Complements forward
-/// insertion on programs whose sinks (output writes, stores) crowd the
-/// end of the time-loop.
+/// time-mirrored view of the dependence graph, its issue cycles flipped
+/// in place (`t ← L−1−t`, the length `L` kept), so every RT lands at its
+/// *latest* feasible cycle. Complements forward insertion on programs
+/// whose sinks (output writes, stores) crowd the end of the time-loop.
 fn backward_attempt(
     program: &Program,
-    reversed_deps: &DependenceGraph,
+    mirror: View<'_>,
     matrix: &ConflictMatrix,
     config: &ListConfig,
     ctx_rev: &ScheduleContext,
     scratch: &mut SchedScratch,
 ) -> Result<u32, SchedError> {
-    let len = insertion_attempt(program, reversed_deps, matrix, config, ctx_rev, scratch)?;
-    for t in scratch.issue.iter_mut().flatten() {
+    let len = insertion_attempt(program, mirror, matrix, config, ctx_rev, scratch)?;
+    for t in &mut scratch.issue {
         *t = len - 1 - *t;
     }
     Ok(len)
@@ -678,13 +718,12 @@ fn backward_attempt(
 
 /// ALAP of the most urgent transitive sink of each RT (the RT's own ALAP
 /// for sinks) — the lane-coherent deadline of [`Priority::SinkAlap`].
-fn sink_alaps(deps: &DependenceGraph, alap: &[u32]) -> Vec<u32> {
-    let order = deps.topological_order();
-    let mut sink = vec![u32::MAX; deps.rt_count()];
-    for &rt in order.iter().rev() {
+fn sink_alaps(graph: View<'_>, alap: &[u32]) -> Vec<u32> {
+    let mut sink = vec![u32::MAX; graph.rt_count()];
+    for rt in graph.topological_order().rev() {
         let i = rt.0 as usize;
         let mut best = u32::MAX;
-        for (succ, _) in deps.successors(rt) {
+        for (succ, _) in graph.successors(rt) {
             best = best.min(sink[succ.0 as usize]);
         }
         sink[i] = if best == u32::MAX { alap[i] } else { best };
@@ -752,23 +791,23 @@ mod tests {
         p
     }
 
-    /// One attempt of `pass` with fresh context and scratch.
+    /// One attempt of `pass` on `graph` with fresh context and scratch.
     fn run(
         pass: Attempt,
         p: &Program,
-        deps: &DependenceGraph,
+        graph: View<'_>,
         config: &ListConfig,
     ) -> Result<Schedule, SchedError> {
         let matrix = ConflictMatrix::build(p);
-        let ctx = ScheduleContext::build(&matrix, deps, config.budget);
+        let ctx = ScheduleContext::build(&matrix, graph, config.budget);
         let mut scratch = SchedScratch::default();
-        pass(p, deps, &matrix, config, &ctx, &mut scratch)?;
+        pass(p, graph, &matrix, config, &ctx, &mut scratch)?;
         Ok(scratch.schedule())
     }
 
     fn schedule_ok(p: &Program, config: &ListConfig) -> Schedule {
         let deps = DependenceGraph::build(p).unwrap();
-        let s = run(list_attempt, p, &deps, config).unwrap();
+        let s = run(list_attempt, p, deps.forward(), config).unwrap();
         s.verify(p, &deps).unwrap();
         s
     }
@@ -808,9 +847,9 @@ mod tests {
         let matrix = ConflictMatrix::build(p);
         let bound = crate::bounds::length_lower_bound(p, deps, &matrix);
         let mut fuel = Fuel::unlimited();
-        best_effort_bounded(p, deps, &matrix, None, restarts, bound, &mut fuel, None)
-            .unwrap()
-            .0
+        let (built, _) =
+            best_effort_bounded(p, deps, &matrix, restarts, bound, &mut fuel, None).unwrap();
+        schedule_of(&built.issue, &built.placed)
     }
 
     #[test]
@@ -842,7 +881,7 @@ mod tests {
             budget: Some(3),
             ..ListConfig::default()
         };
-        let err = run(list_attempt, &p, &deps, &config).unwrap_err();
+        let err = run(list_attempt, &p, deps.forward(), &config).unwrap_err();
         match err {
             SchedError::BudgetExceeded {
                 budget: 3,
@@ -863,9 +902,8 @@ mod tests {
             let s = schedule_ok(
                 &p,
                 &ListConfig {
-                    budget: None,
                     priority,
-                    jitter_seed: 0,
+                    ..ListConfig::default()
                 },
             );
             assert!(s.length() >= 4);
@@ -876,7 +914,7 @@ mod tests {
     fn empty_program_schedules_to_zero() {
         let p = Program::new();
         let deps = DependenceGraph::build(&p).unwrap();
-        let s = run(list_attempt, &p, &deps, &ListConfig::default()).unwrap();
+        let s = run(list_attempt, &p, deps.forward(), &ListConfig::default()).unwrap();
         assert_eq!(s.length(), 0);
     }
 
@@ -941,22 +979,23 @@ mod tests {
         // whether scratch/context are fresh or reused from another attempt.
         let p = two_chain_program();
         let deps = DependenceGraph::build(&p).unwrap();
+        let graph = deps.forward();
         let matrix = ConflictMatrix::build(&p);
-        let ctx = ScheduleContext::build(&matrix, &deps, None);
+        let ctx = ScheduleContext::build(&matrix, graph, None);
         let mut scratch = SchedScratch::default();
         let config = ListConfig::default();
-        list_attempt(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
+        list_attempt(&p, graph, &matrix, &config, &ctx, &mut scratch).unwrap();
         let first = scratch.schedule();
         // Dirty the scratch with a different attempt, then repeat.
         let other = ListConfig {
-            budget: None,
             priority: Priority::CriticalPath,
             jitter_seed: 3,
+            ..ListConfig::default()
         };
-        let _ = insertion_attempt(&p, &deps, &matrix, &other, &ctx, &mut scratch);
-        list_attempt(&p, &deps, &matrix, &config, &ctx, &mut scratch).unwrap();
+        let _ = insertion_attempt(&p, graph, &matrix, &other, &ctx, &mut scratch);
+        list_attempt(&p, graph, &matrix, &config, &ctx, &mut scratch).unwrap();
         assert_eq!(first, scratch.schedule());
-        let fresh = run(list_attempt, &p, &deps, &config).unwrap();
+        let fresh = run(list_attempt, &p, graph, &config).unwrap();
         assert_eq!(first, fresh);
     }
 
@@ -972,8 +1011,8 @@ mod tests {
             let deps = DependenceGraph::build(&p).unwrap();
             let bound = crate::bounds::length_lower_bound(&p, &deps, &ConflictMatrix::build(&p));
             let config = ListConfig::default();
-            let forward = run(insertion_attempt, &p, &deps, &config).unwrap();
-            let backward = run(backward_attempt, &p, &deps.reversed(), &config).unwrap();
+            let forward = run(insertion_attempt, &p, deps.forward(), &config).unwrap();
+            let backward = run(backward_attempt, &p, deps.mirrored(), &config).unwrap();
             for (pass, s) in [("insertion", forward), ("backward", backward)] {
                 s.verify(&p, &deps).unwrap();
                 prop_assert!(bound <= s.length(), "bound {bound} > {pass} {}", s.length());
@@ -987,7 +1026,7 @@ mod tests {
         let deps = DependenceGraph::build(&p).unwrap();
         let best = best_effort(&p, &deps, 2);
         best.verify(&p, &deps).unwrap();
-        let single = run(list_attempt, &p, &deps, &ListConfig::default()).unwrap();
+        let single = run(list_attempt, &p, deps.forward(), &ListConfig::default()).unwrap();
         assert!(best.length() <= single.length());
     }
 

@@ -160,7 +160,9 @@ fn render(result: &Result<dspcc::stages::ScheduleArtifact, dspcc::CompileError>)
 /// scheduling under every priority, two fuel limits, (on small programs)
 /// the exact scheduler, and the exact scheduler under fuel 0, 5 and 50
 /// with two restart counts. Every row of the schedule is digested in
-/// order, so the order of RTs within a cycle is pinned too.
+/// order, so the order of RTs within a cycle is pinned too. A second
+/// digest pins the compacting scheduler on seeded random programs
+/// ([`random_programs_digest`]).
 #[test]
 fn schedules_are_pinned_bit_for_bit() {
     use dspcc::sched::list::Priority;
@@ -296,6 +298,117 @@ fn schedules_are_pinned_bit_for_bit() {
     let digest = h.finish();
     assert_eq!(cells, 4792);
     assert_eq!(digest, 0x08df_77b7_5254_dd5c, "digest {digest:#018x}");
+
+    let (digest, cells) = random_programs_digest();
+    assert_eq!(cells, 11267);
+    assert_eq!(
+        digest, 0xb5e6_0bff_173d_3f31,
+        "random programs digest {digest:#018x}"
+    );
+}
+
+/// A seeded random program of `n` RTs: per RT one of four units with one
+/// of three usages, sometimes a private bus usage, and a latency of 1 to
+/// 4; value edges and sequence edges of separation 0 or 1, each from a
+/// lower to a higher RT id.
+fn random_program(
+    rng: &mut dspcc::arch::SplitMix64,
+    n: usize,
+) -> (
+    dspcc::ir::Program,
+    Vec<(dspcc::ir::RtId, dspcc::ir::RtId, u32)>,
+) {
+    use dspcc::ir::{Program, Rt, RtId, Usage};
+    let mut p = Program::new();
+    let values: Vec<_> = (0..n).map(|i| p.add_value(format!("v{i}"))).collect();
+    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for _ in 0..n * 3 / 2 {
+        let (a, b) = (rng.range(0, n as u32 - 1), rng.range(0, n as u32 - 1));
+        let (a, b) = (a.min(b) as usize, a.max(b) as usize);
+        if a < b && !uses[b].contains(&a) {
+            uses[b].push(a);
+        }
+    }
+    for (i, used) in uses.iter().enumerate() {
+        let mut rt = Rt::new(format!("rt{i}"));
+        rt.add_def(values[i]);
+        rt.set_latency(rng.range(1, 4));
+        let unit = *rng.pick(&["alu", "mult", "ram", "rom"]);
+        let usage = *rng.pick(&["a", "b", "c"]);
+        rt.add_usage(unit, Usage::token(usage));
+        if rng.chance(40) {
+            rt.add_usage("bus", Usage::apply("xfer", [format!("v{i}")]));
+        }
+        for &u in used {
+            rt.add_use(values[u]);
+        }
+        p.add_rt(rt);
+    }
+    let sequence = (0..n / 4)
+        .map(|_| {
+            let (a, b) = (rng.range(0, n as u32 - 1), rng.range(0, n as u32 - 1));
+            (RtId(a.min(b)), RtId(a.max(b)), rng.range(0, 1))
+        })
+        .collect();
+    (p, sequence)
+}
+
+/// The compacting scheduler on seeded random programs, sizes on both
+/// sides of the 64-RT bitset word boundaries among them: restarts 0, 2
+/// and 6 under fuel none, 1, 3 and 20, each run unbudgeted and at every
+/// budget from one below the bound to the unbudgeted length. Every row,
+/// the bound, the degradation or the error, and the fuel spent are
+/// digested. Returns the digest and the cell count.
+fn random_programs_digest() -> (u64, usize) {
+    use dspcc::sched::deps::DependenceGraph;
+    use dspcc::sched::{schedule, ConflictMatrix, Fuel, Scheduler};
+
+    let mut rng = dspcc::arch::SplitMix64::new(0x5eed_0030);
+    let mut h = Fnv64::new();
+    let mut cells = 0;
+    for k in 0..300 {
+        let n = match k % 8 {
+            0 => 63,
+            1 => 64,
+            2 => 65,
+            3 => 129,
+            4 => 200,
+            _ => rng.range(2, 40) as usize,
+        };
+        let (p, sequence) = random_program(&mut rng, n);
+        let deps = DependenceGraph::build_with_edges(&p, &sequence).unwrap();
+        let matrix = ConflictMatrix::build(&p);
+        writeln!(h, "program {k} {n}").unwrap();
+        for restarts in [0, 2, 6] {
+            for fuel in [None, Some(1), Some(3), Some(20)] {
+                let run = |budget: Option<u32>| {
+                    let mut fuel = fuel.map(Fuel::limited).unwrap_or_default();
+                    let scheduler = Scheduler::Compacting { restarts };
+                    let result = schedule(&p, &deps, &matrix, scheduler, budget, &mut fuel, None);
+                    (result, fuel.used())
+                };
+                let (first, _) = run(None);
+                let first = first.unwrap();
+                let (length, bound) = (first.schedule.length(), first.bound);
+                let budgets = std::iter::once(None).chain((bound.max(1) - 1..=length).map(Some));
+                for budget in budgets {
+                    cells += 1;
+                    let (result, spent) = run(budget);
+                    writeln!(h, "cell {restarts} {fuel:?} {budget:?} spent {spent}").unwrap();
+                    match result {
+                        Ok(s) => {
+                            for row in s.schedule.cycles() {
+                                writeln!(h, "{row:?}").unwrap();
+                            }
+                            writeln!(h, "bound {} {:?}", s.bound, s.degradation).unwrap();
+                        }
+                        Err(e) => writeln!(h, "error {e:?}").unwrap(),
+                    }
+                }
+            }
+        }
+    }
+    (h.finish(), cells)
 }
 
 /// The audio instruction set and every derived one of generated seeds
